@@ -19,6 +19,7 @@ from .harness import (
     run_lti_experiment,
     run_pwa_experiment,
 )
+from .rightinv import RightInverseError
 from .selfcheck import run_selfcheck
 
 _DEFAULT_CONFIGS = {"lti": "lti_5d", "pwa": "pwa_2mode", "volume-table": "lti_5d"}
@@ -101,7 +102,7 @@ def cli_main(argv=None):
         return _run_selftest(args)
     try:
         return _run_experiment(args)
-    except (OSError, ValueError, KeyError) as err:
+    except (OSError, ValueError, KeyError, RightInverseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -308,35 +308,6 @@ def bundled_config(name):
 # simulation and data collection
 
 
-@dataclass
-class Trajectory:
-    """One rollout with its recorded noise factors (columns, one per step)."""
-
-    states: np.ndarray   # (n_x, T + 1)
-    inputs: np.ndarray   # (n_u, T)
-    xi_w: np.ndarray     # (p_w, T)
-
-
-def simulate(system, x0, inputs, rng):
-    """Roll the true system forward from the point x0 under given inputs.
-
-    Noise factors are drawn uniformly from the box and recorded, so the
-    realized disturbances can be reconstructed exactly.
-    """
-    inputs = np.asarray(inputs, dtype=float)
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    w = system.w
-    xs = [x]
-    xiws = []
-    for k in range(inputs.shape[1]):
-        xiw = rng.uniform(-1.0, 1.0, w.num_generators)
-        x = system.step(x, inputs[:, k], w.c + w.G @ xiw)
-        xs.append(x)
-        xiws.append(xiw)
-    xi_w = np.column_stack(xiws) if xiws else np.zeros((w.num_generators, 0))
-    return Trajectory(np.column_stack(xs), inputs.copy(), xi_w)
-
-
 def simulate_batch(system, x0_set, u_set, horizon, count, rng):
     """Many rollouts at once with every factor draw recorded.
 
@@ -612,20 +583,24 @@ def _emit_polygons(out, combo, result, dims_pairs, fmt, n_dirs=32):
                      ["step", "fragment", "x", "y"], rows, fmt)
 
 
-def _emit_common(out, cfg, report, runs, combos, fmt, runtime):
+def _emit_common(out, cfg, report, runs, fmt, tables, t0):
+    """Write the full output layout; metadata.json comes last so that its
+    runtime_seconds (counted from perf_counter t0) covers all the rest."""
     _write_json(out / "report.json", report)
+    for combo, run in runs.items():
+        _emit_sets(out, combo, run)
+        _emit_polygons(out, combo, run, cfg.projection_dims, fmt)
+    for name, header, rows in tables:
+        _write_table(out / name, header, rows, fmt)
     _write_json(out / "metadata.json", {
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "runtime_seconds": runtime,
+        "runtime_seconds": time.perf_counter() - t0,
         "versions": {
             "datareach": __version__,
             "numpy": np.__version__,
             "scipy": __import__("scipy").__version__,
         },
     })
-    for combo in combos:
-        _emit_sets(out, combo, runs[combo])
-        _emit_polygons(out, combo, runs[combo], cfg.projection_dims, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +610,40 @@ def _emit_common(out, cfg, report, runs, combos, fmt, runtime):
 def _require_centered_noise(w):
     if np.any(w.c != 0.0):
         raise HarnessError("model-set construction assumes zero-centered noise")
+
+
+def _self_check(cfg, system, runs, report, certify):
+    """Containment self-check of every run: factor certificates for fresh
+    simulated trajectories, cross-checked by a few membership LPs.
+
+    certify(combo, states, xi0, xi_u, xi_w) returns the CertificateReport
+    of runs[combo].  Sets report["self_check"] and report["status"]; raises
+    HarnessError (carrying the report) if any combination fails.
+    """
+    rng_chk = np.random.default_rng([cfg.rng_seed, _CHECK_STREAM])
+    draws = simulate_batch(system, cfg.x0, cfg.u_prop, cfg.horizon, cfg.n_check, rng_chk)
+    checks, failed = {}, []
+    for combo, run in runs.items():
+        cert = certify(combo, *draws)
+        spot_failures = _lp_spot_check(run, draws[0], rng_chk, cfg.n_lp_spot)
+        ok = bool(cert.ok() and spot_failures == 0)
+        checks[combo] = {
+            "trajectories": cfg.n_check,
+            "max_factor": cert.max_factor,
+            "max_constraint": cert.max_constraint,
+            "max_point_error": cert.max_point_error,
+            "lp_spot_checks": cfg.n_lp_spot,
+            "lp_spot_failures": spot_failures,
+            "ok": ok,
+        }
+        if not ok:
+            failed.append(combo)
+    report["self_check"] = checks
+    if failed:
+        report["status"] = "self_check_failed"
+        raise HarnessError(f"containment self-check failed for: {', '.join(failed)}",
+                           report=report)
+    report["status"] = "ok"
 
 
 def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
@@ -722,42 +731,10 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
                 orderings["model_within"][combo] = {"max_gap": gap, "ok": gap <= 1e-6}
         report["orderings"] = orderings
 
-    # containment self-check: factor certificates for fresh trajectories,
-    # cross-checked by a few membership LPs
-    rng_chk = np.random.default_rng([cfg.rng_seed, _CHECK_STREAM])
-    states, xi0, xi_u, xi_w = simulate_batch(system, cfg.x0, cfg.u_prop,
-                                             cfg.horizon, cfg.n_check, rng_chk)
-    checks, failed = {}, []
-    for combo in combos:
-        if combo == "model":
-            model = MatrixZonotope(np.hstack([system.a, system.b]))
-            beta = np.zeros(0)
-        else:
-            mset, rinv, mode = _parse_combo(combo)
-            bundle = bundles[(mode, rinv)]
-            model = bundle.mz if mset == "mz" else bundle.cmz
-            beta = true_noise_coefficients(logs[mode])
-        _, cert = certify_lti(model, beta, cfg.x0, cfg.u_prop, cfg.w, cfg.horizon,
-                              cfg.max_order, states, xi0, xi_u, xi_w)
-        spot_failures = _lp_spot_check(runs[combo], states, rng_chk, cfg.n_lp_spot)
-        ok = bool(cert.ok() and spot_failures == 0)
-        checks[combo] = {
-            "trajectories": cfg.n_check,
-            "max_factor": cert.max_factor,
-            "max_constraint": cert.max_constraint,
-            "max_point_error": cert.max_point_error,
-            "lp_spot_checks": cfg.n_lp_spot,
-            "lp_spot_failures": spot_failures,
-            "ok": ok,
-        }
-        if not ok:
-            failed.append(combo)
-    report["self_check"] = checks
-    if failed:
-        report["status"] = "self_check_failed"
-        raise HarnessError(f"containment self-check failed for: {', '.join(failed)}",
-                           report=report)
-    report["status"] = "ok"
+    betas = {c: np.zeros(0) if c == "model" else true_noise_coefficients(logs[_parse_combo(c)[2]])
+             for c in combos}
+    _self_check(cfg, system, runs, report,
+                lambda combo, *draws: certify_lti(runs[combo], betas[combo], *draws))
 
     if cfg.compute_volumes:
         vstep = cfg.horizon if cfg.volume_step is None else cfg.volume_step
@@ -777,14 +754,12 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
         report["volume_table"] = table
         report["volume_step"] = vstep
 
-    runtime = time.perf_counter() - t0
     if out_dir is not None:
-        out = Path(out_dir)
-        _emit_common(out, cfg, report, runs, combos, fmt, runtime)
+        tables = []
         if "volume_table" in report:
-            _write_table(out / "volume_table.csv", ["method", "volume", "ratio"],
-                         [[r["method"], r["volume"], r["ratio"]] for r in report["volume_table"]],
-                         fmt)
+            tables.append(("volume_table.csv", ["method", "volume", "ratio"],
+                           [[r["method"], r["volume"], r["ratio"]] for r in report["volume_table"]]))
+        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0)
     return report
 
 
@@ -810,7 +785,7 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
     }
 
     combos, runs = [], {}
-    variant_models, variant_betas = {}, {}
+    variant_betas = {}
     data_stats, rinv_stats = {}, {}
     for mode, rinv in cfg.pwa_variants:
         combo = f"cmz_{rinv}_{mode}"
@@ -835,7 +810,6 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
             "per_mode": mode_stats,
             "trace_inverse": log.trace_inverse,
         }
-        variant_models[combo] = models
         variant_betas[combo] = betas
         runs[combo] = propagate_pwa(models, pwa, cfg.x0, cfg.u_prop, cfg.w,
                                     cfg.horizon, cfg.max_order,
@@ -877,49 +851,17 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
             }
         }
 
-    rng_chk = np.random.default_rng([cfg.rng_seed, _CHECK_STREAM])
-    states, xi0, xi_u, xi_w = simulate_batch(system, cfg.x0, cfg.u_prop,
-                                             cfg.horizon, cfg.n_check, rng_chk)
-    checks, failed = {}, []
-    for combo in combos:
-        if combo == "model":
-            models = [MatrixZonotope(np.hstack([m.a, m.b])) for m in pwa.modes]
-            betas = [np.zeros(0)] * pwa.n_modes
-        else:
-            models, betas = variant_models[combo], variant_betas[combo]
-        _, cert = certify_pwa(models, betas, pwa, cfg.x0, cfg.u_prop, cfg.w,
-                              cfg.horizon, cfg.max_order, states, xi0, xi_u, xi_w,
-                              fragment_cap=cfg.fragment_cap)
-        spot_failures = _lp_spot_check(runs[combo], states, rng_chk, cfg.n_lp_spot)
-        ok = bool(cert.ok() and spot_failures == 0)
-        checks[combo] = {
-            "trajectories": cfg.n_check,
-            "max_factor": cert.max_factor,
-            "max_constraint": cert.max_constraint,
-            "max_point_error": cert.max_point_error,
-            "lp_spot_checks": cfg.n_lp_spot,
-            "lp_spot_failures": spot_failures,
-            "ok": ok,
-        }
-        if not ok:
-            failed.append(combo)
-    report["self_check"] = checks
-    if failed:
-        report["status"] = "self_check_failed"
-        raise HarnessError(f"containment self-check failed for: {', '.join(failed)}",
-                           report=report)
-    report["status"] = "ok"
+    variant_betas["model"] = [np.zeros(0)] * pwa.n_modes
+    _self_check(cfg, system, runs, report,
+                lambda combo, *draws: certify_pwa(runs[combo], variant_betas[combo], pwa, *draws))
 
-    runtime = time.perf_counter() - t0
     if out_dir is not None:
-        out = Path(out_dir)
-        _emit_common(out, cfg, report, runs, combos, fmt, runtime)
         rows = []
         for c in combos:
             for k, h in enumerate(hulls[c]):
                 for dim in range(system.n_x):
                     rows.append([c, k, dim + 1, h["low"][dim], h["high"][dim],
                                  h["width"][dim]])
-        _write_table(out / "hull_widths.csv",
-                     ["method", "step", "dim", "low", "high", "width"], rows, fmt)
+        tables = [("hull_widths.csv", ["method", "step", "dim", "low", "high", "width"], rows)]
+        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0)
     return report

@@ -15,6 +15,9 @@ from scipy.optimize import linprog
 # are treated as zero.
 RANK_RTOL = 1e-10
 
+# A matrix counts as full row rank when sigma_min > FULL_ROW_RANK_RTOL * sigma_max.
+FULL_ROW_RANK_RTOL = 1e-8
+
 
 class NumericalError(RuntimeError):
     """Raised when a factorization or LP solve fails for numerical reasons."""
@@ -78,10 +81,13 @@ def nullspace_basis(m, tol=None):
     return v[:, rank:]
 
 
-def min_singular_value(m):
+def is_full_row_rank(m):
+    """Whether M has full row rank with margin: no more rows than columns
+    and sigma_min > FULL_ROW_RANK_RTOL * sigma_max.  This is the test for a
+    regressor that must have a right inverse."""
     a = _as_matrix(m)
     s = np.linalg.svd(a, compute_uv=False)
-    return float(s[-1]) if s.size else 0.0
+    return bool(0 < a.shape[0] <= a.shape[1] and s[-1] > FULL_ROW_RANK_RTOL * s[0])
 
 
 @dataclass

@@ -11,12 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import min_singular_value, nullspace_basis
+from .linalg import is_full_row_rank, nullspace_basis
 from .sets import ConstrainedMatrixZonotope, MatrixZonotope
-
-# Full-row-rank test for the regressor: smallest singular value must exceed
-# this fraction of the largest.
-RANK_RTOL = 1e-8
 
 
 class ModelSetError(ValueError):
@@ -112,19 +108,17 @@ def kernel_constraints(denoised, phi_perp, consistency_rtol=1e-9):
 
     Column l of A is vec(G_l @ Phi_perp) (column-major), b = -vec(C @ Phi_perp).
     Rows whose generator coefficients all vanish are dropped after checking
-    the corresponding rhs is consistent (near zero).  Returns
-    (A, b, a_blocks, b_block) with the block forms kept for diagnostics.
+    the corresponding rhs is consistent (near zero).  Returns (A, b).
     """
     phi_perp = np.asarray(phi_perp, dtype=float)
     kappa = denoised.num_generators
     n_x = denoised.shape[0]
     r = phi_perp.shape[1]
     assert phi_perp.shape[0] == denoised.shape[1]
-    a_blocks = np.einsum("lnt,tr->lnr", denoised.generators, phi_perp)
-    b_block = -(denoised.C @ phi_perp)
+    blocks = np.einsum("lnt,tr->lnr", denoised.generators, phi_perp)
     # vec in column-major order: entry (i, j) of a block lands at j * n_x + i
-    a = a_blocks.transpose(0, 2, 1).reshape(kappa, r * n_x).T
-    b = b_block.flatten(order="F")
+    a = blocks.transpose(0, 2, 1).reshape(kappa, r * n_x).T
+    b = (-(denoised.C @ phi_perp)).flatten(order="F")
     zero_rows = ~np.any(a != 0.0, axis=1) if kappa else np.ones(b.size, dtype=bool)
     if np.any(zero_rows):
         scale = max(1.0, float(np.max(np.abs(b)))) if b.size else 1.0
@@ -136,9 +130,7 @@ def kernel_constraints(denoised, phi_perp, consistency_rtol=1e-9):
             )
         keep = ~zero_rows
         a, b = a[keep], b[keep]
-        # rebuild the block forms only when nothing was pruned
-        return a, b, None, None
-    return a, b, a_blocks, b_block
+    return a, b
 
 
 @dataclass
@@ -158,7 +150,7 @@ class ModelSetBundle:
         return self.phi_perp.shape[1]
 
 
-def build_model_sets(data, w_generators, h, rank_rtol=RANK_RTOL):
+def build_model_sets(data, w_generators, h):
     """Model sets (plain and constrained) from data and a right inverse H.
 
     Requires Phi full row rank and Phi H = I within 1e-8.
@@ -167,11 +159,8 @@ def build_model_sets(data, w_generators, h, rank_rtol=RANK_RTOL):
     d, t = phi.shape
     h = np.asarray(h, dtype=float)
     assert h.shape == (t, d), f"right inverse must be {t} x {d}"
-    sigma = np.linalg.svd(phi, compute_uv=False)
-    if sigma[-1] <= rank_rtol * sigma[0]:
-        raise ModelSetError(
-            f"regressor is not full row rank (sigma_min/sigma_max = {sigma[-1] / sigma[0]:.2e})"
-        )
+    if not is_full_row_rank(phi):
+        raise ModelSetError("regressor is not full row rank")
     residual = phi @ h - np.eye(d)
     if np.max(np.abs(residual)) > 1e-8:
         raise ModelSetError(
@@ -180,7 +169,7 @@ def build_model_sets(data, w_generators, h, rank_rtol=RANK_RTOL):
     noise_mz = build_noise_mz(w_generators, t)
     denoised = build_denoised(data.x_plus, noise_mz)
     phi_perp = nullspace_basis(phi)
-    a, b, a_blocks, b_block = kernel_constraints(denoised, phi_perp)
+    a, b = kernel_constraints(denoised, phi_perp)
     center = denoised.C @ h
     kappa = denoised.num_generators
     if kappa:
@@ -188,7 +177,7 @@ def build_model_sets(data, w_generators, h, rank_rtol=RANK_RTOL):
     else:
         gens = np.zeros((0, data.n_x, d))
     mz = MatrixZonotope(center, gens)
-    cmz = ConstrainedMatrixZonotope(center, gens, a, b, a_blocks=a_blocks, b_block=b_block)
+    cmz = ConstrainedMatrixZonotope(center, gens, a, b)
     return ModelSetBundle(mz, cmz, h, noise_mz, denoised, phi, phi_perp)
 
 

@@ -6,24 +6,27 @@ One step maps the current state set R through
 
 where M is a (possibly constrained) matrix zonotope of models over the lifted
 vector [x; u], U is the propagation input set, and W the disturbance set.
-With a plain matrix zonotope and a plain state set everything stays a
-zonotope; matrix-factor constraints or guard splits turn the state sets into
-constrained zonotopes, whose constrained columns are exempt from order
-reduction.
+propagation_step is the one kernel for this: a plain step is the same step
+with zero constraint rows.  With a plain matrix zonotope and a plain state
+set the result is a zonotope; matrix-factor constraints or guard splits turn
+the state sets into constrained zonotopes, whose constrained columns are
+exempt from order reduction.
 
 Piecewise-affine propagation splits every fragment along the mode guards,
 propagates each nonempty piece through its mode's model set, and tracks the
 fragment lineage.
 
-Each step can emit a replay plan: enough bookkeeping to push explicit factor
-certificates for sampled trajectories through products, reductions, and guard
-splits.  That gives a constructive containment proof per trajectory that is
-much cheaper than one LP per point, and is used by the soundness self-checks.
+Every fragment records how it was made: the guard-split events applied to
+its parent and the StepPlan of its step.  replay_step and replay_split push
+explicit factor certificates for sampled trajectories through those records,
+so certify_lti and certify_pwa check the very sets a study emitted, one
+constructive containment proof per trajectory and much cheaper than one LP
+per point.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,11 +36,9 @@ from .sets import (
     ConstrainedZonotope,
     EmptySet,
     MatrixZonotope,
-    ReductionPlan,
     Zonotope,
-    _box_block,
-    _girard_split,
     cartesian_product,
+    girard,
     halfspace_intersection_with_plan,
     is_empty,
     support,
@@ -49,18 +50,51 @@ from .sets import (
 
 
 @dataclass
+class StepPlan:
+    """Replay data for one propagation step.
+
+    The free block is [alpha[:, free_alpha], beta (if beta_free), gamma, W];
+    kept indexes its columns that survive the reduction (kept_cols), and
+    box_rows / box_radii give the box columns that cover the rest.
+    """
+
+    model: MatrixZonotope
+    c_lift: np.ndarray
+    g_lift: np.ndarray
+    w_g: np.ndarray
+    cons_alpha: np.ndarray      # alpha columns whose factors carry constraints
+    free_alpha: np.ndarray
+    beta_free: bool             # beta block unconstrained, hence in the free block
+    kept: np.ndarray
+    kept_cols: np.ndarray
+    box_rows: np.ndarray
+    box_radii: np.ndarray
+
+    @property
+    def p(self):
+        """Factor count of the lifted set R x U."""
+        return self.g_lift.shape[1]
+
+
+@dataclass
 class Fragment:
     """One piece of a reachable set: its set, the mode it was propagated
-    through (None before the first step), and the index of its parent
-    fragment at the previous step."""
+    through (None before the first step and for linear systems), the index
+    of its parent fragment at the previous step, the guard-split events that
+    cut the parent, and the plan of the step that produced the set."""
 
     set: object
     mode: object = None
     parent: int = -1
+    split: tuple = ()
+    plan: StepPlan = None
 
 
 @dataclass
 class StepRecord:
+    """The fragments of one step; each carries the guard-split events and
+    the StepPlan that produced it, which is what the certificates replay."""
+
     fragments: list
 
     @property
@@ -73,7 +107,6 @@ class ReachResult:
     """Reachable fragments per step; steps[0] holds the initial set."""
 
     steps: list
-    metadata: dict = field(default_factory=dict)
 
     @property
     def horizon(self):
@@ -93,208 +126,81 @@ class ReachResult:
 
 
 # ---------------------------------------------------------------------------
-# single propagation steps (with replay plans)
-
-
-@dataclass
-class PlainStepPlan:
-    """Replay data for a plain-zonotope step (no constraints anywhere)."""
-
-    p: int                      # lifted factor count (state + input columns)
-    kappa: int
-    w_count: int
-    c_lift: np.ndarray
-    g_lift: np.ndarray
-    w_g: np.ndarray
-    model: MatrixZonotope
-    rplan: object               # ReductionPlan over [alpha, beta, gamma, w] or None
-    kept_cols: np.ndarray       # generator columns kept by the reduction
-
-
-@dataclass
-class CzStepPlan:
-    """Replay data for a constrained step (fused product + reduction)."""
-
-    p: int
-    kappa: int
-    w_count: int
-    c_lift: np.ndarray
-    g_lift: np.ndarray
-    w_g: np.ndarray
-    model: MatrixZonotope
-    cons_alpha: np.ndarray      # indices of alpha columns carrying constraints
-    free_alpha: np.ndarray
-    beta_in_free: bool
-    rplan: object               # ReductionPlan over the free collection or None
-    kept_free: np.ndarray       # kept free-collection indices (all, if no reduction)
-    kept_cols: np.ndarray
-
-
-def _lift(r, u_prop):
-    lifted = cartesian_product(r, u_prop)
-    if isinstance(lifted, Zonotope):
-        return lifted.c, lifted.G, np.zeros((0, lifted.num_generators)), np.zeros(0)
-    return lifted.c, lifted.G, lifted.A, lifted.b
-
-
-def _step_plain(model, r, u_prop, w, max_order):
-    """R' = model (R x U) + W for plain sets; returns (Zonotope, PlainStepPlan)."""
-    c_lift, g_lift, _, _ = _lift(r, u_prop)
-    n = model.shape[0]
-    p = g_lift.shape[1]
-    kappa = model.num_generators
-    center = model.C @ c_lift + w.c
-    alpha = model.C @ g_lift
-    if kappa:
-        beta = np.einsum("lij,j->il", model.generators, c_lift)
-        gamma = np.einsum("lij,jp->lip", model.generators, g_lift)
-        gamma = gamma.transpose(1, 0, 2).reshape(n, kappa * p)
-        g_all = np.hstack([alpha, beta, gamma, w.G])
-    else:
-        g_all = np.hstack([alpha, w.G])
-    cap = int(math.floor(max_order * n))
-    if g_all.shape[1] <= cap:
-        out = Zonotope(center, g_all)
-        plan = PlainStepPlan(p, kappa, w.num_generators, c_lift, g_lift, w.G,
-                             model, None, g_all)
-        return out, plan
-    kept, boxed = _girard_split(g_all, cap - n)
-    rows, radii, block = _box_block(g_all, boxed)
-    kept_cols = g_all[:, kept]
-    out = Zonotope(center, np.hstack([kept_cols, block]))
-    plan = PlainStepPlan(p, kappa, w.num_generators, c_lift, g_lift, w.G, model,
-                         ReductionPlan(kept, boxed, rows, radii), kept_cols)
-    return out, plan
-
-
-def _step_cz(model, r, u_prop, w, max_order):
-    """Constrained step: product, disturbance sum, and free-column reduction
-    fused so the gamma block's zero constraint columns are never materialized.
-    Returns (ConstrainedZonotope, CzStepPlan)."""
-    c_lift, g_lift, a_z, b_z = _lift(r, u_prop)
-    n = model.shape[0]
-    p = g_lift.shape[1]
-    kappa = model.num_generators
-    q_m = model.A.shape[0] if isinstance(model, ConstrainedMatrixZonotope) else 0
-    beta_constrained = q_m > 0
-
-    center = model.C @ c_lift + w.c
-    alpha = model.C @ g_lift
-    if kappa:
-        beta = np.einsum("lij,j->il", model.generators, c_lift)
-        gamma = np.einsum("lij,jp->lip", model.generators, g_lift)
-        gamma = gamma.transpose(1, 0, 2).reshape(n, kappa * p)
-    else:
-        beta = np.zeros((n, 0))
-        gamma = np.zeros((n, 0))
-
-    alpha_free_mask = ~np.any(a_z != 0.0, axis=0) if a_z.shape[0] else np.ones(p, dtype=bool)
-    free_alpha = np.nonzero(alpha_free_mask)[0]
-    cons_alpha = np.nonzero(~alpha_free_mask)[0]
-
-    if beta_constrained:
-        free_block = np.hstack([alpha[:, free_alpha], gamma, w.G])
-    else:
-        free_block = np.hstack([alpha[:, free_alpha], beta, gamma, w.G])
-    # constrained columns are never boxed, so the order cap governs the free
-    # block alone; subtracting the constrained count would collapse the free
-    # budget to n once the model constraints alone exceed the cap
-    budget = max(n, int(math.floor(max_order * n)))
-
-    if free_block.shape[1] <= budget:
-        kept_free = np.arange(free_block.shape[1])
-        rplan = None
-        kept_cols = free_block
-        free_out = free_block
-        n_box = 0
-    else:
-        kept_free, boxed = _girard_split(free_block, budget - n)
-        rows, radii, block = _box_block(free_block, boxed)
-        rplan = ReductionPlan(kept_free, boxed, rows, radii)
-        kept_cols = free_block[:, kept_free]
-        free_out = np.hstack([kept_cols, block])
-        n_box = block.shape[1]
-
-    if beta_constrained:
-        g_out = np.hstack([alpha[:, cons_alpha], beta, free_out])
-        q_z = a_z.shape[0]
-        a_out = np.zeros((q_z + q_m, g_out.shape[1]))
-        a_out[:q_z, : cons_alpha.size] = a_z[:, cons_alpha]
-        a_out[q_z:, cons_alpha.size : cons_alpha.size + kappa] = model.A
-        b_out = np.concatenate([b_z, model.b])
-    else:
-        g_out = np.hstack([alpha[:, cons_alpha], free_out])
-        q_z = a_z.shape[0]
-        a_out = np.zeros((q_z, g_out.shape[1]))
-        a_out[:, : cons_alpha.size] = a_z[:, cons_alpha]
-        b_out = b_z
-    out = ConstrainedZonotope(center, g_out, a_out, b_out)
-    plan = CzStepPlan(p, kappa, w.num_generators, c_lift, g_lift, w.G, model,
-                      cons_alpha, free_alpha, not beta_constrained, rplan, kept_free,
-                      kept_cols)
-    return out, plan
+# the propagation step and its replay
 
 
 def propagation_step(model, r, u_prop, w, max_order):
-    """One reachability step with its replay plan."""
-    plain = isinstance(r, Zonotope) and not isinstance(model, ConstrainedMatrixZonotope)
-    if plain:
-        return _step_plain(model, r, u_prop, w, max_order)
-    return _step_cz(model, r, u_prop, w, max_order)
+    """R' = model (R x U) + W with order reduction; returns (set, StepPlan).
+
+    For M = <C, {G_l}> (kappa generators) and R x U = <c, g> (p generators)
+    the product M (R x U) is over-approximated with generator columns in
+    three blocks:
+        alpha: C @ g[:, i]     p columns, factor xi_i
+        beta:  G_l @ c         kappa columns, factor beta_l
+        gamma: G_l @ g[:, i]   kappa * p columns, l-major (l slow, i fast)
+    The bilinear products beta_l * xi_i are relaxed to fresh gamma factors,
+    which is what makes this an over-approximation.  Factor constraints of
+    R x U stay on their alpha columns, matrix-factor constraints on the beta
+    block; gamma and W columns are unconstrained.
+
+    Constrained columns are never boxed.  The free block (unconstrained
+    alpha, beta when the model is plain, gamma, W) is Girard-reduced to
+    max(n, max_order * n) columns: the order cap governs the free block
+    alone, because subtracting the constrained count would collapse the free
+    budget to n once the model constraints alone exceed the cap.  Output
+    columns: constrained alpha, constrained beta, reduced free block.
+
+    The result is a Zonotope exactly when neither R nor the model is
+    constrained; such a plain step relaxes away the constraints of a
+    constrained U.
+    """
+    lifted = cartesian_product(r, u_prop)
+    c_lift, g_lift = lifted.c, lifted.G
+    n, p = model.shape[0], g_lift.shape[1]
+    kappa = model.num_generators
+    model_constrained = isinstance(model, ConstrainedMatrixZonotope)
+    q_m = model.num_constraints if model_constrained else 0
+    constrained = isinstance(r, ConstrainedZonotope) or model_constrained
+    if constrained and isinstance(lifted, ConstrainedZonotope):
+        a_z, b_z = lifted.A, lifted.b
+    else:
+        a_z, b_z = np.zeros((0, p)), np.zeros(0)
+
+    center = model.C @ c_lift + w.c
+    alpha = model.C @ g_lift
+    beta = np.einsum("lij,j->il", model.generators, c_lift)
+    gamma = np.einsum("lij,jp->lip", model.generators, g_lift)
+    gamma = gamma.transpose(1, 0, 2).reshape(n, kappa * p)
+
+    cons = np.any(a_z != 0.0, axis=0)
+    cons_alpha, free_alpha = np.nonzero(cons)[0], np.nonzero(~cons)[0]
+    beta_free = q_m == 0
+    head = [alpha[:, cons_alpha]] + ([] if beta_free else [beta])
+    free = np.hstack([alpha[:, free_alpha]] + ([beta] if beta_free else []) + [gamma, w.G])
+    kept, box_rows, box_radii, free_out = girard(free, max(n, int(math.floor(max_order * n))))
+    g_out = np.hstack(head + [free_out])
+    plan = StepPlan(model, c_lift, g_lift, w.G, cons_alpha, free_alpha, beta_free,
+                    kept, free_out[:, : kept.size], box_rows, box_radii)
+    if not constrained:
+        return Zonotope(center, g_out), plan
+
+    q_z = a_z.shape[0]
+    a_out = np.zeros((q_z + q_m, g_out.shape[1]))
+    a_out[:q_z, : cons_alpha.size] = a_z[:, cons_alpha]
+    b_out = b_z
+    if q_m:
+        a_out[q_z:, cons_alpha.size : cons_alpha.size + kappa] = model.A
+        b_out = np.concatenate([b_z, model.b])
+    return ConstrainedZonotope(center, g_out, a_out, b_out), plan
 
 
-# ---------------------------------------------------------------------------
-# factor replay
-
-
-def _plain_factor_groups(plan, idx, xi_lift, beta_star, xi_w):
-    """Factor values for selected columns of the unreduced [alpha, beta,
-    gamma, w] layout.  idx is sorted; xi_lift is (N, p)."""
-    p, kappa = plan.p, plan.kappa
-    n_tr = xi_lift.shape[0]
-    out = np.empty((n_tr, idx.size))
-    b0, b1, b2 = p, p + kappa, p + kappa + kappa * p
-    for j, col in enumerate(idx):
-        if col < b0:
-            out[:, j] = xi_lift[:, col]
-        elif col < b1:
-            out[:, j] = beta_star[col - b0]
-        elif col < b2:
-            g = col - b1
-            out[:, j] = beta_star[g // p] * xi_lift[:, g % p]
-        else:
-            out[:, j] = xi_w[:, col - b2]
-    return out
-
-
-def replay_plain_step(plan, xi_state, xi_u, beta_star, xi_w):
-    """Push factors through a plain step; returns factors for the result."""
-    xi_lift = np.hstack([xi_state, xi_u])
-    assert xi_lift.shape[1] == plan.p
-    m_beta = (np.einsum("l,lij->ij", beta_star, plan.model.generators)
-              if plan.kappa else np.zeros(plan.model.shape))
-    if plan.rplan is None:
-        idx = np.arange(plan.p + plan.kappa + plan.kappa * plan.p + plan.w_count)
-        return _plain_factor_groups(plan, idx, xi_lift, beta_star, xi_w)
-    kept_f = _plain_factor_groups(plan, plan.rplan.kept, xi_lift, beta_star, xi_w)
-    # total contribution of every column, via the closed form
-    lift_pts = xi_lift @ plan.g_lift.T                      # (N, d)
-    full = lift_pts @ (plan.model.C + m_beta).T + xi_w @ plan.w_g.T
-    full = full + (m_beta @ plan.c_lift)[None, :]
-    resid = full - kept_f @ plan.kept_cols.T
-    box = resid[:, plan.rplan.box_rows] / plan.rplan.box_radii
-    return np.hstack([kept_f, box])
-
-
-def _free_factor_groups(plan, idx, xi_lift, beta_star, xi_w):
-    """Factor values for selected columns of the free collection
-    [alpha_free, (beta), gamma, w]."""
-    p, kappa = plan.p, plan.kappa
-    n_af = plan.free_alpha.size
-    n_tr = xi_lift.shape[0]
-    n_beta = kappa if plan.beta_in_free else 0
-    out = np.empty((n_tr, idx.size))
-    b0, b1, b2 = n_af, n_af + n_beta, n_af + n_beta + kappa * p
+def _free_factors(plan, idx, xi_lift, beta_star, xi_w):
+    """Factor values for the columns idx (sorted) of the free block."""
+    p, kappa = plan.p, plan.model.num_generators
+    b0 = plan.free_alpha.size
+    b1 = b0 + (kappa if plan.beta_free else 0)
+    b2 = b1 + kappa * p
+    out = np.empty((xi_lift.shape[0], idx.size))
     for j, col in enumerate(idx):
         if col < b0:
             out[:, j] = xi_lift[:, plan.free_alpha[col]]
@@ -308,36 +214,36 @@ def _free_factor_groups(plan, idx, xi_lift, beta_star, xi_w):
     return out
 
 
-def replay_cz_step(plan, xi_state, xi_u, beta_star, xi_w):
-    """Push factors through a constrained step."""
+def replay_step(plan, xi_state, xi_u, beta_star, xi_w):
+    """Factors in the step's result for points with known factors.
+
+    xi_state (N, m_r), xi_u (N, m_u) and xi_w (N, p_w) are the factors of N
+    points of R, U and W; beta_star the factors of the member model.  Row i
+    of the result reproduces M(beta_star) [x_i; u_i] + w_i in the output set.
+    """
     xi_lift = np.hstack([xi_state, xi_u])
-    assert xi_lift.shape[1] == plan.p
+    if xi_lift.shape[1] != plan.p:
+        raise ValueError(f"state and input factors have {xi_lift.shape[1]} columns, "
+                         f"the step expects {plan.p}")
     n_tr = xi_lift.shape[0]
-    m_beta = (np.einsum("l,lij->ij", beta_star, plan.model.generators)
-              if plan.kappa else np.zeros(plan.model.shape))
-    kept_f = _free_factor_groups(plan, plan.kept_free, xi_lift, beta_star, xi_w)
-    if plan.rplan is None:
-        free_part = kept_f
-    else:
-        lift_pts = xi_lift @ plan.g_lift.T
-        full = lift_pts @ m_beta.T + xi_w @ plan.w_g.T
-        full = full + (xi_lift[:, plan.free_alpha] @ plan.g_lift[:, plan.free_alpha].T) @ plan.model.C.T
-        if plan.beta_in_free:
+    kappa = plan.model.num_generators
+    kept_f = _free_factors(plan, plan.kept, xi_lift, beta_star, xi_w)
+    parts = [xi_lift[:, plan.cons_alpha]]
+    if not plan.beta_free:
+        parts.append(np.broadcast_to(beta_star, (n_tr, kappa)))
+    parts.append(kept_f)
+    if plan.box_rows.size:
+        # the box factors carry what the kept free columns miss of the free
+        # block's total contribution, computed in closed form
+        m_beta = np.einsum("l,lij->ij", beta_star, plan.model.generators)
+        fa = plan.free_alpha
+        full = (xi_lift @ plan.g_lift.T) @ m_beta.T + xi_w @ plan.w_g.T
+        full = full + (xi_lift[:, fa] @ plan.g_lift[:, fa].T) @ plan.model.C.T
+        if plan.beta_free:
             full = full + (m_beta @ plan.c_lift)[None, :]
         resid = full - kept_f @ plan.kept_cols.T
-        box = resid[:, plan.rplan.box_rows] / plan.rplan.box_radii
-        free_part = np.hstack([kept_f, box])
-    pieces = [xi_lift[:, plan.cons_alpha]]
-    if not plan.beta_in_free:
-        pieces.append(np.broadcast_to(beta_star, (n_tr, plan.kappa)))
-    pieces.append(free_part)
-    return np.hstack(pieces)
-
-
-def replay_step(plan, xi_state, xi_u, beta_star, xi_w):
-    if isinstance(plan, PlainStepPlan):
-        return replay_plain_step(plan, xi_state, xi_u, beta_star, xi_w)
-    return replay_cz_step(plan, xi_state, xi_u, beta_star, xi_w)
+        parts.append(resid[:, plan.box_rows] / plan.box_radii)
+    return np.hstack(parts)
 
 
 def replay_split(events, xi, w_floor=1e-12):
@@ -357,20 +263,18 @@ def replay_split(events, xi, w_floor=1e-12):
 # LTI propagation
 
 
-def propagate_lti(model, x0, u_prop, w, horizon, max_order, plan_sink=None):
+def propagate_lti(model, x0, u_prop, w, horizon, max_order):
     """Reachable sets of x' = M [x; u] + w for k = 0..horizon.
 
     model: matrix zonotope (constrained or not) over the lifted vector.
-    plan_sink: optional list collecting the per-step replay plans.
     """
-    assert horizon >= 0
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     r = x0
     steps = [StepRecord([Fragment(r)])]
     for _ in range(horizon):
         r, plan = propagation_step(model, r, u_prop, w, max_order)
-        if plan_sink is not None:
-            plan_sink.append(plan)
-        steps.append(StepRecord([Fragment(r, mode=None, parent=0)]))
+        steps.append(StepRecord([Fragment(r, parent=0, plan=plan)]))
     return ReachResult(steps)
 
 
@@ -489,16 +393,7 @@ def partition_data_by_mode(trajectories, pwa, return_indices=False):
     return out
 
 
-@dataclass
-class PwaStepPlan:
-    """Replay data for one piecewise-affine step: for every surviving
-    (parent fragment, mode) pair, the guard-split events and product plan."""
-
-    children: dict  # (parent_index, mode) -> (child_index, split_events, step_plan)
-
-
-def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order,
-                  fragment_cap=256, plan_sink=None):
+def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=256):
     """Reachable fragments of a piecewise-affine system.
 
     models: one (constrained) matrix zonotope per mode, over [x; u].
@@ -506,13 +401,12 @@ def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order,
     propagated through that mode's model.  Raises if the fragment count
     would exceed fragment_cap.
     """
-    assert len(models) == pwa.n_modes
+    if len(models) != pwa.n_modes:
+        raise ValueError(f"{len(models)} models for {pwa.n_modes} modes")
     steps = [StepRecord([Fragment(x0)])]
     for _ in range(horizon):
-        parents = steps[-1].fragments
         children = []
-        child_map = {}
-        for fi, frag in enumerate(parents):
+        for fi, frag in enumerate(steps[-1].fragments):
             for q, mode in enumerate(pwa.modes):
                 piece = frag.set
                 events = []
@@ -523,15 +417,13 @@ def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order,
                         break
                 if isinstance(piece, EmptySet) or is_empty(piece):
                     continue
-                new_set, step_plan = propagation_step(models[q], piece, u_prop, w, max_order)
-                child_map[(fi, q)] = (len(children), events, step_plan)
-                children.append(Fragment(new_set, mode=q, parent=fi))
+                new_set, plan = propagation_step(models[q], piece, u_prop, w, max_order)
+                children.append(Fragment(new_set, mode=q, parent=fi, split=tuple(events),
+                                         plan=plan))
         if not children:
             raise ValueError("all fragments became empty; check the mode regions")
         if len(children) > fragment_cap:
             raise ValueError(f"fragment count {len(children)} exceeds cap {fragment_cap}")
-        if plan_sink is not None:
-            plan_sink.append(PwaStepPlan(child_map))
         steps.append(StepRecord(children))
     return ReachResult(steps)
 
@@ -583,72 +475,82 @@ def _check_step(rset, xi, states_k, report):
         report["max_constraint"] = max(report["max_constraint"], float(np.max(np.abs(res))))
 
 
-def certify_lti(model, beta_star, x0, u_prop, w, horizon, max_order,
-                states, xi0, xi_u, xi_w):
+def _certificate_inputs(result, states, xi0, xi_u, xi_w):
+    """The recorded draws as arrays, checked against the result's horizon
+    and the trajectory count."""
+    states, xi0, xi_u, xi_w = (np.asarray(a, dtype=float) for a in (states, xi0, xi_u, xi_w))
+    n_traj, horizon = states.shape[0], result.horizon
+    if states.ndim != 3 or states.shape[1] != horizon + 1:
+        raise ValueError(f"states must be (N, {horizon + 1}, n_x), got {states.shape}")
+    if xi0.ndim != 2 or xi0.shape[0] != n_traj:
+        raise ValueError(f"xi0 must be ({n_traj}, m0), got {xi0.shape}")
+    for name, xi in (("xi_u", xi_u), ("xi_w", xi_w)):
+        if xi.ndim != 3 or xi.shape[:2] != (horizon, n_traj):
+            raise ValueError(f"{name} must be ({horizon}, {n_traj}, m), got {xi.shape}")
+    return states, xi0, xi_u, xi_w
+
+
+def _report(worst, states):
+    return CertificateReport(worst["max_factor"], worst["max_constraint"],
+                             worst["max_point_error"], states.shape[0], states.shape[1] - 1)
+
+
+def certify_lti(result, beta_star, states, xi0, xi_u, xi_w):
     """Constructive containment certificates for simulated trajectories.
 
-    states: (N, horizon+1, n_x) simulated with recorded factor draws
-    xi0 (N, m0), xi_u (horizon, N, m_u), xi_w (horizon, N, p_w); beta_star is
-    the model-set factor vector recovered from the data noise (empty for
-    singleton models).  Re-runs the propagation and replays all factors.
+    result: the propagate_lti result whose sets are certified.  states:
+    (N, horizon+1, n_x) simulated with recorded factor draws xi0 (N, m0),
+    xi_u (horizon, N, m_u), xi_w (horizon, N, p_w); beta_star is the
+    model-set factor vector recovered from the data noise (empty for
+    singleton models).  Replays the recorded step plans.
     """
+    states, xi0, xi_u, xi_w = _certificate_inputs(result, states, xi0, xi_u, xi_w)
     beta_star = np.asarray(beta_star, dtype=float).reshape(-1)
-    plans = []
-    result = propagate_lti(model, x0, u_prop, w, horizon, max_order, plan_sink=plans)
-    report = {"max_factor": 0.0, "max_constraint": 0.0, "max_point_error": 0.0}
-    xi = np.asarray(xi0, dtype=float)
-    _check_step(result.steps[0].fragments[0].set, xi, states[:, 0, :], report)
-    for k in range(horizon):
-        xi = replay_step(plans[k], xi, xi_u[k], beta_star, xi_w[k])
-        _check_step(result.steps[k + 1].fragments[0].set, xi, states[:, k + 1, :], report)
-    return result, CertificateReport(report["max_factor"], report["max_constraint"],
-                                     report["max_point_error"], states.shape[0], horizon)
+    worst = {"max_factor": 0.0, "max_constraint": 0.0, "max_point_error": 0.0}
+    xi = xi0
+    _check_step(result.steps[0].fragments[0].set, xi, states[:, 0, :], worst)
+    for k, step in enumerate(result.steps[1:]):
+        frag = step.fragments[0]
+        xi = replay_step(frag.plan, xi, xi_u[k], beta_star, xi_w[k])
+        _check_step(frag.set, xi, states[:, k + 1, :], worst)
+    return _report(worst, states)
 
 
-def certify_pwa(models, beta_stars, pwa, x0, u_prop, w, horizon, max_order,
-                states, xi0, xi_u, xi_w, fragment_cap=256):
+def certify_pwa(result, beta_stars, pwa, states, xi0, xi_u, xi_w):
     """Containment certificates for piecewise-affine trajectories.
 
-    Each trajectory follows its own fragment lineage: at step k its state's
-    mode selects the child fragment, the guard-split events append the slice
-    factors, and the product plan pushes the rest.  beta_stars is one factor
-    vector per mode.
+    result: the propagate_pwa result whose sets are certified.  Each
+    trajectory follows its own fragment lineage: at step k its state's mode
+    selects the child fragment, the guard-split events append the slice
+    factors, and the step plan pushes the rest.  beta_stars is one factor
+    vector per mode.  Raises ValueError when a trajectory enters a piece
+    that propagation pruned as empty.
     """
-    plans = []
-    result = propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order,
-                           fragment_cap=fragment_cap, plan_sink=plans)
-    n_traj = states.shape[0]
-    report = {"max_factor": 0.0, "max_constraint": 0.0, "max_point_error": 0.0}
-    xi = np.asarray(xi0, dtype=float)
-    _check_step(result.steps[0].fragments[0].set, xi, states[:, 0, :], report)
-    xi_by_frag = {0: (np.arange(n_traj), xi)}
-    for k in range(horizon):
+    states, xi0, xi_u, xi_w = _certificate_inputs(result, states, xi0, xi_u, xi_w)
+    worst = {"max_factor": 0.0, "max_constraint": 0.0, "max_point_error": 0.0}
+    _check_step(result.steps[0].fragments[0].set, xi0, states[:, 0, :], worst)
+    # trajectory ids (sorted) and their factors, per fragment of the step
+    groups = {0: (np.arange(states.shape[0]), xi0)}
+    for k, step in enumerate(result.steps[1:]):
+        child = {(f.parent, f.mode): ci for ci, f in enumerate(step.fragments)}
         modes_k = pwa.classify_batch(states[:, k, :])
-        child_map = plans[k].children
-        new_by_frag = {}
-        next_sets = result.steps[k + 1].fragments
-        for fi, (traj_ids, xi_f) in xi_by_frag.items():
-            for q in np.unique(modes_k[traj_ids]):
-                sel = traj_ids[modes_k[traj_ids] == q]
-                key = (fi, int(q))
-                assert key in child_map, (
-                    f"trajectory fell into a pruned fragment (step {k}, parent {fi}, mode {q})"
-                )
-                ci, events, step_plan = child_map[key]
-                xi_piece = replay_split(events, xi_f[np.searchsorted(traj_ids, sel)])
-                xi_next = replay_step(step_plan, xi_piece, xi_u[k][sel],
-                                      beta_stars[int(q)], xi_w[k][sel])
-                _check_step(next_sets[ci].set, xi_next, states[sel, k + 1, :], report)
-                new_by_frag.setdefault(ci, []).append((sel, xi_next))
-        xi_by_frag = {
-            ci: (np.concatenate([s for s, _ in parts]),
-                 np.vstack([x for _, x in parts]))
-            for ci, parts in new_by_frag.items()
-        }
-        # keep trajectory ids sorted within each fragment for searchsorted
-        xi_by_frag = {
-            ci: (ids[np.argsort(ids)], x[np.argsort(ids)])
-            for ci, (ids, x) in xi_by_frag.items()
-        }
-    return result, CertificateReport(report["max_factor"], report["max_constraint"],
-                                     report["max_point_error"], n_traj, horizon)
+        merged = {}
+        for fi, (ids, xi_f) in groups.items():
+            for q in np.unique(modes_k[ids]):
+                ci = child.get((fi, int(q)))
+                if ci is None:
+                    raise ValueError(f"trajectory fell into a pruned fragment "
+                                     f"(step {k}, parent {fi}, mode {q})")
+                pick = modes_k[ids] == q
+                sel = ids[pick]
+                frag = step.fragments[ci]
+                xi_next = replay_step(frag.plan, replay_split(frag.split, xi_f[pick]),
+                                      xi_u[k][sel], beta_stars[int(q)], xi_w[k][sel])
+                _check_step(frag.set, xi_next, states[sel, k + 1, :], worst)
+                merged.setdefault(ci, []).append((sel, xi_next))
+        groups = {}
+        for ci, parts in merged.items():
+            ids = np.concatenate([s for s, _ in parts])
+            order = np.argsort(ids)
+            groups[ci] = (ids[order], np.vstack([x for _, x in parts])[order])
+    return _report(worst, states)

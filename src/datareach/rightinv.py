@@ -11,9 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import min_singular_value, pseudoinverse
-
-RANK_RTOL = 1e-8
+from .linalg import is_full_row_rank, pseudoinverse
 
 
 class RightInverseError(RuntimeError):
@@ -55,8 +53,7 @@ class RightInverseResult:
 
 
 def _check_full_row_rank(phi):
-    sigma = np.linalg.svd(phi, compute_uv=False)
-    if sigma.size == 0 or sigma[-1] <= RANK_RTOL * sigma[0]:
+    if not is_full_row_rank(phi):
         raise RightInverseError("Phi is not full row rank; no right inverse exists")
 
 

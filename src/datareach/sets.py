@@ -9,7 +9,6 @@ containers with validation and JSON round-tripping.
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,17 +184,11 @@ class MatrixZonotope:
 
 
 class ConstrainedMatrixZonotope(MatrixZonotope):
-    """Matrix zonotope whose factors also satisfy A beta = b.
+    """Matrix zonotope whose factors also satisfy A beta = b."""
 
-    An optional block form of the constraints (A_blocks[l] stacked so that
-    column l of A equals vec(A_blocks[l]) in column-major order, and
-    b = vec(B_block)) can be kept for diagnostics; it is checked for
-    consistency on construction.
-    """
+    __slots__ = ("A", "b")
 
-    __slots__ = ("A", "b", "A_blocks", "B_block")
-
-    def __init__(self, center, generators, a, b, a_blocks=None, b_block=None):
+    def __init__(self, center, generators, a, b):
         super().__init__(center, generators)
         kappa = self.num_generators
         a = np.asarray(a, dtype=float)
@@ -206,15 +199,6 @@ class ConstrainedMatrixZonotope(MatrixZonotope):
         self.b = _vector(b)
         assert self.b.size == self.A.shape[0]
         assert np.all(np.isfinite(self.A))
-        self.A_blocks = None if a_blocks is None else np.asarray(a_blocks, dtype=float)
-        self.B_block = None if b_block is None else np.asarray(b_block, dtype=float)
-        if self.A_blocks is not None:
-            # column l of A must be the column-major vec of block l
-            flat = np.stack([blk.flatten(order="F") for blk in self.A_blocks])
-            assert np.allclose(flat.T, self.A, atol=1e-10), "block form inconsistent with A"
-        if self.B_block is not None:
-            assert np.allclose(self.B_block.flatten(order="F"), self.b, atol=1e-10), \
-                "block rhs inconsistent with b"
 
     @property
     def num_constraints(self):
@@ -352,76 +336,6 @@ def cartesian_product(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Matrix-set times vector-set products.
-#
-# For M = <C, {G_l}> (kappa generators) and Z = <c_z, G_z> (p generators) the
-# product M Z is over-approximated by a zonotope whose generator columns come
-# in three blocks, in this order:
-#   alpha block: C @ G_z[:, i]          (p columns, factor alpha_i)
-#   beta block:  G_l @ c_z              (kappa columns, factor beta_l)
-#   gamma block: G_l @ G_z[:, i]        (kappa * p columns, one per (l, i),
-#                                        laid out l-major: l slow, i fast)
-# The bilinear products beta_l * alpha_i are relaxed to fresh factors, which
-# is what makes this an over-approximation.  Matrix-factor constraints carry
-# over to the beta block only; gamma columns stay unconstrained.
-
-
-def _product_blocks(m, c_z, g_z):
-    kappa = m.num_generators
-    p = g_z.shape[1]
-    n = m.shape[0]
-    center = m.C @ c_z
-    alpha = m.C @ g_z
-    if kappa:
-        beta = np.einsum("lij,j->il", m.generators, c_z)
-        gamma = np.einsum("lij,jp->lip", m.generators, g_z).transpose(1, 0, 2).reshape(n, kappa * p)
-    else:
-        beta = np.zeros((n, 0))
-        gamma = np.zeros((n, 0))
-    return center, alpha, beta, gamma
-
-
-def mz_times_zonotope(m, z):
-    """Over-approximating product of a matrix zonotope and a zonotope."""
-    assert isinstance(z, Zonotope)
-    assert m.shape[1] == z.dim
-    center, alpha, beta, gamma = _product_blocks(m, z.c, z.G)
-    return Zonotope(center, np.hstack([alpha, beta, gamma]))
-
-
-def cmz_times_zonotope(m, z):
-    """Product with matrix-factor constraints carried onto the beta block."""
-    assert isinstance(m, ConstrainedMatrixZonotope)
-    assert isinstance(z, Zonotope)
-    assert m.shape[1] == z.dim
-    center, alpha, beta, gamma = _product_blocks(m, z.c, z.G)
-    p, kappa = alpha.shape[1], beta.shape[1]
-    q = m.num_constraints
-    a_hat = np.hstack([np.zeros((q, p)), m.A, np.zeros((q, kappa * p))])
-    return ConstrainedZonotope(center, np.hstack([alpha, beta, gamma]), a_hat, m.b)
-
-
-def cmz_times_czonotope(m, z):
-    """Product of a (possibly constrained) matrix zonotope and a constrained
-    zonotope.  Factor constraints of both operands are kept, zero-padded onto
-    their own blocks."""
-    z = _to_cz(z)
-    assert m.shape[1] == z.dim
-    center, alpha, beta, gamma = _product_blocks(m, z.c, z.G)
-    p, kappa = alpha.shape[1], beta.shape[1]
-    pz = z.num_constraints
-    q = m.A.shape[0] if isinstance(m, ConstrainedMatrixZonotope) else 0
-    a_top = np.hstack([z.A, np.zeros((pz, kappa + kappa * p))])
-    if q:
-        a_bot = np.hstack([np.zeros((q, p)), m.A, np.zeros((q, kappa * p))])
-        a_hat = np.vstack([a_top, a_bot])
-        b_hat = np.concatenate([z.b, m.b])
-    else:
-        a_hat, b_hat = a_top, z.b
-    return ConstrainedZonotope(center, np.hstack([alpha, beta, gamma]), a_hat, b_hat)
-
-
-# ---------------------------------------------------------------------------
 # Queries
 
 
@@ -540,108 +454,39 @@ def halfspace_intersection(z, normal, offset):
 # Order reduction
 
 
-@dataclass
-class ReductionPlan:
-    """Bookkeeping for replaying a Girard reduction on factor values.
+def girard(g, budget):
+    """Girard reduction of the generator columns g to at most budget columns.
 
-    kept/boxed index the input generator columns; the output columns are the
-    kept ones (in input order) followed by one axis-aligned box column per
-    entry of box_rows.
+    Keeps the budget - dim columns with the largest l1-minus-linf score and
+    covers the rest with an axis-aligned box, one column per nonzero row.
+    Returns (kept, box_rows, box_radii, g_out): kept indexes the surviving
+    columns of g (sorted), and g_out is g[:, kept] followed by the box
+    columns.  When g already fits, every column is kept and g is returned.
     """
-
-    kept: np.ndarray
-    boxed: np.ndarray
-    box_rows: np.ndarray
-    box_radii: np.ndarray
-
-    def replay(self, xi, g_boxed):
-        """Map factor values for the input columns to factor values for the
-        output columns.  xi is (N, m_in); g_boxed is the boxed generator block
-        (dim x len(boxed))."""
-        out_kept = xi[:, self.kept]
-        resid = xi[:, self.boxed] @ g_boxed.T  # (N, dim)
-        box = resid[:, self.box_rows] / self.box_radii
-        return np.hstack([out_kept, box])
-
-
-def _girard_split(g, n_keep):
-    """Indices (kept, boxed) keeping the n_keep columns with the largest
-    l1-minus-linf score; the smallest-score columns get boxed."""
+    n, m = g.shape
+    if m <= budget:
+        return np.arange(m), np.zeros(0, dtype=int), np.zeros(0), g
     score = np.sum(np.abs(g), axis=0) - np.max(np.abs(g), axis=0)
     order = np.argsort(score, kind="stable")
-    boxed = np.sort(order[: g.shape[1] - n_keep])
-    kept = np.sort(order[g.shape[1] - n_keep:])
-    return kept, boxed
-
-
-def _box_block(g, boxed):
-    """Axis-aligned block covering the boxed columns; zero-radius rows dropped."""
+    n_box = m - (budget - n)
+    boxed, kept = np.sort(order[:n_box]), np.sort(order[n_box:])
     radii = np.sum(np.abs(g[:, boxed]), axis=1)
     rows = np.nonzero(radii > 0.0)[0]
-    block = np.zeros((g.shape[0], rows.size))
-    block[rows, np.arange(rows.size)] = radii[rows]
-    return rows, radii[rows], block
-
-
-def reduce_girard_with_plan(z, max_order):
-    """reduce_girard that also returns the ReductionPlan (None if unchanged)."""
-    assert isinstance(z, Zonotope)
-    assert max_order >= 1
-    n, m = z.dim, z.num_generators
-    cap = int(math.floor(max_order * n))
-    if m <= cap:
-        return z, None
-    kept, boxed = _girard_split(z.G, cap - n)
-    rows, radii, block = _box_block(z.G, boxed)
-    g = np.hstack([z.G[:, kept], block])
-    return Zonotope(z.c, g), ReductionPlan(kept, boxed, rows, radii)
+    box = np.zeros((n, rows.size))
+    box[rows, np.arange(rows.size)] = radii[rows]
+    return kept, rows, radii[rows], np.hstack([g[:, kept], box])
 
 
 def reduce_girard(z, max_order):
     """Girard order reduction: box the lowest-scoring generators so that at
-    most max_order * dim generators remain."""
-    return reduce_girard_with_plan(z, max_order)[0]
-
-
-def free_columns(cz):
-    """Mask of generator columns with all-zero constraint coefficients."""
-    if cz.num_constraints == 0:
-        return np.ones(cz.num_generators, dtype=bool)
-    return ~np.any(cz.A != 0.0, axis=0)
-
-
-def reduce_free_generators_with_plan(z, max_order):
-    """Constrained-zonotope order reduction touching only unconstrained columns.
-
-    Columns that appear in a constraint are never boxed.  The free columns are
-    Girard-reduced to a budget of max(dim, max_order * dim - n_constrained).
-    Output column order: constrained columns (input order), kept free columns
-    (input order), box columns.  Returns (reduced, plan) where plan is
-    (constrained_idx, free_idx, ReductionPlan) or None if unchanged.
-    """
-    assert isinstance(z, ConstrainedZonotope)
-    assert max_order >= 1
-    n = z.dim
-    free = free_columns(z)
-    free_idx = np.nonzero(free)[0]
-    cons_idx = np.nonzero(~free)[0]
-    budget = max(n, int(math.floor(max_order * n)) - cons_idx.size)
-    if free_idx.size <= budget:
-        return z, None
-    g_free = z.G[:, free_idx]
-    kept, boxed = _girard_split(g_free, budget - n)
-    rows, radii, block = _box_block(g_free, boxed)
-    g = np.hstack([z.G[:, cons_idx], g_free[:, kept], block])
-    a = np.hstack([
-        z.A[:, cons_idx],
-        np.zeros((z.num_constraints, kept.size + rows.size)),
-    ])
-    out = ConstrainedZonotope(z.c, g, a, z.b)
-    return out, (cons_idx, free_idx, ReductionPlan(kept, boxed, rows, radii))
-
-
-def reduce_free_generators(z, max_order):
-    return reduce_free_generators_with_plan(z, max_order)[0]
+    most max_order * dim generators remain.  Returns z itself when it
+    already fits."""
+    if not isinstance(z, Zonotope):
+        raise ValueError("reduce_girard needs a plain zonotope")
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
+    kept, _, _, g = girard(z.G, int(math.floor(max_order * z.dim)))
+    return z if g is z.G else Zonotope(z.c, g)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,14 @@ def test_missing_config_file_exits_nonzero(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_row_norm_solver_failure_exits_cleanly(capsys):
+    # the row-norm ADMM stops at its iteration cap on the designed-mode
+    # regressor of this seed and raises RightInverseError
+    assert cli_main(["lti", "--seed", "1746"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ADMM did not reach tolerance")
+
+
 def test_unknown_subcommand_is_rejected():
     with pytest.raises(SystemExit):
         cli_main(["plot"])

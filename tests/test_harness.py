@@ -1,10 +1,12 @@
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from datareach import harness, reach
 from datareach.harness import (
     ExperimentConfig,
     HarnessError,
@@ -242,6 +244,58 @@ def test_lti_reports_are_byte_identical(tmp_path):
         (tmp_path / "b" / "report.json").read_bytes()
     step = Path("sets") / "cmz_pinv_random" / "step2.json"
     assert (tmp_path / "a" / step).read_bytes() == (tmp_path / "b" / step).read_bytes()
+
+
+def tiny_pwa_config(**over):
+    return replace(bundled_config("pwa_2mode"), horizon=2, n_check=20, k_trajectories=8,
+                   compute_supports=False, **over)
+
+
+def test_pwa_reports_are_byte_identical(tmp_path):
+    cfg = tiny_pwa_config()
+    run_pwa_experiment(cfg, out_dir=tmp_path / "a")
+    run_pwa_experiment(cfg, out_dir=tmp_path / "b")
+    for name in ("report.json", "hull_widths.csv", Path("sets") / "cmz_pinv_random" / "step2.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_study_propagates_each_combo_once(monkeypatch):
+    # the self-check certifies the sets the study propagated; it does not
+    # propagate them again
+    calls = []
+    for name in ("propagate_lti", "propagate_pwa"):
+        original = getattr(reach, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        for module in (reach, harness):
+            monkeypatch.setattr(module, name, counted)
+    report = run_lti_experiment(tiny_lti_config(compute_supports=False))
+    assert calls == ["propagate_lti"] * len(report["combos"])
+    calls.clear()
+    report = run_pwa_experiment(tiny_pwa_config())
+    assert calls == ["propagate_pwa"] * len(report["combos"])
+
+
+def test_runtime_seconds_covers_emission(tmp_path, monkeypatch):
+    emit_polygons = harness._emit_polygons
+    finished = []
+
+    def slow_emit_polygons(*args, **kwargs):
+        if not finished:
+            time.sleep(0.2)
+        emit_polygons(*args, **kwargs)
+        finished.append(time.perf_counter())
+
+    monkeypatch.setattr(harness, "_emit_polygons", slow_emit_polygons)
+    start = time.perf_counter()
+    run_lti_experiment(tiny_lti_config(compute_supports=False), out_dir=tmp_path)
+    runtime = json.loads((tmp_path / "metadata.json").read_text())["runtime_seconds"]
+    assert runtime >= 0.2
+    # the clock stops after the last polygon file is written
+    assert runtime >= finished[-1] - start - 0.01
 
 
 def test_lti_seed_changes_report():

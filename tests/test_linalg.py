@@ -6,9 +6,9 @@ import scipy.sparse
 
 from datareach.linalg import (
     LpProblem,
+    is_full_row_rank,
     lp_solve,
     matrix_rank,
-    min_singular_value,
     nullspace_basis,
     pseudoinverse,
     svd,
@@ -70,13 +70,15 @@ def test_nullspace_basis_properties():
         assert np.allclose(n.T @ n, np.eye(n.shape[1]), atol=1e-10)
 
 
-def test_min_singular_value():
-    m = np.diag([3.0, 2.0, 0.5])
-    assert np.isclose(min_singular_value(m), 0.5)
-    assert np.isclose(min_singular_value(np.zeros((2, 3))), 0.0)
+def test_is_full_row_rank():
+    assert is_full_row_rank(np.diag([3.0, 2.0, 0.5]))
+    assert not is_full_row_rank(np.zeros((2, 3)))
+    assert not is_full_row_rank(np.diag([1.0, 1e-9]))   # sigma ratio at the tolerance
+    assert is_full_row_rank(np.diag([1.0, 1e-7]))
     rng = np.random.default_rng(4)
-    a = rng.normal(size=(5, 7))
-    assert np.isclose(min_singular_value(a), np.linalg.svd(a, compute_uv=False)[-1])
+    assert is_full_row_rank(rng.normal(size=(5, 7)))
+    assert not is_full_row_rank(rng.normal(size=(7, 5)))  # more rows than columns
+    assert not is_full_row_rank(np.zeros((0, 3)))
 
 
 def test_lp_solve_known_solutions():

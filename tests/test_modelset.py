@@ -69,13 +69,11 @@ def test_kernel_constraints_one_dimensional_oracle():
     den = build_denoised(x_plus, noise)
     perp = nullspace_basis(data.phi)
     assert perp.shape == (2, 1)
-    a, b, blocks, b_block = kernel_constraints(den, perp)
+    a, b = kernel_constraints(den, perp)
     # column l of A is vec(-0.1 * e_l^T Phi_perp); rhs is -vec(X_plus Phi_perp)
     assert a.shape == (1, 2)
     assert np.allclose(a, [[-0.1 * perp[0, 0], -0.1 * perp[1, 0]]])
     assert np.isclose(b[0], -(x_plus @ perp)[0, 0])
-    assert blocks is not None and b_block is not None
-    assert np.allclose(blocks[0], -0.1 * perp[0:1, :])
     # the unique solution pins the noise difference: w0 - w1 = x+0 - x+1 (here)
     beta = np.linalg.lstsq(a, b, rcond=None)[0]
     assert np.isclose(a @ beta, b)
@@ -89,13 +87,13 @@ def test_kernel_constraints_block_consistency():
     noise = build_noise_mz(g_w, 20)
     den = build_denoised(data.x_plus, noise)
     perp = nullspace_basis(data.phi)
-    a, b, blocks, b_block = kernel_constraints(den, perp)
+    a, b = kernel_constraints(den, perp)
     kappa = den.num_generators
     assert a.shape == (3 * perp.shape[1], kappa)
-    assert blocks.shape == (kappa, 3, perp.shape[1])
+    # column l of A is the column-major vec of the block G_l @ Phi_perp
     for ell in range(0, kappa, 7):
-        assert np.allclose(a[:, ell], blocks[ell].flatten(order="F"))
-    assert np.allclose(b, b_block.flatten(order="F"))
+        assert np.allclose(a[:, ell], (den.generators[ell] @ perp).flatten(order="F"))
+    assert np.allclose(b, -(den.C @ perp).flatten(order="F"))
 
 
 def test_true_model_is_in_both_model_sets():

@@ -106,8 +106,8 @@ def test_certificates_plain_path_with_reduction():
     states, xi0, xi_u, xi_w = simulate_recorded(model.at(beta_star), x0, u_prop, w,
                                                 horizon, 40, rng)
     # tight order cap: reductions fire at every step
-    res, report = certify_lti(model, beta_star, x0, u_prop, w, horizon, 3,
-                              states, xi0, xi_u, xi_w)
+    res = propagate_lti(model, x0, u_prop, w, horizon, 3)
+    report = certify_lti(res, beta_star, states, xi0, xi_u, xi_w)
     assert all(f.set.num_generators <= 9 for s in res.steps[1:] for f in s.fragments)
     assert report.n_trajectories == 40 and report.n_steps == horizon
     assert report.max_factor <= 1.0 + 1e-9
@@ -149,8 +149,8 @@ def test_certificates_constrained_path():
     horizon = 4
     states, xi0, xi_u, xi_w = simulate_recorded(model.at(beta_star), x0, u_prop, w,
                                                 horizon, 30, rng)
-    res, report = certify_lti(model, beta_star, x0, u_prop, w, horizon, 6,
-                              states, xi0, xi_u, xi_w)
+    res = propagate_lti(model, x0, u_prop, w, horizon, 6)
+    report = certify_lti(res, beta_star, states, xi0, xi_u, xi_w)
     assert report.ok(tol=1e-6)
     assert report.max_constraint <= 1e-9
     final = res.steps[-1].fragments[0].set
@@ -196,6 +196,44 @@ def test_replay_step_alone_reconstructs_points():
     assert np.all(np.abs(xi_out) <= 1.0 + 1e-9)
     rec = out.c[None, :] + xi_out @ out.G.T
     assert np.allclose(rec, target, atol=1e-9)
+
+
+def test_step_output_type_rule():
+    # plain state and plain model give a Zonotope; a constrained model gives a
+    # ConstrainedZonotope even when it has no constraint rows, and so does a
+    # constrained state
+    rng = np.random.default_rng(10)
+    mz = make_uncertain_model(rng, 2, 1, 2)
+    cmz0 = ConstrainedMatrixZonotope(mz.C, mz.generators, np.zeros((0, 2)), np.zeros(0))
+    r = Zonotope([0.5, -0.5], 0.1 * np.eye(2))
+    u_prop = Zonotope([0.0], np.array([[0.2]]))
+    w = Zonotope(np.zeros(2), 0.01 * np.eye(2))
+    plain, plan = propagation_step(mz, r, u_prop, w, 10)
+    assert type(plain) is Zonotope
+    assert plan.cons_alpha.size == 0 and plan.beta_free
+    out, plan = propagation_step(cmz0, r, u_prop, w, 10)
+    assert isinstance(out, ConstrainedZonotope) and out.num_constraints == 0
+    assert np.array_equal(out.G, plain.G) and np.array_equal(out.c, plain.c)
+    out, _ = propagation_step(mz, r.to_constrained(), u_prop, w, 10)
+    assert isinstance(out, ConstrainedZonotope) and out.num_constraints == 0
+    assert np.array_equal(out.G, plain.G)
+
+
+def test_propagate_lti_rejects_negative_horizon():
+    model = MatrixZonotope(np.ones((1, 2)))
+    with pytest.raises(ValueError, match="horizon"):
+        propagate_lti(model, Zonotope([0.0]), Zonotope([0.0]), Zonotope([0.0]), -1, 10)
+
+
+def test_replay_step_rejects_wrong_factor_width():
+    rng = np.random.default_rng(11)
+    model = make_uncertain_model(rng, 2, 1, 2)
+    r = Zonotope([0.0, 0.0], np.eye(2))
+    u_prop = Zonotope([0.0], np.array([[0.3]]))
+    _, plan = propagation_step(model, r, u_prop, Zonotope(np.zeros(2)), 10)
+    assert plan.p == 3
+    with pytest.raises(ValueError, match="expects 3"):
+        replay_step(plan, np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(2), np.zeros((4, 0)))
 
 
 def test_replay_split_factor_is_valid():
@@ -267,8 +305,8 @@ def test_pwa_propagation_and_certificates():
     horizon = 4
     states, xi0, xi_u, xi_w = simulate_pwa_recorded(pwa, x0, u_prop, w, horizon, 60, rng)
     betas = [np.zeros(0), np.zeros(0)]
-    res, report = certify_pwa(models, betas, pwa, x0, u_prop, w, horizon, 20,
-                              states, xi0, xi_u, xi_w)
+    res = propagate_pwa(models, pwa, x0, u_prop, w, horizon, 20)
+    report = certify_pwa(res, betas, pwa, states, xi0, xi_u, xi_w)
     assert report.ok(tol=1e-6)
     counts = res.fragment_counts()
     assert counts[0] == 1
@@ -299,9 +337,56 @@ def test_pwa_uncertain_models_still_sound():
     states, xi0, xi_u, xi_w = simulate_pwa_recorded(pwa, x0, u_prop, w, horizon, 40, rng)
     # true system corresponds to beta = 0 in each mode's model set
     betas = [np.zeros(2), np.zeros(2)]
-    res, report = certify_pwa(models, betas, pwa, x0, u_prop, w, horizon, 25,
-                              states, xi0, xi_u, xi_w)
+    res = propagate_pwa(models, pwa, x0, u_prop, w, horizon, 25)
+    report = certify_pwa(res, betas, pwa, states, xi0, xi_u, xi_w)
     assert report.ok(tol=1e-6)
+
+
+def small_pwa_study(rng, horizon=2, n_traj=30):
+    pwa = one_dim_pwa()
+    models = [MatrixZonotope(np.hstack([a, b])) for a, b in pwa.true_matrices()]
+    x0 = Zonotope([0.2], np.array([[1.0]]))  # straddles the guard
+    u_prop = Zonotope([0.0], np.array([[0.1]]))
+    w = Zonotope([0.0], np.array([[0.01]]))
+    res = propagate_pwa(models, pwa, x0, u_prop, w, horizon, 20)
+    draws = simulate_pwa_recorded(pwa, x0, u_prop, w, horizon, n_traj, rng)
+    return pwa, res, draws
+
+
+def test_propagate_pwa_rejects_wrong_model_count():
+    pwa = one_dim_pwa()
+    model = MatrixZonotope(np.ones((1, 2)))
+    with pytest.raises(ValueError, match="2 modes"):
+        propagate_pwa([model], pwa, Zonotope([0.0]), Zonotope([0.0]), Zonotope([0.0]), 1, 10)
+
+
+def test_certificates_reject_draws_that_do_not_match_the_result():
+    rng = np.random.default_rng(12)
+    pwa, res, (states, xi0, xi_u, xi_w) = small_pwa_study(rng)
+    betas = [np.zeros(0), np.zeros(0)]
+    assert certify_pwa(res, betas, pwa, states, xi0, xi_u, xi_w).ok()
+    lti = propagate_lti(MatrixZonotope(np.array([[0.5, 1.0]])), Zonotope([0.2], [[1.0]]),
+                        Zonotope([0.0], [[0.1]]), Zonotope([0.0], [[0.01]]), 2, 20)
+    bad = (
+        (states[:, :2], xi0, xi_u, xi_w),          # one step short of the horizon
+        (states, xi0[:5], xi_u, xi_w),             # trajectory count differs
+        (states, xi0, xi_u[:1], xi_w),             # input draws for one step only
+        (states, xi0, xi_u, xi_w[:, :5]),          # noise draws for 5 trajectories
+    )
+    for args in bad:
+        with pytest.raises(ValueError):
+            certify_pwa(res, betas, pwa, *args)
+        with pytest.raises(ValueError):
+            certify_lti(lti, np.zeros(0), *args)
+
+
+def test_certify_pwa_raises_when_a_trajectory_enters_a_pruned_piece():
+    rng = np.random.default_rng(13)
+    pwa, res, draws = small_pwa_study(rng, horizon=1)
+    # drop the mode-1 child, as if that piece had been pruned as empty
+    res.steps[1].fragments = [f for f in res.steps[1].fragments if f.mode != 1]
+    with pytest.raises(ValueError, match="pruned"):
+        certify_pwa(res, [np.zeros(0), np.zeros(0)], pwa, *draws)
 
 
 def test_pwa_fragment_cap():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from datareach import sets
+from datareach.reach import propagation_step, replay_step
 from datareach.sets import (
     ConstrainedMatrixZonotope,
     ConstrainedZonotope,
@@ -13,21 +14,15 @@ from datareach.sets import (
     MatrixZonotope,
     Zonotope,
     cartesian_product,
-    cmz_times_czonotope,
-    cmz_times_zonotope,
     contains_point,
     halfspace_intersection,
     interval_hull,
     is_empty,
     linear_map,
     minkowski_sum,
-    mz_times_zonotope,
     polygon_area,
     project_polygon,
-    reduce_free_generators,
-    reduce_free_generators_with_plan,
     reduce_girard,
-    reduce_girard_with_plan,
     sample_factors,
     sample_points,
     set_from_dict,
@@ -203,11 +198,20 @@ def test_cartesian_product_supports_decompose():
     assert np.isclose(support(pc, d), support(cz, da) + support(b, db), atol=1e-7)
 
 
+def product(m, z, max_order=1000.0):
+    """M z through the propagation step, with a zero-dimensional input set
+    and no disturbance, so the step is the bare product."""
+    step, _ = propagation_step(m, z, Zonotope(np.zeros(0)), Zonotope(np.zeros(m.shape[0])),
+                               max_order)
+    return step
+
+
 def test_matrix_zonotope_product_block_layout():
     # one matrix generator, two vector generators: check every column exactly
     m = MatrixZonotope(np.eye(2), [np.array([[0.0, 1.0], [1.0, 0.0]])])
     z = Zonotope([1.0, 2.0], np.eye(2))
-    prod = mz_times_zonotope(m, z)
+    prod = product(m, z)
+    assert isinstance(prod, Zonotope)
     assert np.allclose(prod.c, [1.0, 2.0])
     expected = np.column_stack([
         [1.0, 0.0], [0.0, 1.0],   # alpha block: C columns of G_z
@@ -224,7 +228,7 @@ def test_matrix_zonotope_product_contains_member_images():
         kappa, n, mdim, p = 2, 2, 3, 2
         m = MatrixZonotope(rng.normal(size=(n, mdim)), rng.normal(size=(kappa, n, mdim)))
         z = random_zonotope(rng, mdim, p)
-        prod = mz_times_zonotope(m, z)
+        prod = product(m, z)
         assert prod.num_generators == p + kappa + kappa * p
         for _ in range(5):
             beta = rng.uniform(-1, 1, size=kappa)
@@ -242,13 +246,15 @@ def test_constrained_matrix_product_layout_and_membership():
     b = np.array([0.4])
     cm = ConstrainedMatrixZonotope(rng.normal(size=(n, mdim)), gens, a, b)
     z = random_zonotope(rng, mdim, p)
-    prod = cmz_times_zonotope(cm, z)
+    prod = product(cm, z)
     assert isinstance(prod, ConstrainedZonotope)
     assert prod.num_generators == p + kappa + kappa * p
     assert prod.A.shape == (1, prod.num_generators)
-    assert np.allclose(prod.A[:, :p], 0.0)
-    assert np.allclose(prod.A[:, p : p + kappa], a)
-    assert np.allclose(prod.A[:, p + kappa :], 0.0)
+    # constrained beta block first, then the free alpha and gamma columns
+    assert np.allclose(prod.A[:, :kappa], a)
+    assert np.allclose(prod.A[:, kappa:], 0.0)
+    assert np.allclose(prod.G[:, :kappa], np.einsum("lij,j->il", gens, z.c))
+    assert np.allclose(prod.G[:, kappa : kappa + p], cm.C @ z.G)
     for _ in range(5):
         beta = np.array([0.4 - 0.0, 0.0, rng.uniform(-1, 1)])
         beta[0] = rng.uniform(-0.6, 1.0)
@@ -268,36 +274,22 @@ def test_constrained_matrix_times_constrained_zonotope():
         np.array([0.2]),
     )
     cz, _ = random_czonotope(rng, mdim, 3, n_cuts=1)
-    prod = cmz_times_czonotope(cm, cz)
+    prod = product(cm, cz)
     p = cz.num_generators
+    assert np.all(np.any(cz.A != 0.0, axis=0))  # every alpha column is constrained
     assert prod.num_constraints == cz.num_constraints + 1
     # zero padding: z-constraints touch only alpha columns, matrix constraints only beta
+    assert np.allclose(prod.A[: cz.num_constraints, :p], cz.A)
     assert np.allclose(prod.A[: cz.num_constraints, p:], 0.0)
     assert np.allclose(prod.A[cz.num_constraints :, :p], 0.0)
     assert np.allclose(prod.A[cz.num_constraints :, p : p + kappa], cm.A)
+    assert np.allclose(prod.A[cz.num_constraints :, p + kappa :], 0.0)
     xi = sample_factors(cz, rng, 5)
     for row in xi:
         beta0 = rng.uniform(-0.8, 1.0)
         beta = np.array([beta0, beta0 - 0.2])
         point = cm.at(beta) @ (cz.c + cz.G @ row)
         assert contains_point(prod, point, tol=1e-7)
-
-
-def test_block_form_consistency_check():
-    gens = np.zeros((2, 2, 2))
-    gens[0, 0, 0] = 1.0
-    gens[1, 1, 1] = 1.0
-    blocks = np.zeros((2, 2, 1))
-    blocks[0] = [[1.0], [2.0]]
-    blocks[1] = [[3.0], [4.0]]
-    a = np.stack([blocks[0].flatten(order="F"), blocks[1].flatten(order="F")]).T
-    b_block = np.array([[0.5], [0.6]])
-    cm = ConstrainedMatrixZonotope(np.zeros((2, 2)), gens, a, b_block.flatten(order="F"),
-                                  a_blocks=blocks, b_block=b_block)
-    assert cm.A_blocks is not None
-    with pytest.raises(AssertionError):
-        ConstrainedMatrixZonotope(np.zeros((2, 2)), gens, a + 1.0, b_block.flatten(order="F"),
-                                  a_blocks=blocks, b_block=b_block)
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +374,25 @@ def test_reduce_girard_cap_and_containment():
 def test_reduce_girard_noop_below_cap():
     rng = np.random.default_rng(23)
     z = random_zonotope(rng, 3, 6)
-    red, plan = reduce_girard_with_plan(z, 2)
-    assert plan is None and red is z
+    assert reduce_girard(z, 2) is z
+
+
+def identity_model(dim):
+    """The singleton model x' = x over [x; u] with a zero-dimensional u."""
+    return MatrixZonotope(np.eye(dim))
 
 
 def test_reduce_girard_plan_replay():
+    # a step through the identity model is a bare Girard reduction
     rng = np.random.default_rng(24)
     for _ in range(10):
         z = random_zonotope(rng, 3, 30)
-        red, plan = reduce_girard_with_plan(z, 3)
+        red, plan = propagation_step(identity_model(3), z, Zonotope(np.zeros(0)),
+                                     Zonotope(np.zeros(3)), 3)
+        assert red.num_generators <= 9
+        assert np.allclose(red.G, reduce_girard(z, 3).G)
         xi = rng.uniform(-1, 1, size=(50, 30))
-        out = plan.replay(xi, z.G[:, plan.boxed])
+        out = replay_step(plan, xi, np.zeros((50, 0)), np.zeros(0), np.zeros((50, 0)))
         assert out.shape == (50, red.num_generators)
         assert np.all(np.abs(out) <= 1.0 + 1e-9)
         pts = z.c + xi @ z.G.T
@@ -408,17 +408,25 @@ def czonotope_with_free_columns(rng, dim, n_free, n_cuts=1):
     return minkowski_sum(small, bulk)
 
 
+def reduce_free(cz, max_order):
+    return propagation_step(identity_model(cz.dim), cz, Zonotope(np.zeros(0)),
+                            Zonotope(np.zeros(cz.dim)), max_order)
+
+
 def test_reduce_free_generators_never_touches_constrained_columns():
     rng = np.random.default_rng(25)
     for _ in range(8):
         cz = czonotope_with_free_columns(rng, 3, 30, n_cuts=2)
-        n_cons_cols = int(np.any(cz.A != 0.0, axis=0).sum())
-        red = reduce_free_generators(cz, 4)
-        assert red.num_generators <= n_cons_cols + max(3, 12 - n_cons_cols)
+        cons_in = np.any(cz.A != 0.0, axis=0)
+        red, _ = reduce_free(cz, 4)
+        # the order cap governs the free columns alone
+        assert red.num_generators <= cons_in.sum() + 12
         assert red.num_constraints == cz.num_constraints
-        # constrained columns survive with their constraint coefficients
-        cons_out = np.any(red.A != 0.0, axis=0)
-        assert cons_out.sum() == n_cons_cols
+        # constrained columns survive unchanged, first, with their coefficients
+        n_cons = int(cons_in.sum())
+        assert np.array_equal(red.G[:, :n_cons], cz.G[:, cons_in])
+        assert np.array_equal(red.A[:, :n_cons], cz.A[:, cons_in])
+        assert not np.any(red.A[:, n_cons:])
         for _ in range(5):
             d = rng.normal(size=3)
             assert support(red, d) >= support(cz, d) - 1e-7
@@ -427,12 +435,10 @@ def test_reduce_free_generators_never_touches_constrained_columns():
 def test_reduce_free_generators_plan_replay():
     rng = np.random.default_rng(26)
     cz = czonotope_with_free_columns(rng, 3, 25, n_cuts=1)
-    red, plan = reduce_free_generators_with_plan(cz, 3)
-    assert plan is not None
-    cons_idx, free_idx, rplan = plan
+    red, plan = reduce_free(cz, 3)
+    assert plan.box_rows.size
     xi = sample_factors(cz, rng, 40)
-    out_free = rplan.replay(xi[:, free_idx], cz.G[:, free_idx][:, rplan.boxed])
-    out = np.hstack([xi[:, cons_idx], out_free])
+    out = replay_step(plan, xi, np.zeros((40, 0)), np.zeros(0), np.zeros((40, 0)))
     assert np.all(np.abs(out) <= 1.0 + 1e-7)
     assert np.allclose(out @ red.A.T, red.b[None, :], atol=1e-7)
     pts = cz.c + xi @ cz.G.T

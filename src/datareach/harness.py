@@ -549,7 +549,7 @@ def _lp_spot_check(result, states, rng, n_spot, tol=1e-6):
 
 def _support_table(runs, combos, dirs, horizon):
     return {
-        c: [[runs[c].union_support(k, d) for d in dirs] for k in range(horizon + 1)]
+        c: [runs[c].union_support(k, dirs).tolist() for k in range(horizon + 1)]
         for c in combos
     }
 

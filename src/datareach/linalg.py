@@ -9,7 +9,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-from scipy.optimize import linprog
+
+try:
+    # the HiGHS binding that scipy.optimize.linprog wraps; it keeps a model
+    # and its basis between solves
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as err:  # pragma: no cover - depends on the installed scipy
+    raise ImportError(
+        "datareach needs scipy >= 1.17, which ships the HiGHS binding "
+        "scipy.optimize._highspy._core"
+    ) from err
 
 # Relative rank cutoff: singular values below RANK_RTOL * max(rows, cols) * sigma_max
 # are treated as zero.
@@ -94,8 +103,9 @@ def is_full_row_rank(m):
 class LpProblem:
     """maximize c @ x  subject to  A_eq @ x = b_eq,  lb <= x <= ub.
 
-    A_eq may be a dense array, a scipy.sparse matrix, or None (no equalities).
-    lb/ub entries may be -inf/+inf.
+    c is one objective (m,) or a stack of k objectives (k, m) over the same
+    feasible region.  A_eq may be a dense array, a scipy.sparse matrix, or
+    None (no equalities).  lb/ub entries may be -inf/+inf.
     """
 
     c: np.ndarray
@@ -112,37 +122,90 @@ class LpResult:
     objective: float = None
 
 
-def lp_solve(problem):
-    """Solve an LpProblem with HiGHS. Returns an LpResult.
+_OPTIMAL = _highs.HighsModelStatus.kOptimal
+_INFEASIBLE = _highs.HighsModelStatus.kInfeasible
+_UNBOUNDED = _highs.HighsModelStatus.kUnbounded
 
-    status "feasible" means an optimum was found; x and objective are set.
-    """
-    c = np.asarray(problem.c, dtype=float).reshape(-1)
-    n = c.size
-    lb = np.full(n, -np.inf) if problem.lb is None else np.asarray(problem.lb, dtype=float).reshape(-1)
-    ub = np.full(n, np.inf) if problem.ub is None else np.asarray(problem.ub, dtype=float).reshape(-1)
-    assert lb.size == n and ub.size == n
 
-    a_eq, b_eq = problem.a_eq, problem.b_eq
-    if a_eq is not None and getattr(a_eq, "shape", (0,))[0] == 0:
-        a_eq, b_eq = None, None
-    if a_eq is not None:
-        if not scipy.sparse.issparse(a_eq):
-            a_eq = np.asarray(a_eq, dtype=float)
-        b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
-        assert a_eq.shape == (b_eq.size, n)
+def _bound(v, n, default, name):
+    out = np.full(n, default) if v is None else np.asarray(v, dtype=float).reshape(-1)
+    if out.size != n:
+        raise ValueError(f"{name} has {out.size} entries, the LP has {n} variables")
+    if np.any(np.isnan(out)):
+        raise ValueError(f"{name} has NaN entries")
+    return out
 
-    res = linprog(
-        -c,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack([lb, ub]),
-        method="highs",
-    )
-    if res.status == 0:
-        return LpResult("feasible", np.asarray(res.x), float(c @ res.x))
-    if res.status == 2:
+
+def _highs_model(a, b, lb, ub):
+    """A HiGHS instance holding {a x = b, lb <= x <= ub} (a in CSC form), zero cost."""
+    n = lb.size
+    lp = _highs.HighsLp()
+    lp.num_col_, lp.num_row_ = n, a.shape[0]
+    lp.col_cost_ = np.zeros(n)
+    lp.col_lower_, lp.col_upper_ = lb, ub
+    lp.row_lower_, lp.row_upper_ = b, b
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n, a.shape[0]
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("simplex_strategy", _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        raise NumericalError("HiGHS rejected the LP model")
+    return highs
+
+
+def _solve(highs, c):
+    """Run HiGHS from its current basis; a run that ends in neither an
+    optimum nor a proof of infeasibility or unboundedness is repeated cold."""
+    highs.run()
+    status = highs.getModelStatus()
+    if status not in (_OPTIMAL, _INFEASIBLE, _UNBOUNDED):
+        highs.clearSolver()
+        highs.run()
+        status = highs.getModelStatus()
+    if status == _OPTIMAL:
+        x = np.asarray(highs.getSolution().col_value)
+        return LpResult("feasible", x, float(c @ x))
+    if status == _INFEASIBLE:
         return LpResult("infeasible")
-    if res.status == 3:
+    if status == _UNBOUNDED:
         return LpResult("unbounded")
-    raise NumericalError(f"LP solver failed (status {res.status}): {res.message}")
+    raise NumericalError(f"LP solver failed: {highs.modelStatusToString(status)}")
+
+
+def lp_solve(problem):
+    """Solve an LpProblem with HiGHS.
+
+    Returns one LpResult for c of shape (m,) and a list of k LpResults for
+    c of shape (k, m).  The model is built once; the objectives are solved
+    in order, each from the previous optimal basis (only the costs change
+    in between).  status "feasible" means an optimum was found; x and
+    objective are set.
+    """
+    c = np.asarray(problem.c, dtype=float)
+    if c.ndim not in (1, 2):
+        raise ValueError(f"c must be (m,) or (k, m), got shape {c.shape}")
+    costs = c if c.ndim == 2 else c[None, :]
+    n = costs.shape[1]
+    if n == 0:
+        raise ValueError("the LP has no variables")
+    lb = _bound(problem.lb, n, -np.inf, "lb")
+    ub = _bound(problem.ub, n, np.inf, "ub")
+    a_eq = scipy.sparse.csc_array((0, n) if problem.a_eq is None else problem.a_eq, dtype=float)
+    b_eq = np.zeros(0) if problem.b_eq is None else np.asarray(problem.b_eq, dtype=float).reshape(-1)
+    if a_eq.shape != (b_eq.size, n):
+        raise ValueError(f"A_eq has shape {a_eq.shape}, expected ({b_eq.size}, {n})")
+    if not (np.all(np.isfinite(costs)) and np.all(np.isfinite(a_eq.data))
+            and np.all(np.isfinite(b_eq))):
+        raise ValueError("c, A_eq and b_eq must be finite")
+
+    highs = _highs_model(a_eq, b_eq, lb, ub)
+    cols = np.arange(n, dtype=np.int32)
+    results = []
+    for row in costs:
+        highs.changeColsCost(n, cols, -row)
+        results.append(_solve(highs, row))
+    return results if c.ndim == 2 else results[0]

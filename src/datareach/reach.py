@@ -116,7 +116,10 @@ class ReachResult:
         return [len(s.fragments) for s in self.steps]
 
     def union_support(self, k, direction):
-        return max(support(f.set, direction) for f in self.steps[k].fragments)
+        """Support of the union of step k's fragments: a float for one
+        direction (n,), an array for a stack of directions (m, n)."""
+        vals = np.max([support(f.set, direction) for f in self.steps[k].fragments], axis=0)
+        return float(vals) if np.ndim(direction) == 1 else vals
 
     def union_interval_hull(self, k):
         from .sets import interval_hull
@@ -150,9 +153,9 @@ def propagation_step(model, r, u_prop, w, max_order):
     budget to n once the model constraints alone exceed the cap.  Output
     columns: constrained alpha, constrained beta, reduced free block.
 
-    The result is a Zonotope exactly when neither R nor the model is
-    constrained; such a plain step relaxes away the constraints of a
-    constrained U.
+    The result is a Zonotope exactly when neither R nor the model is a
+    constrained type and U carries no constraint rows; the constraints of a
+    constrained U stay on its alpha columns like those of R.
     """
     lifted = cartesian_product(r, u_prop)
     c_lift, g_lift = lifted.c, lifted.G
@@ -160,11 +163,11 @@ def propagation_step(model, r, u_prop, w, max_order):
     kappa = model.num_generators
     model_constrained = isinstance(model, ConstrainedMatrixZonotope)
     q_m = model.num_constraints if model_constrained else 0
-    constrained = isinstance(r, ConstrainedZonotope) or model_constrained
-    if constrained and isinstance(lifted, ConstrainedZonotope):
+    if isinstance(lifted, ConstrainedZonotope):
         a_z, b_z = lifted.A, lifted.b
     else:
         a_z, b_z = np.zeros((0, p)), np.zeros(0)
+    constrained = isinstance(r, ConstrainedZonotope) or model_constrained or a_z.shape[0] > 0
 
     center = model.C @ c_lift + w.c
     alpha = model.C @ g_lift

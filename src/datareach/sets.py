@@ -340,18 +340,36 @@ def cartesian_product(a, b):
 
 
 def support(z, direction):
-    """Support value max{d . x : x in z}.  Raises EmptySetError on empty sets."""
-    d = _vector(direction)
+    """Support value max{d . x : x in z}.
+
+    direction is one direction (n,), which gives a float, or a stack (k, n),
+    which gives an array of k values.  On a constrained set the factors whose
+    A column is zero are separable and add sum |d . g| in closed form; the
+    other factors make one LP whose k objectives share one warm-started
+    solver model.  Raises EmptySetError on empty sets.
+    """
+    d = np.asarray(direction, dtype=float)
     if isinstance(z, EmptySet):
         raise EmptySetError("support of the empty set")
-    assert d.size == z.dim
+    if d.ndim not in (1, 2) or d.shape[-1] != z.dim:
+        raise ValueError(f"direction must be ({z.dim},) or (k, {z.dim}), got shape {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("direction has non-finite entries")
+    dirs = d.reshape(-1, z.dim)
+    dg = dirs @ z.G
+    vals = dirs @ z.c
     if isinstance(z, Zonotope) or z.num_constraints == 0:
-        return float(d @ z.c + np.sum(np.abs(d @ z.G)))
-    m = z.num_generators
-    res = lp_solve(LpProblem(d @ z.G, z.A, z.b, -np.ones(m), np.ones(m)))
-    if res.status == "infeasible":
-        raise EmptySetError("support of an empty constrained zonotope")
-    return float(d @ z.c + res.objective)
+        vals += np.sum(np.abs(dg), axis=1)
+    else:
+        cons = np.any(z.A != 0.0, axis=0)
+        if not cons.any():
+            cons[:] = True  # keep the LP: it still decides whether 0 = b
+        m = int(np.count_nonzero(cons))
+        res = lp_solve(LpProblem(dg[:, cons], z.A[:, cons], z.b, -np.ones(m), np.ones(m)))
+        if any(r.status == "infeasible" for r in res):
+            raise EmptySetError("support of an empty constrained zonotope")
+        vals += np.sum(np.abs(dg[:, ~cons]), axis=1) + [r.objective for r in res]
+    return float(vals[0]) if d.ndim == 1 else vals
 
 
 def interval_hull(z):
@@ -362,15 +380,8 @@ def interval_hull(z):
         r = np.sum(np.abs(z.G), axis=1)
         return z.c - r, z.c + r
     n = z.dim
-    lo, hi = np.empty(n), np.empty(n)
-    e = np.zeros(n)
-    for i in range(n):
-        e[:] = 0.0
-        e[i] = 1.0
-        hi[i] = support(z, e)
-        e[i] = -1.0
-        lo[i] = -support(z, e)
-    return lo, hi
+    vals = support(z, np.vstack([np.eye(n), -np.eye(n)]))
+    return -vals[n:], vals[:n]
 
 
 def is_empty(z):
@@ -569,7 +580,7 @@ def project_polygon(z, dims, n_dirs=32):
         return _zonotope_polygon(flat.c, flat.G)
     angles = np.linspace(0.0, 2.0 * np.pi, n_dirs, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    vals = np.array([support(flat, d) for d in dirs])
+    vals = support(flat, dirs)
     verts = []
     for i in range(n_dirs):
         j = (i + 1) % n_dirs
@@ -578,7 +589,26 @@ def project_polygon(z, dims, n_dirs=32):
         if abs(det) < 1e-12:
             continue
         verts.append(np.linalg.solve(a, np.array([vals[i], vals[j]])))
-    return np.asarray(verts)
+    return _drop_repeated_vertices(np.asarray(verts))
+
+
+def _drop_repeated_vertices(verts, rtol=1e-12):
+    """Drop each vertex within rtol * extent of the last kept one (cyclically).
+
+    Where several support lines meet in one point, neighbouring line pairs
+    give the same vertex up to rounding; the threshold is far below the LP
+    tolerance the supports carry, so genuine short edges stay.
+    """
+    if verts.shape[0] < 2:
+        return verts
+    tol = rtol * float(np.max(np.ptp(verts, axis=0)))
+    keep = [0]
+    for i in range(1, verts.shape[0]):
+        if np.linalg.norm(verts[i] - verts[keep[-1]]) > tol:
+            keep.append(i)
+    while len(keep) > 1 and np.linalg.norm(verts[keep[-1]] - verts[keep[0]]) <= tol:
+        keep.pop()
+    return verts[keep]
 
 
 # ---------------------------------------------------------------------------

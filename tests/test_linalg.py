@@ -120,6 +120,7 @@ def _brute_force_box_lp(c, a_eq, b_eq):
 
 def test_lp_solve_matches_vertex_enumeration():
     rng = np.random.default_rng(5)
+    rng_batch = np.random.default_rng(50)
     for _ in range(30):
         n = int(rng.integers(2, 5))
         q = int(rng.integers(1, n))
@@ -132,6 +133,15 @@ def test_lp_solve_matches_vertex_enumeration():
         assert res.status == "feasible"
         assert brute is not None
         assert np.isclose(res.objective, brute, atol=1e-8)
+        # more objectives on the same region, solved as one warm-started batch
+        costs = np.vstack([c, rng_batch.normal(size=(5, n))])
+        batch = lp_solve(LpProblem(costs, a_eq, b_eq, -np.ones(n), np.ones(n)))
+        assert len(batch) == costs.shape[0]
+        for obj, r in zip(costs, batch):
+            cold = lp_solve(LpProblem(obj, a_eq, b_eq, -np.ones(n), np.ones(n)))
+            assert r.status == cold.status == "feasible"
+            assert np.isclose(r.objective, cold.objective, atol=1e-8)
+            assert np.isclose(r.objective, _brute_force_box_lp(obj, a_eq, b_eq), atol=1e-8)
 
 
 def test_lp_solve_sparse_equalities():
@@ -147,5 +157,33 @@ def test_lp_solve_sparse_equalities():
 
 
 def test_lp_solve_rejects_bad_shapes():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         lp_solve(LpProblem(np.ones(3), np.ones((2, 2)), np.ones(2), -np.ones(3), np.ones(3)))
+    with pytest.raises(ValueError):
+        lp_solve(LpProblem(np.ones((2, 2, 3)), None, None, -np.ones(3), np.ones(3)))
+    with pytest.raises(ValueError):
+        lp_solve(LpProblem(np.ones((2, 3)), None, None, -np.ones(2), np.ones(3)))
+    with pytest.raises(ValueError):
+        lp_solve(LpProblem(np.ones((2, 0)), None, None, None, None))
+
+
+def test_lp_solve_rejects_non_finite_data():
+    box = (-np.ones(2), np.ones(2))
+    for problem in (LpProblem(np.array([1.0, np.inf]), None, None, *box),
+                    LpProblem(np.ones(2), np.array([[1.0, np.nan]]), np.zeros(1), *box),
+                    LpProblem(np.ones(2), np.ones((1, 2)), np.array([np.inf]), *box),
+                    LpProblem(np.ones(2), None, None, np.array([0.0, np.nan]), None)):
+        with pytest.raises(ValueError):
+            lp_solve(problem)
+
+
+def test_lp_solve_batch_statuses():
+    box = (-np.ones(2), np.ones(2))
+    # infeasible region: every objective is infeasible
+    res = lp_solve(LpProblem(np.eye(2), np.array([[1.0, 0.0]]), np.array([5.0]), *box))
+    assert [r.status for r in res] == ["infeasible", "infeasible"]
+    # unbounded in some objectives only
+    res = lp_solve(LpProblem(np.array([[1.0], [0.0], [-1.0]]), None, None, None, None))
+    assert [r.status for r in res] == ["unbounded", "feasible", "unbounded"]
+    assert res[1].objective == 0.0
+    assert lp_solve(LpProblem(np.zeros((0, 2)), None, None, *box)) == []

@@ -22,6 +22,7 @@ from datareach.sets import (
     MatrixZonotope,
     Zonotope,
     contains_point,
+    halfspace_intersection,
     halfspace_intersection_with_plan,
     sample_factors,
     support,
@@ -201,7 +202,7 @@ def test_replay_step_alone_reconstructs_points():
 def test_step_output_type_rule():
     # plain state and plain model give a Zonotope; a constrained model gives a
     # ConstrainedZonotope even when it has no constraint rows, and so does a
-    # constrained state
+    # constrained state or an input with constraint rows
     rng = np.random.default_rng(10)
     mz = make_uncertain_model(rng, 2, 1, 2)
     cmz0 = ConstrainedMatrixZonotope(mz.C, mz.generators, np.zeros((0, 2)), np.zeros(0))
@@ -217,6 +218,52 @@ def test_step_output_type_rule():
     out, _ = propagation_step(mz, r.to_constrained(), u_prop, w, 10)
     assert isinstance(out, ConstrainedZonotope) and out.num_constraints == 0
     assert np.array_equal(out.G, plain.G)
+    # a constrained input with constraint rows makes the step constrained too:
+    # x' = x + u from x = 0 keeps u <= -0.5, as the constrained state path does
+    ident = MatrixZonotope(np.array([[1.0, 1.0]]))
+    x, w1 = Zonotope([0.0]), Zonotope([0.0])
+    out, plan = propagation_step(ident, x, _cut_input(), w1, 10)
+    assert isinstance(out, ConstrainedZonotope) and out.num_constraints == 1
+    assert plan.cons_alpha.size == 2
+    assert np.isclose(support(out, [1.0]), -0.5, atol=1e-9)
+    assert np.isclose(support(out, [-1.0]), 1.0, atol=1e-9)
+    via_state, _ = propagation_step(ident, x.to_constrained(), _cut_input(), w1, 10)
+    assert np.isclose(support(via_state, [1.0]), support(out, [1.0]), atol=1e-12)
+    # without constraint rows a constrained input leaves the step plain
+    out, _ = propagation_step(ident, x, Zonotope([0.0], [[1.0]]).to_constrained(), w1, 10)
+    assert type(out) is Zonotope
+
+
+def _cut_input():
+    """U = [-1, 1] cut to u <= -0.5: one extra factor, one constraint row."""
+    return halfspace_intersection(Zonotope([0.0], np.array([[1.0]])), [1.0], -0.5)
+
+
+def test_certificates_through_a_constrained_input():
+    rng = np.random.default_rng(12)
+    n_x, kappa, horizon, n_traj = 2, 3, 4, 25
+    model = make_uncertain_model(rng, n_x, 1, kappa, spread=0.03)
+    beta_star = rng.uniform(-1, 1, size=kappa)
+    x0 = Zonotope([0.5, -0.2], 0.2 * np.eye(n_x))
+    u_prop = _cut_input()
+    w = Zonotope(np.zeros(n_x), 0.01 * np.eye(n_x))
+    xi0 = rng.uniform(-1, 1, size=(n_traj, n_x))
+    xi_u = np.stack([sample_factors(u_prop, rng, n_traj) for _ in range(horizon)])
+    xi_w = rng.uniform(-1, 1, size=(horizon, n_traj, n_x))
+    states = np.empty((n_traj, horizon + 1, n_x))
+    states[:, 0] = x0.c + xi0 @ x0.G.T
+    for k in range(horizon):
+        u = u_prop.c + xi_u[k] @ u_prop.G.T
+        assert np.all(u <= -0.5 + 1e-9)
+        states[:, k + 1] = np.hstack([states[:, k], u]) @ model.at(beta_star).T + xi_w[k] @ w.G.T
+    res = propagate_lti(model, x0, u_prop, w, horizon, 4)
+    assert all(isinstance(s.fragments[0].set, ConstrainedZonotope) for s in res.steps[1:])
+    report = certify_lti(res, beta_star, states, xi0, xi_u, xi_w)
+    assert report.ok(tol=1e-6)
+    assert report.max_constraint <= 1e-9
+    final = res.steps[-1].fragments[0].set
+    for i in range(0, n_traj, 8):
+        assert contains_point(final, states[i, horizon], tol=1e-7)
 
 
 def test_propagate_lti_rejects_negative_horizon():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from datareach import sets
+from datareach.linalg import LpProblem, lp_solve
 from datareach.reach import propagation_step, replay_step
 from datareach.sets import (
     ConstrainedMatrixZonotope,
@@ -131,6 +132,72 @@ def test_czonotope_support_matches_vertex_enumeration():
             enum_val = _support_by_vertex_enum(cz, d)
             assert enum_val is not None
             assert np.isclose(lp_val, enum_val, atol=1e-7)
+
+
+def _with_free_columns(rng):
+    """A constrained zonotope whose last 4 factors carry no constraint."""
+    cz, _ = random_czonotope(rng, 3, 5, n_cuts=2)
+    out = minkowski_sum(cz, random_zonotope(rng, 3, 4))
+    assert not np.any(out.A[:, -4:]) and np.all(np.any(out.A[:, :-4] != 0.0, axis=0))
+    return out
+
+
+def test_batched_support_matches_single_directions():
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        cz = _with_free_columns(rng)
+        dirs = rng.normal(size=(12, 3))
+        batch = support(cz, dirs)
+        assert batch.shape == (12,)
+        m = cz.num_generators
+        for d, val in zip(dirs, batch):
+            assert isinstance(support(cz, d), float)
+            assert np.isclose(val, support(cz, d), atol=1e-9)
+            # the whole LP, free columns included
+            full = lp_solve(LpProblem(d @ cz.G, cz.A, cz.b, -np.ones(m), np.ones(m)))
+            assert np.isclose(val, d @ cz.c + full.objective, atol=1e-9)
+        assert support(cz, np.zeros((0, 3))).shape == (0,)
+
+
+def test_batched_support_is_independent_of_direction_order():
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        cz = _with_free_columns(rng)
+        dirs = rng.normal(size=(24, 3))
+        forward = support(cz, dirs)
+        backward = support(cz, dirs[::-1])[::-1]
+        assert np.max(np.abs(forward - backward)) <= 1e-9
+
+
+def test_batched_support_of_an_infeasible_set_raises():
+    z = Zonotope([0.0, 0.0], np.eye(2))
+    cut = halfspace_intersection(z, [1.0, 0.0], -0.5)
+    cut = ConstrainedZonotope(cut.c, cut.G, np.vstack([cut.A, [0.0, 1.0, 0.0]]),
+                              np.concatenate([cut.b, [2.0]]))   # xi_2 = 2: no member
+    assert is_empty(cut)
+    with pytest.raises(EmptySetError):
+        support(cut, np.eye(2))
+    with pytest.raises(EmptySetError):
+        support(cut, [1.0, 0.0])
+
+
+def test_support_rejects_bad_directions():
+    cz, _ = random_czonotope(np.random.default_rng(15), 3, 5)
+    for bad in (np.ones(2), np.ones((4, 2)), np.ones((2, 2, 3)), [1.0, np.nan, 0.0]):
+        with pytest.raises(ValueError):
+            support(cz, bad)
+
+
+def test_interval_hull_equals_axis_supports():
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        cz = _with_free_columns(rng)
+        lo, hi = interval_hull(cz)
+        for i in range(3):
+            e = np.zeros(3)
+            e[i] = 1.0
+            assert np.isclose(hi[i], support(cz, e), atol=1e-9)
+            assert np.isclose(lo[i], -support(cz, -e), atol=1e-9)
 
 
 def test_czonotope_interval_hull_bounds_samples():
@@ -524,6 +591,35 @@ def test_project_polygon_constrained_outer_approximation():
     pts = sample_points(cz, rng, 100)
     for x in pts:
         assert _point_in_convex_polygon(poly, x[[0, 2]], tol=1e-6)
+
+
+def test_project_polygon_constrained_has_no_repeated_vertices():
+    # a square whose constraint does not bind: every support line of a
+    # quadrant passes through the same corner
+    square = ConstrainedZonotope([0.5, -1.0], np.hstack([np.eye(2), np.zeros((2, 1))]),
+                                 np.array([[1.0, 1.0, 3.0]]), [0.0])
+    box = ConstrainedZonotope([0.5, -1.0], np.hstack([np.eye(2), np.zeros((2, 1))]),
+                              np.array([[0.0, 0.0, 1.0]]), [0.0])
+    for z, n_vertices in ((box, 4), (square, 4)):
+        poly = project_polygon(z, (0, 1), n_dirs=32)
+        assert poly.shape[0] == n_vertices
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        cz, _ = random_czonotope(rng, 3, 6, n_cuts=2)
+        poly = project_polygon(cz, (0, 2), n_dirs=32)
+        extent = np.max(np.ptp(poly, axis=0))
+        gaps = np.linalg.norm(poly - np.roll(poly, 1, axis=0), axis=1)
+        assert np.all(gaps > 1e-12 * extent)
+        for x in sample_points(cz, rng, 50):
+            assert _point_in_convex_polygon(poly, x[[0, 2]], tol=1e-6)
+
+
+def test_repeated_vertices_keep_short_edges():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 3e-16], [1.0, 1.0], [1.0 + 3e-8, 1.0],
+                      [0.0, 1.0], [1e-16, 0.0]])
+    kept = sets._drop_repeated_vertices(verts)
+    assert np.array_equal(kept, verts[[0, 1, 3, 4, 5]])
+    assert sets._drop_repeated_vertices(np.zeros((3, 2))).shape == (1, 2)
 
 
 def test_project_polygon_point():

@@ -151,7 +151,6 @@ def _highs_model(a, b, lb, ub):
     lp.a_matrix_.value_ = a.data
     highs = _highs._Highs()
     highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("simplex_strategy", _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         raise NumericalError("HiGHS rejected the LP model")
     return highs

@@ -374,11 +374,6 @@ def support(z, direction):
 
 def interval_hull(z):
     """Tight axis-aligned bounds as a (lo, hi) pair of arrays."""
-    if isinstance(z, EmptySet):
-        raise EmptySetError("interval hull of the empty set")
-    if isinstance(z, Zonotope) or z.num_constraints == 0:
-        r = np.sum(np.abs(z.G), axis=1)
-        return z.c - r, z.c + r
     n = z.dim
     vals = support(z, np.vstack([np.eye(n), -np.eye(n)]))
     return -vals[n:], vals[:n]
@@ -592,16 +587,18 @@ def project_polygon(z, dims, n_dirs=32):
     return _drop_repeated_vertices(np.asarray(verts))
 
 
-def _drop_repeated_vertices(verts, rtol=1e-12):
-    """Drop each vertex within rtol * extent of the last kept one (cyclically).
+# Where several support lines meet in one point, neighbouring line pairs give
+# the same vertex up to rounding.  This relative threshold is far below the LP
+# tolerance the supports carry, so genuine short edges stay.
+_REPEATED_VERTEX_RTOL = 1e-12
 
-    Where several support lines meet in one point, neighbouring line pairs
-    give the same vertex up to rounding; the threshold is far below the LP
-    tolerance the supports carry, so genuine short edges stay.
-    """
+
+def _drop_repeated_vertices(verts):
+    """Drop each vertex within _REPEATED_VERTEX_RTOL * extent of the last kept
+    one (cyclically)."""
     if verts.shape[0] < 2:
         return verts
-    tol = rtol * float(np.max(np.ptp(verts, axis=0)))
+    tol = _REPEATED_VERTEX_RTOL * float(np.max(np.ptp(verts, axis=0)))
     keep = [0]
     for i in range(1, verts.shape[0]):
         if np.linalg.norm(verts[i] - verts[keep[-1]]) > tol:

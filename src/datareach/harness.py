@@ -18,7 +18,7 @@ streams.
 Output layout (when an output directory is given):
 
     report.json                     all numeric results, deterministic
-    metadata.json                   timestamps, runtime, library versions
+    metadata.json                   timestamps, runtime, phase times, versions
     sets/<combo>/step<k>.json       reachable fragments per step
     polygons/<combo>_<i>-<j>.csv    2-D projection outlines per step
     volume_table.csv                tabulated-step volumes and ratios (lti)
@@ -583,18 +583,35 @@ def _emit_polygons(out, combo, result, dims_pairs, fmt, n_dirs=32):
                      ["step", "fragment", "x", "y"], rows, fmt)
 
 
-def _emit_common(out, cfg, report, runs, fmt, tables, t0):
+class _Laps:
+    """Wall time (perf_counter) per study phase, for metadata.json: each
+    call charges the time since the previous one to the named phase."""
+
+    def __init__(self, names):
+        self.seconds = dict.fromkeys(names, 0.0)
+        self._mark = time.perf_counter()
+
+    def __call__(self, name):
+        now = time.perf_counter()
+        self.seconds[name] += now - self._mark
+        self._mark = now
+
+
+def _emit_common(out, cfg, report, runs, fmt, tables, t0, lap):
     """Write the full output layout; metadata.json comes last so that its
-    runtime_seconds (counted from perf_counter t0) covers all the rest."""
+    runtime_seconds (counted from perf_counter t0, before lap started)
+    covers all the rest, the phases timed by lap included."""
     _write_json(out / "report.json", report)
     for combo, run in runs.items():
         _emit_sets(out, combo, run)
         _emit_polygons(out, combo, run, cfg.projection_dims, fmt)
     for name, header, rows in tables:
         _write_table(out / name, header, rows, fmt)
+    lap("emit")
     _write_json(out / "metadata.json", {
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "runtime_seconds": time.perf_counter() - t0,
+        "phase_seconds": lap.seconds,
         "versions": {
             "datareach": __version__,
             "numpy": np.__version__,
@@ -655,6 +672,7 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
     Returns the report dict; with out_dir the full file layout is written.
     """
     t0 = time.perf_counter()
+    lap = _Laps(("collect", "propagate", "supports", "self_check", "volumes", "emit"))
     if cfg.kind != "lti":
         raise HarnessError(f"config kind is {cfg.kind!r}, expected 'lti'")
     system = cfg.true_system()
@@ -696,6 +714,7 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
         f"{rinv}_{mode}": generator_norm_proxy(bundles[(mode, rinv)].mz)
         for (mode, rinv) in bundles
     }
+    lap("collect")
 
     combos, runs = [], {}
     for mode, rinv, mset in product(cfg.input_modes, cfg.right_inverses, cfg.model_sets):
@@ -713,6 +732,7 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
         c: [[f.set.num_generators for f in s.fragments] for s in runs[c].steps]
         for c in combos
     }
+    lap("propagate")
 
     if cfg.compute_supports:
         rng_dir = np.random.default_rng([cfg.rng_seed, _DIRECTION_STREAM])
@@ -730,17 +750,21 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
                 gap = _max_gap(sup["model"], sup[combo])
                 orderings["model_within"][combo] = {"max_gap": gap, "ok": gap <= 1e-6}
         report["orderings"] = orderings
+    lap("supports")
 
     betas = {c: np.zeros(0) if c == "model" else true_noise_coefficients(logs[_parse_combo(c)[2]])
              for c in combos}
     _self_check(cfg, system, runs, report,
                 lambda combo, *draws: certify_lti(runs[combo], betas[combo], *draws))
+    lap("self_check")
 
     if cfg.compute_volumes:
         vstep = cfg.horizon if cfg.volume_step is None else cfg.volume_step
 
         def _row_volume(run):
-            # cap at 50 generators so the determinant sum stays tractable
+            # cap at 50 generators so the determinant sum stays tractable;
+            # the cap fixes the reported numbers: they are exact volumes
+            # of the Girard-reduced sets, not of the full ones
             z = reduce_girard(run.steps[vstep].fragments[0].set, 50.0 / system.n_x)
             return volume(z)
 
@@ -753,13 +777,14 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
             row["ratio"] = row["volume"] / base
         report["volume_table"] = table
         report["volume_step"] = vstep
+    lap("volumes")
 
     if out_dir is not None:
         tables = []
         if "volume_table" in report:
             tables.append(("volume_table.csv", ["method", "volume", "ratio"],
                            [[r["method"], r["volume"], r["ratio"]] for r in report["volume_table"]]))
-        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0)
+        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0, lap)
     return report
 
 
@@ -772,6 +797,7 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
     interval hulls, and (optionally) union supports.
     """
     t0 = time.perf_counter()
+    lap = _Laps(("collect", "propagate", "hulls", "supports", "self_check", "emit"))
     if cfg.kind != "pwa":
         raise HarnessError(f"config kind is {cfg.kind!r}, expected 'pwa'")
     system = cfg.true_system()
@@ -811,13 +837,16 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
             "trace_inverse": log.trace_inverse,
         }
         variant_betas[combo] = betas
+        lap("collect")
         runs[combo] = propagate_pwa(models, pwa, cfg.x0, cfg.u_prop, cfg.w,
                                     cfg.horizon, cfg.max_order,
                                     fragment_cap=cfg.fragment_cap)
         combos.append(combo)
+        lap("propagate")
     runs["model"] = model_based_reference(pwa, cfg.x0, cfg.u_prop, cfg.w,
                                           cfg.horizon, cfg.max_order)
     combos.append("model")
+    lap("propagate")
     report["combos"] = combos
     report["data"] = data_stats
     report["right_inverses"] = rinv_stats
@@ -836,6 +865,7 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
                              "width": (high - low).tolist()})
         hulls[c] = per_step
     report["interval_hulls"] = hulls
+    lap("hulls")
 
     if cfg.compute_supports:
         rng_dir = np.random.default_rng([cfg.rng_seed, _DIRECTION_STREAM])
@@ -850,10 +880,12 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
                 for c in combos if c != "model"
             }
         }
+    lap("supports")
 
     variant_betas["model"] = [np.zeros(0)] * pwa.n_modes
     _self_check(cfg, system, runs, report,
                 lambda combo, *draws: certify_pwa(runs[combo], variant_betas[combo], pwa, *draws))
+    lap("self_check")
 
     if out_dir is not None:
         rows = []
@@ -863,5 +895,5 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
                     rows.append([c, k, dim + 1, h["low"][dim], h["high"][dim],
                                  h["width"][dim]])
         tables = [("hull_widths.csv", ["method", "step", "dim", "low", "high", "width"], rows)]
-        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0)
+        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0, lap)
     return report

@@ -7,7 +7,6 @@ factors).  Operations are module-level functions; the classes are thin
 containers with validation and JSON round-tripping.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -499,31 +498,80 @@ def reduce_girard(z, max_order):
 # Volume and projections
 
 
-def volume(z, max_subsets=10_000_000):
-    """Exact volume of a plain zonotope: 2^n * sum over n-column subsets of
-    |det G_S|.  Refuses when the subset count exceeds max_subsets."""
-    assert isinstance(z, Zonotope), "volume is defined for plain zonotopes"
+# Generator subsets volume() will enumerate before refusing.  Its work grows
+# with this count; up to 1e7 an exact volume takes seconds (on one 2-core
+# host: 0.2 s for the 8.6e6 subsets of a 5 x 66 set, 2.3 s for the 3.3e6 of
+# a 15 x 25 one).  Past it, reduce the zonotope first.
+_MAX_VOLUME_SUBSETS = 10_000_000
+
+# Entries of the largest array one level of the volume recursion builds.
+_VOLUME_BLOCK = 1 << 20
+
+
+def volume(z):
+    """Exact volume of a plain zonotope: 2^n * sum over n-column subsets S
+    of |det G_S|.  Refuses when there are more than _MAX_VOLUME_SUBSETS
+    subsets."""
+    if not isinstance(z, Zonotope):
+        raise ValueError("volume is defined for plain zonotopes")
     n, m = z.dim, z.num_generators
     if m < n:
         return 0.0
     n_subsets = math.comb(m, n)
-    if n_subsets > max_subsets:
+    if n_subsets > _MAX_VOLUME_SUBSETS:
         raise ValueError(
-            f"volume would enumerate {n_subsets} generator subsets (> {max_subsets}); "
-            "reduce the zonotope first"
+            f"volume would enumerate {n_subsets} generator subsets "
+            f"(> {_MAX_VOLUME_SUBSETS}); reduce the zonotope first"
         )
-    idx = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(m), n)),
-        dtype=np.intp,
-        count=n_subsets * n,
-    ).reshape(n_subsets, n)
-    gt = z.G.T
-    total = 0.0
-    chunk = max(1, 4_000_000 // (n * n))
-    for start in range(0, n_subsets, chunk):
-        sub = gt[idx[start : start + chunk]]  # (k, n, n)
-        total += float(np.sum(np.abs(np.linalg.det(sub))))
-    return (2.0 ** n) * total
+    if n == 0:
+        return 1.0
+    return (2.0 ** n) * _abs_det_sum(z.G, np.eye(n)[None], np.ones(1), np.array([-1]))
+
+
+def _abs_det_sum(g, basis, vol, last):
+    """Sum of |det G_S| over the n-column subsets S that extend the given
+    k-column subsets by larger columns.
+
+    Each k-subset keeps its wedge product in factored form: vol, the
+    k-volume of its columns, and basis (n - k orthonormal rows spanning the
+    orthogonal complement of their span).  Adding column j multiplies vol
+    by the length of g_j's component p in that complement, and one
+    Householder reflection of p drops it from the basis.  The subsets with
+    last column j extend the prefix of rows with last < j, so every level
+    stays ordered by last (nondecreasing).  At k = n - 1, vol * basis is,
+    up to sign, the cofactor vector of S: det G_(S + j) = +-cofactor . g_j.
+    """
+    n, m = g.shape
+    k = n - basis.shape[1]
+    # columns that leave room for n - k - 1 larger ones
+    cols = np.arange(last[0] + 1, m - n + k + 1)
+    ends = np.searchsorted(last, cols)
+    if k == n - 1:
+        cof = basis[:, 0] * vol[:, None]
+        return float(sum(np.abs(cof[:end] @ g[:, j]).sum() for j, end in zip(cols, ends)))
+    children = int(ends.sum())
+    if children * (n - k) * n > _VOLUME_BLOCK and last.size > 1:
+        h = last.size // 2
+        return (_abs_det_sum(g, basis[:h], vol[:h], last[:h])
+                + _abs_det_sum(g, basis[h:], vol[h:], last[h:]))
+    out_basis = np.empty((children, n - k - 1, n))
+    out_vol = np.empty(children)
+    start = 0
+    for j, end in zip(cols, ends):
+        q = basis[:end]
+        u = q @ g[:, j]  # p, in basis coordinates
+        norm = np.sqrt(np.einsum("sc,sc->s", u, u))
+        out_vol[start:start + end] = vol[:end] * norm
+        # Householder vector u = p + sign(p_0) |p| e_0: the reflection
+        # I - 2 u u^T / |u|^2 maps p onto the first basis row, and
+        # |u|^2 = 2 |p| |u_0|; a zero p (vol 0 from here on) drops row 0
+        u[:, 0] += np.copysign(norm, u[:, 0])
+        scale = norm * np.abs(u[:, 0])
+        np.divide(1.0, scale, out=scale, where=scale > 0.0)
+        qu = np.einsum("sc,scn->sn", u, q) * scale[:, None]
+        out_basis[start:start + end] = q[:, 1:] - u[:, 1:, None] * qu[:, None, :]
+        start += end
+    return _abs_det_sum(g, out_basis, out_vol, np.repeat(cols, ends))
 
 
 def polygon_area(vertices):

@@ -298,6 +298,31 @@ def test_runtime_seconds_covers_emission(tmp_path, monkeypatch):
     assert runtime >= finished[-1] - start - 0.01
 
 
+def test_metadata_times_each_study_phase(tmp_path, monkeypatch):
+    slow_volume = harness.volume
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return slow_volume(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "volume", slow)
+    report = run_lti_experiment(tiny_lti_config(), out_dir=tmp_path / "lti")
+    run_pwa_experiment(tiny_pwa_config(), out_dir=tmp_path / "pwa")
+    phases = {
+        "lti": {"collect", "propagate", "supports", "self_check", "volumes", "emit"},
+        "pwa": {"collect", "propagate", "hulls", "supports", "self_check", "emit"},
+    }
+    for kind, names in phases.items():
+        meta = json.loads((tmp_path / kind / "metadata.json").read_text())
+        seconds = meta["phase_seconds"]
+        assert set(seconds) == names
+        assert all(s >= 0.0 for s in seconds.values())
+        assert sum(seconds.values()) <= meta["runtime_seconds"]
+        assert "phase_seconds" not in (tmp_path / kind / "report.json").read_text()
+    lti = json.loads((tmp_path / "lti" / "metadata.json").read_text())["phase_seconds"]
+    assert lti["volumes"] >= 0.05 * len(report["volume_table"])
+
+
 def test_lti_seed_changes_report():
     base = run_lti_experiment(tiny_lti_config())
     other = run_lti_experiment(tiny_lti_config(rng_seed=7))

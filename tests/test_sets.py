@@ -564,6 +564,71 @@ def test_volume_refuses_huge_enumerations():
         volume(z)
 
 
+def test_volume_rejects_sets_that_are_not_plain_zonotopes():
+    rng = np.random.default_rng(30)
+    for z in (EmptySet(2), random_czonotope(rng, 2, 4)):
+        with pytest.raises(ValueError):
+            volume(z)
+
+
+def brute_force_volume(g):
+    """2^n * sum of |det| over every n-column subset, one LU each."""
+    n, m = g.shape
+    return 2.0 ** n * sum(abs(np.linalg.det(g[:, list(s)]))
+                          for s in itertools.combinations(range(m), n))
+
+
+def assert_volume_matches_brute_force(g, flat=False):
+    """rtol 1e-12; where the true volume is 0 (flat), an absolute bound
+    scaled by the size of G instead."""
+    n = g.shape[0]
+    got, want = volume(Zonotope(np.zeros(n), g)), brute_force_volume(g)
+    if flat:
+        assert abs(got - want) <= 1e-12 * 2.0 ** n * np.prod(np.abs(g).sum(axis=1))
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_volume_matches_brute_force_enumeration(n):
+    rng = np.random.default_rng(31 + n)
+    for m in range(0, n + 7):
+        assert_volume_matches_brute_force(rng.normal(size=(n, m)), flat=m < n)
+    m = n + 3
+    g = rng.normal(size=(n, m))
+    # columns scaled from 1e-6 to 1e3
+    assert_volume_matches_brute_force(g * 10.0 ** rng.uniform(-6.0, 3.0, m))
+    # a zero column, a parallel one and a duplicate
+    g = np.hstack([g, np.zeros((n, 1)), -2.5 * g[:, :1], g[:, 1:2]])
+    assert_volume_matches_brute_force(g)
+    # rank-deficient: every subset is singular
+    low = rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, m))
+    assert_volume_matches_brute_force(low, flat=True)
+    assert_volume_matches_brute_force(np.repeat(g[:, :1], m, axis=1), flat=n > 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_volume_is_invariant_under_column_order_and_homogeneous(n):
+    rng = np.random.default_rng(41 + n)
+    g = rng.normal(size=(n, n + 5))
+    base = volume(Zonotope(np.zeros(n), g))
+    for _ in range(3):
+        perm = rng.permutation(g.shape[1])
+        assert volume(Zonotope(np.zeros(n), g[:, perm])) == pytest.approx(base, rel=1e-13)
+    for s in (-3.7, 0.01, 250.0):
+        scaled = volume(Zonotope(np.zeros(n), s * g))
+        assert scaled == pytest.approx(abs(s) ** n * base, rel=1e-12)
+
+
+def test_volume_in_small_blocks_matches_one_block(monkeypatch):
+    rng = np.random.default_rng(47)
+    g = rng.normal(size=(4, 11))
+    whole = volume(Zonotope(np.zeros(4), g))
+    monkeypatch.setattr(sets, "_VOLUME_BLOCK", 1)
+    assert volume(Zonotope(np.zeros(4), g)) == pytest.approx(whole, rel=1e-13)
+    assert_volume_matches_brute_force(g)
+
+
 def test_project_polygon_square():
     z = Zonotope([1.0, 1.0], np.eye(2))
     poly = project_polygon(z, (0, 1))

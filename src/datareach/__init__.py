@@ -31,7 +31,6 @@ from .modelset import (
     ModelSetBundle,
     build_model_sets,
     generator_norm_proxy,
-    kernel_constraints,
 )
 from .reach import (
     Halfspace,
@@ -96,7 +95,6 @@ __all__ = [
     "info_init",
     "info_update",
     "interval_hull",
-    "kernel_constraints",
     "linear_map",
     "load_config",
     "minkowski_sum",

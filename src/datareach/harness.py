@@ -44,7 +44,8 @@ from .inputdesign import (
     info_update,
     sample_input,
 )
-from .modelset import DataSet, build_denoised, build_model_sets, build_noise_mz, generator_norm_proxy
+from .linalg import svd
+from .modelset import DataSet, build_model_sets, generator_norm_proxy
 from .reach import (
     Halfspace,
     PwaMode,
@@ -59,7 +60,6 @@ from .reach import (
 from .rightinv import pinv_right_inverse, row_norm_right_inverse, verify_sandwich
 from .sets import (
     ConstrainedZonotope,
-    MatrixZonotope,
     Zonotope,
     contains_point,
     project_polygon,
@@ -343,15 +343,13 @@ def simulate_batch(system, x0_set, u_set, horizon, count, rng):
 @dataclass
 class CollectLog:
     """Everything recorded during data collection that the data set itself
-    cannot carry: factor draws, design diagnostics, the information state."""
+    cannot carry: the factor draws and the regressor's singular values."""
 
     trajectories: list        # (states, inputs) per trajectory
     xi_w: np.ndarray          # (p_w, T) noise factors, global column order
     xi0: np.ndarray           # (K, m0) initial-state factors
-    design_gains: list
-    design_trace: list        # trace of the maintained inverse after each update
-    info: object              # final InfoState (designed mode) or None
-    trace_inverse: float      # tr((Phi Phi')^-1) of the realized regressor
+    sigma: np.ndarray         # singular values of the realized regressor Phi
+    trace_inverse: float      # tr(pinv(Phi Phi')) = sum of sigma^-2 above the rank cutoff
 
 
 def collect_data(cfg, system, input_mode, design_cfg=None, rng_seed=None):
@@ -384,7 +382,6 @@ def collect_data(cfg, system, input_mode, design_cfg=None, rng_seed=None):
         raise HarnessError("vertex x0 sampling needs an unconstrained initial set")
     info = info_init(system.n_x + system.n_u) if designed else None
     trajectories, xi_w_cols, xi0s = [], [], []
-    gains, trace = [], []
     for _ in range(cfg.k_trajectories):
         xi0 = sample_factors(x0_set, rng_traj, 1)[0]
         if cfg.x0_sampling == "vertex":
@@ -396,8 +393,7 @@ def collect_data(cfg, system, input_mode, design_cfg=None, rng_seed=None):
         xs, us = [x], []
         for _ in range(cfg.t_steps):
             if designed:
-                u, gain = design_input(info, x, cfg.u_data, design_cfg, rng_inp)
-                gains.append(gain)
+                u, _ = design_input(info, x, cfg.u_data, design_cfg, rng_inp)
             else:
                 u = sample_input(cfg.u_data, rng_inp)
             xiw = rng_traj.uniform(-1.0, 1.0, w.num_generators)
@@ -407,7 +403,6 @@ def collect_data(cfg, system, input_mode, design_cfg=None, rng_seed=None):
             xi_w_cols.append(xiw)
             if designed:
                 info = info_update(info, np.concatenate([x, u]))
-                trace.append(info.trace_inverse)
             x = x_next
         trajectories.append((np.column_stack(xs), np.column_stack(us)))
         xi0s.append(xi0)
@@ -418,10 +413,9 @@ def collect_data(cfg, system, input_mode, design_cfg=None, rng_seed=None):
         np.hstack([t[1] for t in trajectories]),
         traj_lengths=(cfg.t_steps,) * cfg.k_trajectories,
     )
-    phi = data.phi
-    trace_inv = float(np.trace(np.linalg.pinv(phi @ phi.T)))
-    log = CollectLog(trajectories, np.column_stack(xi_w_cols), np.asarray(xi0s),
-                     gains, trace, info, trace_inv)
+    factors = svd(data.phi)
+    log = CollectLog(trajectories, np.column_stack(xi_w_cols), np.asarray(xi0s), factors.s,
+                     float(np.sum(factors.s[: factors.rank] ** -2.0)))
     return data, log
 
 
@@ -431,16 +425,6 @@ def true_noise_coefficients(log, columns=None):
     columns, e.g. one mode's share after partitioning."""
     xi_w = log.xi_w if columns is None else log.xi_w[:, np.asarray(columns, dtype=int)]
     return xi_w.T.reshape(-1).copy()
-
-
-def _model_proxy(data, w_generators, h):
-    """Generator-norm proxy of the model set (X+ - W) H without building
-    the constrained variant."""
-    noise = build_noise_mz(w_generators, data.T)
-    denoised = build_denoised(data.x_plus, noise)
-    h = np.asarray(h, dtype=float)
-    gens = np.einsum("lnt,td->lnd", denoised.generators, h)
-    return generator_norm_proxy(MatrixZonotope(denoised.C @ h, gens))
 
 
 def proxy_chain(cfg):
@@ -461,8 +445,8 @@ def proxy_chain(cfg):
         row_res = row_norm_right_inverse(phi)
         out[mode] = {
             "pinv_frobenius": pinv_res.frobenius_norm,
-            "proxy_pinv": _model_proxy(data, cfg.w.G, pinv_res.h),
-            "proxy_row_norm": _model_proxy(data, cfg.w.G, row_res.h),
+            "proxy_pinv": generator_norm_proxy(build_model_sets(data, cfg.w.G, pinv_res.h).mz),
+            "proxy_row_norm": generator_norm_proxy(build_model_sets(data, cfg.w.G, row_res.h).mz),
             "row_norm_sum_pinv": pinv_res.row_norm_sum,
             "row_norm_sum_row_norm": row_res.row_norm_sum,
             "trace_inverse": log.trace_inverse,
@@ -690,7 +674,7 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
     for mode in cfg.input_modes:
         data[mode], logs[mode] = collect_data(cfg, system, mode)
         phi = data[mode].phi
-        sigma = np.linalg.svd(phi, compute_uv=False)
+        sigma = logs[mode].sigma
         data_stats[mode] = {
             "transitions": data[mode].T,
             "sigma_min": float(sigma[-1]),

@@ -49,7 +49,8 @@ class DesignConfig:
 
 def info_init(d, delta=1e-3):
     """Fresh information state delta * I (delta > 0 keeps it invertible)."""
-    assert delta > 0.0
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
     return InfoState(delta * np.eye(d), np.eye(d) / delta, float(delta), 0)
 
 
@@ -61,8 +62,8 @@ def info_update(state, s):
     returned pair of states.
     """
     s = np.asarray(s, dtype=float).reshape(-1)
-    assert s.size == state.dim
-    assert np.all(np.isfinite(s))
+    if s.size != state.dim or not np.all(np.isfinite(s)):
+        raise ValueError(f"sample must have {state.dim} finite entries, got {s}")
     s_inv = state.s_inv
     drift = np.linalg.norm(state.s_matrix @ s_inv - np.eye(state.dim), "fro")
     if drift > DRIFT_LIMIT:
@@ -78,7 +79,8 @@ def delta_A(state, x, u):
     """Decrease of trace(S^{-1}) caused by appending the sample s = [x; u]."""
     s = np.concatenate([np.asarray(x, dtype=float).reshape(-1),
                         np.asarray(u, dtype=float).reshape(-1)])
-    assert s.size == state.dim
+    if s.size != state.dim:
+        raise ValueError(f"[x; u] has {s.size} entries, the information state {state.dim}")
     v = state.s_inv @ s
     return float(v @ v) / (1.0 + float(s @ v))
 

@@ -1,11 +1,12 @@
 """Shared dense linear-algebra and linear-programming primitives.
 
 Everything downstream (set operations, model-set construction, input design)
-funnels its numerics through this module so that rank tolerances and LP
+funnels its numerics through this module so that the rank tolerance and LP
 conventions are defined in exactly one place.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -20,12 +21,9 @@ except ImportError as err:  # pragma: no cover - depends on the installed scipy
         "scipy.optimize._highspy._core"
     ) from err
 
-# Relative rank cutoff: singular values below RANK_RTOL * max(rows, cols) * sigma_max
-# are treated as zero.
+# Relative rank cutoff: singular values at or below
+# RANK_RTOL * max(rows, cols) * sigma_max are treated as zero.
 RANK_RTOL = 1e-10
-
-# A matrix counts as full row rank when sigma_min > FULL_ROW_RANK_RTOL * sigma_max.
-FULL_ROW_RANK_RTOL = 1e-8
 
 
 class NumericalError(RuntimeError):
@@ -34,69 +32,55 @@ class NumericalError(RuntimeError):
 
 def _as_matrix(m):
     a = np.asarray(m, dtype=float)
-    assert a.ndim == 2, f"expected a 2-D array, got shape {a.shape}"
-    assert np.all(np.isfinite(a)), "matrix has non-finite entries"
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     return a
 
 
-def svd(m):
-    """Full SVD. Returns (U, sigma, V) with M = U @ diag(sigma) @ V.T.
+class Svd(NamedTuple):
+    """Full SVD M = u @ diag(s) @ v.T with its numerical rank.
 
-    U and V are square orthogonal; sigma is non-increasing with
-    min(rows, cols) entries.
+    u and v are square orthogonal; s is non-increasing with min(rows, cols)
+    entries, of which the first rank lie above the RANK_RTOL cutoff.  The
+    pseudoinverse, the null space and the full-row-rank test are all read
+    from this one factorization.
     """
+
+    u: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+    rank: int
+
+    @property
+    def pinv(self):
+        """Moore-Penrose pseudoinverse; singular values below the cutoff are zeroed."""
+        inv = np.zeros(self.s.size)
+        inv[: self.rank] = 1.0 / self.s[: self.rank]
+        return (self.v[:, : self.s.size] * inv) @ self.u[:, : self.s.size].T
+
+    @property
+    def null(self):
+        """Orthonormal basis of the right null space, (cols x (cols - rank))."""
+        return self.v[:, self.rank :]
+
+    @property
+    def full_row_rank(self):
+        """Whether M has rank equal to its (nonzero) row count: the test for a
+        regressor that must have a right inverse."""
+        return 0 < self.u.shape[0] == self.rank
+
+
+def svd(m):
+    """Full SVD of a finite 2-D array, with its rank at the RANK_RTOL cutoff."""
     a = _as_matrix(m)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as e:  # pragma: no cover - numpy rarely fails here
         raise NumericalError(f"SVD did not converge: {e}") from e
-    return u, s, vh.T
-
-
-def _rank_threshold(s, shape, tol):
-    if s.size == 0:
-        return 0.0
-    if tol is None:
-        tol = RANK_RTOL * max(shape)
-    return tol * s[0]
-
-
-def pseudoinverse(m, tol=None):
-    """Moore-Penrose pseudoinverse; singular values <= tol * sigma_max are zeroed.
-
-    Default tol is RANK_RTOL * max(rows, cols).
-    """
-    a = _as_matrix(m)
-    u, s, v = svd(a)
-    thresh = _rank_threshold(s, a.shape, tol)
-    inv = np.where(s > thresh, 1.0 / np.where(s > thresh, s, 1.0), 0.0)
-    return (v[:, : s.size] * inv) @ u[:, : s.size].T
-
-
-def matrix_rank(m, tol=None):
-    a = _as_matrix(m)
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > _rank_threshold(s, a.shape, tol)))
-
-
-def nullspace_basis(m, tol=None):
-    """Orthonormal basis of the right null space, as columns of a (cols x r) array.
-
-    r = cols - rank(M); the returned block satisfies M @ N ~ 0 and N.T @ N = I.
-    """
-    a = _as_matrix(m)
-    u, s, v = svd(a)
-    rank = int(np.count_nonzero(s > _rank_threshold(s, a.shape, tol)))
-    return v[:, rank:]
-
-
-def is_full_row_rank(m):
-    """Whether M has full row rank with margin: no more rows than columns
-    and sigma_min > FULL_ROW_RANK_RTOL * sigma_max.  This is the test for a
-    regressor that must have a right inverse."""
-    a = _as_matrix(m)
-    s = np.linalg.svd(a, compute_uv=False)
-    return bool(0 < a.shape[0] <= a.shape[1] and s[-1] > FULL_ROW_RANK_RTOL * s[0])
+    thresh = RANK_RTOL * max(a.shape) * s[0] if s.size else 0.0
+    return Svd(u, s, vh.T, int(np.count_nonzero(s > thresh)))
 
 
 @dataclass

@@ -7,12 +7,17 @@ contain the true M.  Adding the kernel-consistency constraints
 (X_plus - W) Phi_perp = 0 tightens this to a constrained matrix zonotope.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import is_full_row_rank, nullspace_basis
+from .linalg import svd
 from .sets import ConstrainedMatrixZonotope, MatrixZonotope
+
+
+# Largest |rhs|, relative to max(1, max |b|), that a kernel-constraint row
+# with all-zero coefficients may carry before the data count as inconsistent.
+CONSISTENCY_RTOL = 1e-9
 
 
 class ModelSetError(ValueError):
@@ -38,11 +43,14 @@ class DataSet:
         self.x_minus = np.asarray(self.x_minus, dtype=float)
         self.u_minus = np.asarray(self.u_minus, dtype=float)
         t = self.x_plus.shape[1]
-        assert self.x_minus.shape == self.x_plus.shape
-        assert self.u_minus.ndim == 2 and self.u_minus.shape[1] == t
+        if self.x_minus.shape != self.x_plus.shape:
+            raise ModelSetError(f"x_minus has shape {self.x_minus.shape}, "
+                                f"x_plus {self.x_plus.shape}")
+        if self.u_minus.ndim != 2 or self.u_minus.shape[1] != t:
+            raise ModelSetError(f"u_minus must be n_u x {t}, got {self.u_minus.shape}")
         self.traj_lengths = tuple(int(k) for k in self.traj_lengths)
-        if self.traj_lengths:
-            assert sum(self.traj_lengths) == t, "trajectory lengths must sum to T"
+        if self.traj_lengths and sum(self.traj_lengths) != t:
+            raise ModelSetError(f"trajectory lengths {self.traj_lengths} do not sum to T = {t}")
 
     @property
     def n_x(self):
@@ -81,104 +89,63 @@ class DataSet:
         )
 
 
-def build_noise_mz(w_generators, t):
-    """Matrix zonotope of all noise matrices with columns from <0, G_w>.
-
-    One rank-one generator per (time column, noise direction): generator
-    l = t * p_w + j places noise direction j in column t (t-major order).
-    """
-    g_w = np.asarray(w_generators, dtype=float)
-    assert g_w.ndim == 2
-    n_x, p_w = g_w.shape
-    gens = np.zeros((p_w * t, n_x, t))
-    for k in range(t):
-        gens[k * p_w : (k + 1) * p_w, :, k] = g_w.T
-    return MatrixZonotope(np.zeros((n_x, t)), gens)
-
-
-def build_denoised(x_plus, noise_mz):
-    """Matrix zonotope X_plus - noise set: contains M Phi for the true M."""
-    x_plus = np.asarray(x_plus, dtype=float)
-    assert x_plus.shape == noise_mz.shape
-    return MatrixZonotope(x_plus - noise_mz.C, -noise_mz.generators)
-
-
-def kernel_constraints(denoised, phi_perp, consistency_rtol=1e-9):
-    """Constraints on the denoised factors from (X_plus - W) Phi_perp = 0.
-
-    Column l of A is vec(G_l @ Phi_perp) (column-major), b = -vec(C @ Phi_perp).
-    Rows whose generator coefficients all vanish are dropped after checking
-    the corresponding rhs is consistent (near zero).  Returns (A, b).
-    """
-    phi_perp = np.asarray(phi_perp, dtype=float)
-    kappa = denoised.num_generators
-    n_x = denoised.shape[0]
-    r = phi_perp.shape[1]
-    assert phi_perp.shape[0] == denoised.shape[1]
-    blocks = np.einsum("lnt,tr->lnr", denoised.generators, phi_perp)
-    # vec in column-major order: entry (i, j) of a block lands at j * n_x + i
-    a = blocks.transpose(0, 2, 1).reshape(kappa, r * n_x).T
-    b = (-(denoised.C @ phi_perp)).flatten(order="F")
-    zero_rows = ~np.any(a != 0.0, axis=1) if kappa else np.ones(b.size, dtype=bool)
-    if np.any(zero_rows):
-        scale = max(1.0, float(np.max(np.abs(b)))) if b.size else 1.0
-        bad = np.abs(b[zero_rows]) > consistency_rtol * scale
-        if np.any(bad):
-            raise ModelSetError(
-                "kernel constraints are inconsistent: a zero row demands a "
-                f"nonzero rhs (max |rhs| = {np.max(np.abs(b[zero_rows])):.3e})"
-            )
-        keep = ~zero_rows
-        a, b = a[keep], b[keep]
-    return a, b
-
-
 @dataclass
 class ModelSetBundle:
-    """Everything derived from one data set and one right inverse."""
+    """The plain and the kernel-constrained model set of one data set and one
+    right inverse."""
 
     mz: MatrixZonotope
     cmz: ConstrainedMatrixZonotope
-    right_inverse: np.ndarray
-    noise_mz: MatrixZonotope
-    denoised: MatrixZonotope
-    phi: np.ndarray
-    phi_perp: np.ndarray
-
-    @property
-    def nullity(self):
-        return self.phi_perp.shape[1]
 
 
 def build_model_sets(data, w_generators, h):
     """Model sets (plain and constrained) from data and a right inverse H.
+
+    The noise set holds every W whose column t lies in <0, G_w>; its factor
+    l = t * p_w + j places noise direction g_j in column t (t-major), so its
+    generators are the rank-one g_j e_t'.  The model set (X_plus - W) H then
+    has center X_plus H and generators -g_j H[t, :].  The kernel constraints
+    (X_plus - W) Phi_perp = 0, in column-major vec form, read
+    A = -kron(Phi_perp', G_w) and b = -vec(X_plus Phi_perp).  Rows of A that
+    are all zero are dropped after checking that their rhs is near zero.
 
     Requires Phi full row rank and Phi H = I within 1e-8.
     """
     phi = data.phi
     d, t = phi.shape
     h = np.asarray(h, dtype=float)
-    assert h.shape == (t, d), f"right inverse must be {t} x {d}"
-    if not is_full_row_rank(phi):
+    if h.shape != (t, d):
+        raise ModelSetError(f"right inverse must be {t} x {d}, got {h.shape}")
+    g_w = np.asarray(w_generators, dtype=float)
+    if g_w.ndim != 2 or g_w.shape[0] != data.n_x:
+        raise ModelSetError(f"noise generators must be {data.n_x} x p_w, got {g_w.shape}")
+    factors = svd(phi)
+    if not factors.full_row_rank:
         raise ModelSetError("regressor is not full row rank")
     residual = phi @ h - np.eye(d)
     if np.max(np.abs(residual)) > 1e-8:
         raise ModelSetError(
             f"H is not a right inverse of Phi (max residual {np.max(np.abs(residual)):.2e})"
         )
-    noise_mz = build_noise_mz(w_generators, t)
-    denoised = build_denoised(data.x_plus, noise_mz)
-    phi_perp = nullspace_basis(phi)
-    a, b = kernel_constraints(denoised, phi_perp)
-    center = denoised.C @ h
-    kappa = denoised.num_generators
-    if kappa:
-        gens = np.einsum("lnt,td->lnd", denoised.generators, h)
-    else:
-        gens = np.zeros((0, data.n_x, d))
-    mz = MatrixZonotope(center, gens)
-    cmz = ConstrainedMatrixZonotope(center, gens, a, b)
-    return ModelSetBundle(mz, cmz, h, noise_mz, denoised, phi, phi_perp)
+    n_x, p_w = g_w.shape
+    phi_perp = factors.null
+    # "+ 0.0" (here and on the generators) maps the -0.0 products of zero
+    # entries of G_w to 0.0, so emitted set files never print "-0.0"
+    a = -np.kron(phi_perp.T, g_w) + 0.0
+    b = (-(data.x_plus @ phi_perp)).flatten(order="F")
+    zero_rows = ~np.any(a != 0.0, axis=1)
+    if np.any(zero_rows):
+        scale = max(1.0, float(np.max(np.abs(b))))
+        if np.any(np.abs(b[zero_rows]) > CONSISTENCY_RTOL * scale):
+            raise ModelSetError(
+                "kernel constraints are inconsistent: a zero row demands a "
+                f"nonzero rhs (max |rhs| = {np.max(np.abs(b[zero_rows])):.3e})"
+            )
+        a, b = a[~zero_rows], b[~zero_rows]
+    center = data.x_plus @ h
+    gens = (-g_w.T[None, :, :, None] * h[:, None, None, :]).reshape(t * p_w, n_x, d) + 0.0
+    return ModelSetBundle(MatrixZonotope(center, gens),
+                          ConstrainedMatrixZonotope(center, gens, a, b))
 
 
 def generator_norm_proxy(m):

@@ -7,11 +7,11 @@ second-order cone program; it is solved here by ADMM with an affine-projection
 H-step and a row-wise soft-threshold Z-step.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import is_full_row_rank, pseudoinverse
+from .linalg import svd
 
 
 class RightInverseError(RuntimeError):
@@ -27,9 +27,8 @@ class RightInverseError(RuntimeError):
 class RightInverseResult:
     """A right inverse with solver diagnostics.
 
-    h satisfies Phi h = I up to feasibility_residual.  history holds the
-    per-iteration objective and residual traces (empty for closed-form
-    methods).
+    h satisfies Phi h = I up to feasibility_residual; iterations is 0 for
+    closed-form methods.
     """
 
     h: np.ndarray
@@ -38,7 +37,6 @@ class RightInverseResult:
     frobenius_norm: float
     feasibility_residual: float
     iterations: int = 0
-    history: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -47,33 +45,34 @@ class RightInverseResult:
             "frobenius_norm": self.frobenius_norm,
             "feasibility_residual": self.feasibility_residual,
             "iterations": self.iterations,
-            "history": {k: [float(v) for v in vals] for k, vals in self.history.items()},
             "h": self.h.tolist(),
         }
 
 
-def _check_full_row_rank(phi):
-    if not is_full_row_rank(phi):
+def _pinv(phi):
+    """The pseudoinverse of Phi, from its one SVD; raises unless Phi has full
+    row rank."""
+    factors = svd(phi)
+    if not factors.full_row_rank:
         raise RightInverseError("Phi is not full row rank; no right inverse exists")
+    return factors.pinv
 
 
 def row_norm_sum(h):
     return float(np.linalg.norm(h, axis=1).sum())
 
 
-def _result(h, phi, method, iterations=0, history=None):
+def _result(h, phi, method, iterations=0):
     res = float(np.max(np.abs(phi @ h - np.eye(phi.shape[0]))))
     return RightInverseResult(
-        h, method, row_norm_sum(h), float(np.linalg.norm(h, "fro")), res,
-        iterations, history or {},
+        h, method, row_norm_sum(h), float(np.linalg.norm(h, "fro")), res, iterations,
     )
 
 
 def pinv_right_inverse(phi):
     """The Moore-Penrose right inverse (smallest Frobenius norm)."""
     phi = np.asarray(phi, dtype=float)
-    _check_full_row_rank(phi)
-    return _result(pseudoinverse(phi), phi, "pinv")
+    return _result(_pinv(phi), phi, "pinv")
 
 
 def row_norm_right_inverse(phi, tol=1e-7, max_iter=20000, adapt_until=400):
@@ -89,11 +88,11 @@ def row_norm_right_inverse(phi, tol=1e-7, max_iter=20000, adapt_until=400):
 
     Raises RightInverseError (with .best set) if max_iter is hit first.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     phi = np.asarray(phi, dtype=float)
-    _check_full_row_rank(phi)
-    d, t = phi.shape
-    phi_pinv = pseudoinverse(phi)
-    eye = np.eye(d)
+    phi_pinv = _pinv(phi)
+    eye = np.eye(phi.shape[0])
 
     def project(m):
         return m - phi_pinv @ (phi @ m - eye)
@@ -103,7 +102,6 @@ def row_norm_right_inverse(phi, tol=1e-7, max_iter=20000, adapt_until=400):
     u = np.zeros_like(h)
     rho = 1.0
     rtol = min(1e-9, tol / 100.0)
-    obj_trace, primal_trace, dual_trace = [], [], []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
@@ -116,9 +114,6 @@ def row_norm_right_inverse(phi, tol=1e-7, max_iter=20000, adapt_until=400):
         dual = float(rho * np.linalg.norm(z_new - z, "fro"))
         u = u + h - z_new
         z = z_new
-        obj_trace.append(row_norm_sum(z))
-        primal_trace.append(primal)
-        dual_trace.append(dual)
         scale = max(1.0, float(np.linalg.norm(h, "fro")), float(np.linalg.norm(z, "fro")))
         if max(primal, dual) <= rtol * scale:
             converged = True
@@ -131,13 +126,11 @@ def row_norm_right_inverse(phi, tol=1e-7, max_iter=20000, adapt_until=400):
                 rho /= 2.0
                 u *= 2.0
 
-    h_final = project(z)
-    history = {"objective": obj_trace, "primal": primal_trace, "dual": dual_trace}
-    result = _result(h_final, phi, "row_norm", it, history)
+    result = _result(project(z), phi, "row_norm", it)
     if not converged:
         raise RightInverseError(
             f"ADMM did not reach tolerance in {it} iterations "
-            f"(primal {primal_trace[-1]:.2e}, dual {dual_trace[-1]:.2e})",
+            f"(primal {primal:.2e}, dual {dual:.2e})",
             best=result,
         )
     return result
@@ -159,5 +152,5 @@ class SandwichCheck:
 def verify_sandwich(phi, result):
     """Bounds on the optimal row-norm sum from the pseudoinverse alone."""
     phi = np.asarray(phi, dtype=float)
-    fro = float(np.linalg.norm(pseudoinverse(phi), "fro"))
+    fro = float(np.linalg.norm(svd(phi).pinv, "fro"))
     return SandwichCheck(fro, result.row_norm_sum, float(np.sqrt(phi.shape[1])) * fro)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import LpProblem, lp_solve, pseudoinverse
+from .linalg import LpProblem, lp_solve, svd
 
 
 class EmptySetError(ValueError):
@@ -666,7 +666,7 @@ def project_factors(a, b, xi, passes=100, tol=1e-9):
     xi = np.array(xi, dtype=float, ndmin=2)
     if a.shape[0] == 0:
         return np.clip(xi, -1.0, 1.0), np.ones(xi.shape[0], dtype=bool)
-    a_pinv = pseudoinverse(a)
+    a_pinv = svd(a).pinv
     for _ in range(passes):
         xi = xi - (xi @ a.T - b) @ a_pinv.T
         xi = np.clip(xi, -1.0, 1.0)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from datareach.inputdesign import (
     DesignConfig,
@@ -18,6 +19,18 @@ def test_info_init():
     assert np.allclose(st.s_inv, 1e3 * np.eye(4))
     assert st.count == 0
     assert np.isclose(st.trace_inverse, 4e3)
+
+
+def test_information_state_rejects_bad_input():
+    with pytest.raises(ValueError, match="positive"):
+        info_init(3, delta=0.0)
+    st = info_init(3)
+    with pytest.raises(ValueError):
+        info_update(st, np.ones(4))
+    with pytest.raises(ValueError):
+        info_update(st, np.array([1.0, np.inf, 0.0]))
+    with pytest.raises(ValueError):
+        delta_A(st, np.ones(2), np.ones(2))
 
 
 def test_sherman_morrison_matches_direct_inverse_over_many_updates():

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from datareach.linalg import (
-    LpProblem,
-    is_full_row_rank,
-    lp_solve,
-    matrix_rank,
-    nullspace_basis,
-    pseudoinverse,
-    svd,
-)
+from datareach.linalg import RANK_RTOL, LpProblem, lp_solve, svd
 
 
 def test_svd_reconstruction_and_orthogonality():
@@ -20,8 +12,9 @@ def test_svd_reconstruction_and_orthogonality():
     for _ in range(25):
         rows, cols = rng.integers(1, 9, size=2)
         m = rng.normal(size=(rows, cols))
-        u, s, v = svd(m)
+        u, s, v, rank = svd(m)
         assert u.shape == (rows, rows) and v.shape == (cols, cols)
+        assert rank == min(rows, cols)
         assert np.all(np.diff(s) <= 1e-12)
         assert np.allclose(u.T @ u, np.eye(rows), atol=1e-10)
         assert np.allclose(v.T @ v, np.eye(cols), atol=1e-10)
@@ -30,17 +23,36 @@ def test_svd_reconstruction_and_orthogonality():
         assert np.allclose(u @ sigma @ v.T, m, atol=1e-10)
 
 
+def test_svd_rejects_bad_input():
+    with pytest.raises(ValueError, match="2-D"):
+        svd(np.ones(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        svd(np.array([[1.0, np.nan]]))
+
+
+def test_rank_counts_singular_values_above_the_one_cutoff():
+    # the cutoff is RANK_RTOL * max(rows, cols) * sigma_max, here 3e-10
+    cut = RANK_RTOL * 3
+    assert svd(np.diag([1.0, 2 * cut, 0.5 * cut])).rank == 2
+    assert svd(np.diag([2.0, 2 * cut, 0.5 * cut])).rank == 1
+    assert svd(np.zeros((2, 3))).rank == 0
+    assert svd(np.zeros((0, 3))).rank == 0
+
+
 def test_pseudoinverse_penrose_conditions():
     rng = np.random.default_rng(1)
     for _ in range(25):
         rows, cols = rng.integers(1, 9, size=2)
         rank = rng.integers(1, min(rows, cols) + 1)
         m = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
-        p = pseudoinverse(m)
+        f = svd(m)
+        assert f.rank == rank
+        p = f.pinv
         assert np.allclose(m @ p @ m, m, atol=1e-8)
         assert np.allclose(p @ m @ p, p, atol=1e-8)
         assert np.allclose((m @ p).T, m @ p, atol=1e-8)
         assert np.allclose((p @ m).T, p @ m, atol=1e-8)
+        assert np.allclose(p, np.linalg.pinv(m), atol=1e-8)
 
 
 def test_pseudoinverse_is_right_inverse_for_full_row_rank():
@@ -48,10 +60,11 @@ def test_pseudoinverse_is_right_inverse_for_full_row_rank():
     for _ in range(10):
         d, t = 4, 20
         phi = rng.normal(size=(d, t))
-        h = pseudoinverse(phi)
+        f = svd(phi)
+        h = f.pinv
         assert np.allclose(phi @ h, np.eye(d), atol=1e-10)
         # minimal Frobenius norm among all right inverses
-        null = nullspace_basis(phi)
+        null = f.null
         for _ in range(5):
             perturbed = h + null @ rng.normal(size=(null.shape[1], d))
             assert np.linalg.norm(perturbed, "fro") >= np.linalg.norm(h, "fro") - 1e-10
@@ -63,22 +76,24 @@ def test_nullspace_basis_properties():
         rows, cols = rng.integers(1, 9, size=2)
         rank = int(rng.integers(0, min(rows, cols) + 1))
         m = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols)) if rank else np.zeros((rows, cols))
-        n = nullspace_basis(m)
-        assert n.shape == (cols, cols - matrix_rank(m))
-        assert n.shape[1] == cols - rank
+        f = svd(m)
+        n = f.null
+        assert f.rank == rank
+        assert n.shape == (cols, cols - rank)
         assert np.allclose(m @ n, 0.0, atol=1e-9)
         assert np.allclose(n.T @ n, np.eye(n.shape[1]), atol=1e-10)
 
 
 def test_is_full_row_rank():
-    assert is_full_row_rank(np.diag([3.0, 2.0, 0.5]))
-    assert not is_full_row_rank(np.zeros((2, 3)))
-    assert not is_full_row_rank(np.diag([1.0, 1e-9]))   # sigma ratio at the tolerance
-    assert is_full_row_rank(np.diag([1.0, 1e-7]))
+    assert svd(np.diag([3.0, 2.0, 0.5])).full_row_rank
+    assert not svd(np.zeros((2, 3))).full_row_rank
+    cut = RANK_RTOL * 2   # cutoff of a 2 x 2 matrix with sigma_max 1
+    assert not svd(np.diag([1.0, 0.5 * cut])).full_row_rank
+    assert svd(np.diag([1.0, 2 * cut])).full_row_rank
     rng = np.random.default_rng(4)
-    assert is_full_row_rank(rng.normal(size=(5, 7)))
-    assert not is_full_row_rank(rng.normal(size=(7, 5)))  # more rows than columns
-    assert not is_full_row_rank(np.zeros((0, 3)))
+    assert svd(rng.normal(size=(5, 7))).full_row_rank
+    assert not svd(rng.normal(size=(7, 5))).full_row_rank  # more rows than columns
+    assert not svd(np.zeros((0, 3))).full_row_rank
 
 
 def test_lp_solve_known_solutions():

@@ -1,23 +1,28 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from datareach.linalg import nullspace_basis, pseudoinverse
+from datareach.linalg import svd
 from datareach.modelset import (
     DataSet,
     ModelSetError,
-    build_denoised,
     build_model_sets,
-    build_noise_mz,
     generator_norm_proxy,
-    kernel_constraints,
 )
+from datareach.rightinv import pinv_right_inverse, row_norm_right_inverse
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def simulate_transitions(rng, a, b, g_w, t):
     """Random-excitation data with recorded noise factors.
 
     Returns (DataSet, beta_star) where beta_star follows the t-major
-    generator order of build_noise_mz.
+    factor order of the model sets (factor l = t * p_w + j).
     """
     n_x, n_u = a.shape[0], b.shape[1]
     p_w = g_w.shape[1]
@@ -36,28 +41,82 @@ def random_system(rng, n_x=3, n_u=2):
     return a, b
 
 
+def dense_reference(data, g_w, h):
+    """The model sets built the long way: the noise matrix zonotope as a dense
+    (p_w T) x n_x x T tensor of rank-one generators g_j e_t', the denoised set
+    X_plus - W, its product with H, and the kernel constraints as the
+    column-major vec of each denoised generator times Phi_perp.
+    Returns (C, generators, A, b)."""
+    n_x, p_w = g_w.shape
+    t = data.T
+    noise = np.zeros((p_w * t, n_x, t))
+    for k in range(t):
+        noise[k * p_w : (k + 1) * p_w, :, k] = g_w.T
+    den_c = data.x_plus - np.zeros((n_x, t))
+    den_g = -noise
+    phi_perp = svd(data.phi).null
+    r = phi_perp.shape[1]
+    blocks = np.einsum("lnt,tr->lnr", den_g, phi_perp)
+    a = blocks.transpose(0, 2, 1).reshape(p_w * t, r * n_x).T
+    b = (-(den_c @ phi_perp)).flatten(order="F")
+    keep = np.any(a != 0.0, axis=1)
+    gens = np.einsum("lnt,td->lnd", den_g, h)
+    return den_c @ h, gens, a[keep], b[keep]
+
+
+def test_closed_form_matches_dense_reference():
+    rng = np.random.default_rng(10)
+    cases = []
+    for _ in range(6):
+        n_x, n_u = int(rng.integers(1, 5)), int(rng.integers(0, 3))
+        p_w = int(rng.integers(1, 5))
+        cases.append((n_x, n_u, rng.normal(size=(n_x, p_w)) * 0.05))
+    cases.append((3, 1, np.array([[0.1, 0.0], [0.0, 0.0], [0.02, 0.03]])))  # zero row
+    cases.append((3, 1, np.array([[0.1, 0.0, 0.0], [0.0, 0.0, 0.2], [0.0, 0.0, 0.1]])))  # zero column
+    cases.append((2, 2, np.zeros((2, 0))))  # noise-free
+    cases.append((2, 1, np.zeros((2, 2))))  # noise set of zero generators
+    for n_x, n_u, g_w in cases:
+        a_sys, b_sys = random_system(rng, n_x, n_u)
+        data, _ = simulate_transitions(rng, a_sys, b_sys, g_w, int(rng.integers(n_x + n_u + 1, 25)))
+        for h in (pinv_right_inverse(data.phi).h, row_norm_right_inverse(data.phi).h):
+            bundle = build_model_sets(data, g_w, h)
+            c, gens, a, b = dense_reference(data, g_w, h)
+            for mset in (bundle.mz, bundle.cmz):
+                assert np.array_equal(mset.C, c)
+                assert np.array_equal(mset.generators, gens)
+            assert np.array_equal(bundle.cmz.A, a)
+            assert np.array_equal(bundle.cmz.b, b)
+            # zero entries keep the reference's sign too, so emitted set
+            # files do not change from "0.0" to "-0.0"
+            assert np.array_equal(np.signbit(bundle.mz.generators), np.signbit(gens))
+            assert np.array_equal(np.signbit(bundle.cmz.A), np.signbit(a))
+
+
 def test_noise_mz_layout():
+    # factor l = t * p_w + j places noise direction j in data column t, so
+    # its model-set generator is -G_w[:, j] H[t, :]
     g_w = np.array([[0.1, 0.0], [0.0, 0.2]])
-    mz = build_noise_mz(g_w, 3)
-    assert mz.shape == (2, 3)
+    data = DataSet(np.array([[1.0, 2.0, 0.5], [0.0, 1.0, -1.0]]),
+                   np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), np.zeros((0, 3)))
+    h = pinv_right_inverse(data.phi).h
+    mz = build_model_sets(data, g_w, h).mz
+    assert mz.shape == (2, 2)
     assert mz.num_generators == 6
-    assert np.allclose(mz.C, 0.0)
     for t in range(3):
         for j in range(2):
-            gen = mz.generators[t * 2 + j]
-            expected = np.zeros((2, 3))
-            expected[:, t] = g_w[:, j]
-            assert np.allclose(gen, expected)
+            assert np.allclose(mz.generators[t * 2 + j], -np.outer(g_w[:, j], h[t]))
 
 
 def test_denoised_center_and_generators():
     rng = np.random.default_rng(0)
     g_w = rng.normal(size=(2, 2)) * 0.1
-    x_plus = rng.normal(size=(2, 4))
-    noise = build_noise_mz(g_w, 4)
-    den = build_denoised(x_plus, noise)
-    assert np.allclose(den.C, x_plus)
-    assert np.allclose(den.generators, -noise.generators)
+    data, beta = simulate_transitions(rng, *random_system(rng, 2, 1), g_w, 6)
+    h = pinv_right_inverse(data.phi).h
+    bundle = build_model_sets(data, g_w, h)
+    assert np.allclose(bundle.mz.C, data.x_plus @ h)
+    # at any factor vector the set holds (X_plus - W) H with W = G_w [beta_t]
+    w = g_w @ beta.reshape(-1, 2).T
+    assert np.allclose(bundle.mz.at(beta), (data.x_plus - w) @ h)
 
 
 def test_kernel_constraints_one_dimensional_oracle():
@@ -65,18 +124,16 @@ def test_kernel_constraints_one_dimensional_oracle():
     x_plus = np.array([[2.0, 3.0]])
     data = DataSet(x_plus, np.array([[1.0, 1.0]]), np.zeros((0, 2)))
     g_w = np.array([[0.1]])
-    noise = build_noise_mz(g_w, 2)
-    den = build_denoised(x_plus, noise)
-    perp = nullspace_basis(data.phi)
+    perp = svd(data.phi).null
     assert perp.shape == (2, 1)
-    a, b = kernel_constraints(den, perp)
+    cmz = build_model_sets(data, g_w, np.array([[0.5], [0.5]])).cmz
     # column l of A is vec(-0.1 * e_l^T Phi_perp); rhs is -vec(X_plus Phi_perp)
-    assert a.shape == (1, 2)
-    assert np.allclose(a, [[-0.1 * perp[0, 0], -0.1 * perp[1, 0]]])
-    assert np.isclose(b[0], -(x_plus @ perp)[0, 0])
+    assert cmz.A.shape == (1, 2)
+    assert np.allclose(cmz.A, [[-0.1 * perp[0, 0], -0.1 * perp[1, 0]]])
+    assert np.isclose(cmz.b[0], -(x_plus @ perp)[0, 0])
     # the unique solution pins the noise difference: w0 - w1 = x+0 - x+1 (here)
-    beta = np.linalg.lstsq(a, b, rcond=None)[0]
-    assert np.isclose(a @ beta, b)
+    beta = np.linalg.lstsq(cmz.A, cmz.b, rcond=None)[0]
+    assert np.isclose(cmz.A @ beta, cmz.b)
 
 
 def test_kernel_constraints_block_consistency():
@@ -84,16 +141,50 @@ def test_kernel_constraints_block_consistency():
     a_sys, b_sys = random_system(rng)
     g_w = 0.05 * np.eye(3)
     data, _ = simulate_transitions(rng, a_sys, b_sys, g_w, 20)
-    noise = build_noise_mz(g_w, 20)
-    den = build_denoised(data.x_plus, noise)
-    perp = nullspace_basis(data.phi)
-    a, b = kernel_constraints(den, perp)
-    kappa = den.num_generators
-    assert a.shape == (3 * perp.shape[1], kappa)
-    # column l of A is the column-major vec of the block G_l @ Phi_perp
+    perp = svd(data.phi).null
+    cmz = build_model_sets(data, g_w, pinv_right_inverse(data.phi).h).cmz
+    kappa = cmz.num_generators
+    assert cmz.A.shape == (3 * perp.shape[1], kappa)
+    # column l = t * p_w + j of A is the column-major vec of -g_j e_t' Phi_perp
     for ell in range(0, kappa, 7):
-        assert np.allclose(a[:, ell], (den.generators[ell] @ perp).flatten(order="F"))
-    assert np.allclose(b, -(den.C @ perp).flatten(order="F"))
+        t, j = divmod(ell, 3)
+        assert np.allclose(cmz.A[:, ell], (-np.outer(g_w[:, j], perp[t])).flatten(order="F"))
+    assert np.allclose(cmz.b, -(data.x_plus @ perp).flatten(order="F"))
+
+
+def test_zero_noise_rows_drop_constraints_and_check_consistency():
+    rng = np.random.default_rng(7)
+    a_sys, b_sys = random_system(rng, 2, 1)
+    g_w = np.array([[0.05], [0.0]])  # no noise enters state 2
+    data, beta = simulate_transitions(rng, a_sys, b_sys, g_w, 10)
+    cmz = build_model_sets(data, g_w, pinv_right_inverse(data.phi).h).cmz
+    nullity = 10 - 3
+    assert cmz.A.shape == (nullity, 10)  # only the rows of state 1 remain
+    assert np.max(np.abs(cmz.A @ beta - cmz.b)) <= 1e-9
+    # state 2 then must be fit exactly by the data; break that and it raises
+    bad = DataSet(data.x_plus + np.array([[0.0], [1.0]]) * rng.normal(size=10),
+                  data.x_minus, data.u_minus)
+    with pytest.raises(ModelSetError, match="inconsistent"):
+        build_model_sets(bad, g_w, pinv_right_inverse(bad.phi).h)
+
+
+def test_each_model_set_entry_point_factors_the_regressor_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    data, _ = simulate_transitions(rng, *random_system(rng), 0.05 * np.eye(3), 20)
+    h = np.linalg.pinv(data.phi)
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for fn in (pinv_right_inverse, row_norm_right_inverse,
+               lambda phi: build_model_sets(data, 0.05 * np.eye(3), h)):
+        calls.clear()
+        fn(data.phi)
+        assert calls == [data.phi.shape]
 
 
 def test_true_model_is_in_both_model_sets():
@@ -103,7 +194,7 @@ def test_true_model_is_in_both_model_sets():
         m_true = np.hstack([a_sys, b_sys])
         g_w = 0.02 * rng.uniform(0.5, 1.5, size=3)[None, :] * np.eye(3)
         data, beta_star = simulate_transitions(rng, a_sys, b_sys, g_w, 25)
-        h = pseudoinverse(data.phi)
+        h = svd(data.phi).pinv
         bundle = build_model_sets(data, g_w, h)
         assert np.all(np.abs(beta_star) <= 1.0)
         # evaluating the model set at the recorded noise factors recovers M
@@ -120,8 +211,8 @@ def test_kernel_constraints_do_not_depend_on_right_inverse():
     g_w = 0.03 * np.eye(3)
     data, _ = simulate_transitions(rng, a_sys, b_sys, g_w, 18)
     phi = data.phi
-    h1 = pseudoinverse(phi)
-    null = nullspace_basis(phi)
+    h1 = svd(phi).pinv
+    null = svd(phi).null
     h2 = h1 + null @ rng.normal(size=(null.shape[1], phi.shape[0]))
     assert np.allclose(phi @ h2, np.eye(phi.shape[0]), atol=1e-8)
     b1 = build_model_sets(data, g_w, h1)
@@ -155,7 +246,7 @@ def test_noiseless_data_gives_singleton_model_set():
     a_sys, b_sys = random_system(rng, 2, 1)
     m_true = np.hstack([a_sys, b_sys])
     data, _ = simulate_transitions(rng, a_sys, b_sys, np.zeros((2, 0)), 10)
-    h = pseudoinverse(data.phi)
+    h = svd(data.phi).pinv
     bundle = build_model_sets(data, np.zeros((2, 0)), h)
     assert bundle.mz.num_generators == 0
     assert np.allclose(bundle.mz.C, m_true, atol=1e-8)
@@ -177,19 +268,36 @@ def test_generator_norm_proxy_values_and_factorization():
     a_sys, b_sys = random_system(rng)
     g_w = 0.04 * rng.normal(size=(3, 2))
     data, _ = simulate_transitions(rng, a_sys, b_sys, g_w, 15)
-    h = pseudoinverse(data.phi)
+    h = svd(data.phi).pinv
     bundle = build_model_sets(data, g_w, h)
     expected = np.linalg.norm(g_w, axis=0).sum() * np.linalg.norm(h, axis=1).sum()
     assert np.isclose(generator_norm_proxy(bundle.mz), expected, rtol=1e-10)
 
 
 def test_dataset_validation_and_round_trip():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         DataSet(np.zeros((2, 5)), np.zeros((2, 4)), np.zeros((1, 5)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
+        DataSet(np.zeros((2, 5)), np.zeros((2, 5)), np.zeros(5))
+    with pytest.raises(ValueError):
         DataSet(np.zeros((2, 5)), np.zeros((2, 5)), np.zeros((1, 5)), (2, 2))
     data = DataSet(np.ones((2, 4)), np.zeros((2, 4)), np.ones((1, 4)), (2, 2))
     back = DataSet.from_dict(data.to_dict())
     assert np.allclose(back.phi, data.phi)
     assert back.traj_lengths == (2, 2)
     assert back.d == 3 and back.T == 4
+
+
+def test_dataset_validation_survives_python_optimize_flag():
+    # python -O strips assert statements; the shape checks must still raise
+    code = ("import numpy as np\n"
+            "from datareach import DataSet\n"
+            "try:\n"
+            "    DataSet(np.zeros((2, 5)), np.zeros((2, 4)), np.zeros((1, 5)))\n"
+            "except ValueError:\n"
+            "    print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=ROOT,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"

@@ -40,7 +40,7 @@ print(f"collected {data.T} transitions from {cfg.k_trajectories} trajectories")
 print(f"regressor is {data.phi.shape[0]} x {data.phi.shape[1]}, "
       f"rank {np.linalg.matrix_rank(data.phi)}")
 
-truth = np.hstack([system.a, system.b])
+truth = np.hstack(system.pwa.true_matrices()[0])
 for name, solver in (("pseudoinverse", pinv_right_inverse),
                      ("row-norm", row_norm_right_inverse)):
     res = solver(data.phi)

@@ -50,11 +50,9 @@ from .reach import (
     Halfspace,
     PwaMode,
     PwaSpec,
-    certify_lti,
     certify_pwa,
     model_based_reference,
     partition_data_by_mode,
-    propagate_lti,
     propagate_pwa,
 )
 from .rightinv import pinv_right_inverse, row_norm_right_inverse, verify_sandwich
@@ -95,8 +93,9 @@ def discretize(a_c, b_c, dt):
     """Zero-order-hold discretization via one augmented matrix exponential."""
     a_c = np.asarray(a_c, dtype=float)
     b_c = np.asarray(b_c, dtype=float)
+    if b_c.ndim != 2 or a_c.shape != (b_c.shape[0],) * 2:
+        raise ValueError(f"a_c {a_c.shape} must be square and match the rows of b_c {b_c.shape}")
     n, m = b_c.shape
-    assert a_c.shape == (n, n), "a_c must be square and match b_c rows"
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = a_c
     aug[:n, n:] = b_c
@@ -108,41 +107,42 @@ def discretize(a_c, b_c, dt):
 class TrueSystem:
     """Ground-truth dynamics plus the noise set, known only to the harness.
 
-    Either (a, b) for a linear system or a PwaSpec carrying true matrices.
+    pwa carries the true matrices of every mode; a linear system is one mode
+    with an empty region.
     """
 
     w: Zonotope
-    a: np.ndarray = None
-    b: np.ndarray = None
-    pwa: PwaSpec = None
-
-    def __post_init__(self):
-        if self.pwa is None:
-            self.a = np.asarray(self.a, dtype=float)
-            self.b = np.asarray(self.b, dtype=float)
-            assert self.a.shape[0] == self.a.shape[1] == self.b.shape[0]
+    pwa: PwaSpec
 
     @property
     def n_x(self):
-        return self.pwa.n_x if self.pwa is not None else self.a.shape[0]
+        return self.pwa.modes[0].a.shape[0]
 
     @property
     def n_u(self):
-        if self.pwa is not None:
-            return self.pwa.modes[0].b.shape[1]
-        return self.b.shape[1]
-
-    def matrices_at(self, x):
-        if self.pwa is not None:
-            mode = self.pwa.modes[self.pwa.classify(x)]
-            return mode.a, mode.b
-        return self.a, self.b
+        return self.pwa.modes[0].b.shape[1]
 
     def step(self, x, u, w_real):
         x = np.asarray(x, dtype=float).reshape(-1)
         u = np.asarray(u, dtype=float).reshape(-1)
-        a, b = self.matrices_at(x)
-        return a @ x + b @ u + np.asarray(w_real, dtype=float).reshape(-1)
+        mode = self.pwa.modes[self.pwa.classify(x)]
+        return mode.a @ x + mode.b @ u + np.asarray(w_real, dtype=float).reshape(-1)
+
+
+def _check_modes(modes):
+    """HarnessError unless every mode has an n x n a, an n x m b and region
+    normals of length n, with one n and one m for all modes."""
+    if not modes:
+        raise HarnessError("the system has no modes")
+    n, m = np.atleast_1d(modes[0].a).shape[0], np.atleast_1d(modes[0].b).shape[-1]
+    for q, mode in enumerate(modes):
+        if mode.a.shape != (n, n) or mode.b.shape != (n, m):
+            raise HarnessError(f"mode {q}: a is {mode.a.shape} and b is {mode.b.shape}, "
+                               f"expected ({n}, {n}) and ({n}, {m})")
+        for h in mode.region:
+            if h.normal.size != n:
+                raise HarnessError(f"mode {q}: region normal has length {h.normal.size}, "
+                                   f"expected {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +235,21 @@ class ExperimentConfig:
         kind = s.get("type")
         if kind == "pwa":
             modes = [
-                PwaMode(
-                    region=[Halfspace(h["normal"], h["offset"]) for h in m["region"]],
-                    a=np.asarray(m["a"], dtype=float),
-                    b=np.asarray(m["b"], dtype=float),
-                )
+                PwaMode(region=[Halfspace(h["normal"], h["offset"]) for h in m["region"]],
+                        a=m["a"], b=m["b"])
                 for m in s["modes"]
             ]
-            system = TrueSystem(w=self.w, pwa=PwaSpec(modes))
         elif kind == "continuous":
             a, b = discretize(s["a_c"], s["b_c"], s["dt"])
-            system = TrueSystem(w=self.w, a=a, b=b)
+            modes = [PwaMode(region=[], a=a, b=b)]
         elif kind == "discrete":
-            system = TrueSystem(w=self.w, a=s["a"], b=s["b"])
+            modes = [PwaMode(region=[], a=s["a"], b=s["b"])]
         else:
             raise HarnessError(f"unknown system type {kind!r}")
         if (kind == "pwa") != (self.kind == "pwa"):
             raise HarnessError(f"config kind {self.kind!r} does not match system type {kind!r}")
+        _check_modes(modes)
+        system = TrueSystem(w=self.w, pwa=PwaSpec(modes))
         checks = (
             ("x0", self.x0, system.n_x),
             ("x0_data", self.x0_collect, system.n_x),
@@ -327,16 +325,11 @@ def simulate_batch(system, x0_set, u_set, horizon, count, rng):
         u_pts = xi_u[k] @ u_set.G.T + u_set.c
         w_pts = xi_w[k] @ w.G.T + w.c
         x = states[:, k, :]
-        if system.pwa is None:
-            states[:, k + 1, :] = x @ system.a.T + u_pts @ system.b.T + w_pts
-        else:
-            nxt = np.empty_like(x)
-            modes = system.pwa.classify_batch(x)
-            for q in np.unique(modes):
-                sel = modes == q
-                mode = system.pwa.modes[q]
-                nxt[sel] = x[sel] @ mode.a.T + u_pts[sel] @ mode.b.T + w_pts[sel]
-            states[:, k + 1, :] = nxt
+        modes = system.pwa.classify_batch(x)
+        for q in np.unique(modes):
+            sel = modes == q
+            mode = system.pwa.modes[q]
+            states[sel, k + 1, :] = x[sel] @ mode.a.T + u_pts[sel] @ mode.b.T + w_pts[sel]
     return states, xi0, xi_u, xi_w
 
 
@@ -613,19 +606,19 @@ def _require_centered_noise(w):
         raise HarnessError("model-set construction assumes zero-centered noise")
 
 
-def _self_check(cfg, system, runs, report, certify):
+def _self_check(cfg, system, runs, report, betas):
     """Containment self-check of every run: factor certificates for fresh
     simulated trajectories, cross-checked by a few membership LPs.
 
-    certify(combo, states, xi0, xi_u, xi_w) returns the CertificateReport
-    of runs[combo].  Sets report["self_check"] and report["status"]; raises
-    HarnessError (carrying the report) if any combination fails.
+    betas[combo] holds the true model's factor vector in each mode's model
+    set of runs[combo].  Sets report["self_check"] and report["status"];
+    raises HarnessError (carrying the report) if any combination fails.
     """
     rng_chk = np.random.default_rng([cfg.rng_seed, _CHECK_STREAM])
     draws = simulate_batch(system, cfg.x0, cfg.u_prop, cfg.horizon, cfg.n_check, rng_chk)
     checks, failed = {}, []
     for combo, run in runs.items():
-        cert = certify(combo, *draws)
+        cert = certify_pwa(run, betas[combo], system.pwa, *draws)
         spot_failures = _lp_spot_check(run, draws[0], rng_chk, cfg.n_lp_spot)
         ok = bool(cert.ok() and spot_failures == 0)
         checks[combo] = {
@@ -669,7 +662,7 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
     }
 
     data, logs = {}, {}
-    rinvs, bundles = {}, {}
+    bundles = {}
     data_stats, rinv_stats = {}, {}
     for mode in cfg.input_modes:
         data[mode], logs[mode] = collect_data(cfg, system, mode)
@@ -683,7 +676,6 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
         }
         for rinv in cfg.right_inverses:
             res = pinv_right_inverse(phi) if rinv == "pinv" else row_norm_right_inverse(phi)
-            rinvs[(mode, rinv)] = res
             bundles[(mode, rinv)] = build_model_sets(data[mode], cfg.w.G, res.h)
             rinv_stats[f"{rinv}_{mode}"] = _rinv_summary(res)
             if rinv == "row_norm":
@@ -705,10 +697,10 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
         combo = f"{mset}_{rinv}_{mode}"
         bundle = bundles[(mode, rinv)]
         model = bundle.mz if mset == "mz" else bundle.cmz
-        runs[combo] = propagate_lti(model, cfg.x0, cfg.u_prop, cfg.w,
+        runs[combo] = propagate_pwa([model], system.pwa, cfg.x0, cfg.u_prop, cfg.w,
                                     cfg.horizon, cfg.max_order)
         combos.append(combo)
-    runs["model"] = model_based_reference((system.a, system.b), cfg.x0, cfg.u_prop,
+    runs["model"] = model_based_reference(system.pwa, cfg.x0, cfg.u_prop,
                                           cfg.w, cfg.horizon, cfg.max_order)
     combos.append("model")
     report["combos"] = combos
@@ -736,10 +728,9 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
         report["orderings"] = orderings
     lap("supports")
 
-    betas = {c: np.zeros(0) if c == "model" else true_noise_coefficients(logs[_parse_combo(c)[2]])
+    betas = {c: [np.zeros(0) if c == "model" else true_noise_coefficients(logs[_parse_combo(c)[2]])]
              for c in combos}
-    _self_check(cfg, system, runs, report,
-                lambda combo, *draws: certify_lti(runs[combo], betas[combo], *draws))
+    _self_check(cfg, system, runs, report, betas)
     lap("self_check")
 
     if cfg.compute_volumes:
@@ -800,7 +791,7 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
     for mode, rinv in cfg.pwa_variants:
         combo = f"cmz_{rinv}_{mode}"
         _, log = collect_data(cfg, system, mode)
-        parts, indices = partition_data_by_mode(log.trajectories, pwa, return_indices=True)
+        parts, indices = partition_data_by_mode(log.trajectories, pwa)
         models, betas = [], []
         mode_stats = []
         for q, part in enumerate(parts):
@@ -867,8 +858,7 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
     lap("supports")
 
     variant_betas["model"] = [np.zeros(0)] * pwa.n_modes
-    _self_check(cfg, system, runs, report,
-                lambda combo, *draws: certify_pwa(runs[combo], variant_betas[combo], pwa, *draws))
+    _self_check(cfg, system, runs, report, variant_betas)
     lap("self_check")
 
     if out_dir is not None:

@@ -1,4 +1,5 @@
-"""Reachable-set propagation for linear and piecewise-affine dynamics.
+"""Reachable-set propagation for piecewise-affine dynamics, linear ones
+included.
 
 One step maps the current state set R through
 
@@ -12,16 +13,18 @@ set the result is a zonotope; matrix-factor constraints or guard splits turn
 the state sets into constrained zonotopes, whose constrained columns are
 exempt from order reduction.
 
-Piecewise-affine propagation splits every fragment along the mode guards,
-propagates each nonempty piece through its mode's model set, and tracks the
-fragment lineage.
+propagate_pwa is the one propagation loop: it splits every fragment along
+the mode guards, propagates each nonempty piece through its mode's model
+set, and tracks the fragment lineage.  A linear system is the one-mode case
+LINEAR, whose region has no guard, so its single fragment per step passes
+through uncut.
 
 Every fragment records how it was made: the guard-split events applied to
 its parent and the StepPlan of its step.  replay_step and replay_split push
 explicit factor certificates for sampled trajectories through those records,
-so certify_lti and certify_pwa check the very sets a study emitted, one
-constructive containment proof per trajectory and much cheaper than one LP
-per point.
+so certify_pwa checks the very sets a study emitted, one constructive
+containment proof per trajectory and much cheaper than one LP per point.
+propagate_lti and certify_lti are the LINEAR entries to the same two loops.
 """
 
 import math
@@ -40,6 +43,7 @@ from .sets import (
     cartesian_product,
     girard,
     halfspace_intersection_with_plan,
+    interval_hull,
     is_empty,
     support,
 )
@@ -78,10 +82,11 @@ class StepPlan:
 
 @dataclass
 class Fragment:
-    """One piece of a reachable set: its set, the mode it was propagated
-    through (None before the first step and for linear systems), the index
-    of its parent fragment at the previous step, the guard-split events that
-    cut the parent, and the plan of the step that produced the set."""
+    """One piece of a reachable set: its set, the mode whose model it went
+    through (None for the initial set; 0 at every later step of a linear
+    system, which has one model), the index of its parent fragment at the
+    previous step, the guard-split events that cut the parent, and the plan
+    of the step that produced the set."""
 
     set: object
     mode: object = None
@@ -96,10 +101,6 @@ class StepRecord:
     the StepPlan that produced it, which is what the certificates replay."""
 
     fragments: list
-
-    @property
-    def sets(self):
-        return [f.set for f in self.fragments]
 
 
 @dataclass
@@ -122,8 +123,6 @@ class ReachResult:
         return float(vals) if np.ndim(direction) == 1 else vals
 
     def union_interval_hull(self, k):
-        from .sets import interval_hull
-
         lows, highs = zip(*(interval_hull(f.set) for f in self.steps[k].fragments))
         return np.min(lows, axis=0), np.max(highs, axis=0)
 
@@ -263,25 +262,6 @@ def replay_split(events, xi, w_floor=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# LTI propagation
-
-
-def propagate_lti(model, x0, u_prop, w, horizon, max_order):
-    """Reachable sets of x' = M [x; u] + w for k = 0..horizon.
-
-    model: matrix zonotope (constrained or not) over the lifted vector.
-    """
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    r = x0
-    steps = [StepRecord([Fragment(r)])]
-    for _ in range(horizon):
-        r, plan = propagation_step(model, r, u_prop, w, max_order)
-        steps.append(StepRecord([Fragment(r, parent=0, plan=plan)]))
-    return ReachResult(steps)
-
-
-# ---------------------------------------------------------------------------
 # piecewise-affine systems
 
 
@@ -327,10 +307,6 @@ class PwaSpec:
     def n_modes(self):
         return len(self.modes)
 
-    @property
-    def n_x(self):
-        return self.modes[0].region[0].normal.size
-
     def classify(self, x):
         x = np.asarray(x, dtype=float).reshape(-1)
         for q, mode in enumerate(self.modes):
@@ -351,27 +327,31 @@ class PwaSpec:
         return out
 
     def true_matrices(self):
-        assert all(m.a is not None and m.b is not None for m in self.modes)
+        if any(m.a is None or m.b is None for m in self.modes):
+            raise ValueError("every mode needs its true matrices a and b")
         return [(m.a, m.b) for m in self.modes]
 
 
-def partition_data_by_mode(trajectories, pwa, return_indices=False):
+# A linear system: one mode whose region has no guard.
+LINEAR = PwaSpec([PwaMode(region=[])])
+
+
+def partition_data_by_mode(trajectories, pwa):
     """Split transition data by the mode active at the start state.
 
     trajectories: list of (X, U) with X of shape (n_x, T_i + 1) and U of
-    shape (n_u, T_i).  Returns one DataSet per mode; modes with fewer
-    transitions than n_x + n_u trigger a warning.  With return_indices the
-    global transition index of every column (counting across trajectories in
-    order) is returned alongside, one index array per mode.
+    shape (n_u, T_i).  Returns (parts, indices): one DataSet per mode, and
+    per mode the global transition index of every column (counting across
+    trajectories in order).  Modes with fewer transitions than n_x + n_u
+    trigger a warning.
     """
-    n_modes = pwa.n_modes
-    buckets = [([], [], [], []) for _ in range(n_modes)]
-    n_u = None
+    buckets = [([], [], [], []) for _ in range(pwa.n_modes)]
+    n_x = n_u = 0
     offset = 0
     for x_traj, u_traj in trajectories:
         x_traj = np.asarray(x_traj, dtype=float)
         u_traj = np.asarray(u_traj, dtype=float)
-        n_u = u_traj.shape[0]
+        n_x, n_u = x_traj.shape[0], u_traj.shape[0]
         modes = pwa.classify_batch(x_traj[:, :-1].T)
         for t, q in enumerate(modes):
             buckets[q][0].append(x_traj[:, t + 1])
@@ -385,27 +365,27 @@ def partition_data_by_mode(trajectories, pwa, return_indices=False):
         if xp:
             data = DataSet(np.column_stack(xp), np.column_stack(xm), np.column_stack(um))
         else:
-            n_x = pwa.n_x
-            data = DataSet(np.zeros((n_x, 0)), np.zeros((n_x, 0)), np.zeros((n_u or 0, 0)))
+            data = DataSet(np.zeros((n_x, 0)), np.zeros((n_x, 0)), np.zeros((n_u, 0)))
         if data.T < data.d:
             warnings.warn(f"mode {q}: only {data.T} transitions for {data.d} unknowns")
         out.append(data)
         indices.append(np.asarray(idx, dtype=int))
-    if return_indices:
-        return out, indices
-    return out
+    return out, indices
 
 
 def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=256):
-    """Reachable fragments of a piecewise-affine system.
+    """Reachable fragments of a piecewise-affine system for k = 0..horizon.
 
     models: one (constrained) matrix zonotope per mode, over [x; u].
     Every fragment is split along each mode region; nonempty pieces are
-    propagated through that mode's model.  Raises if the fragment count
-    would exceed fragment_cap.
+    propagated through that mode's model.  A piece that no guard cut is its
+    parent fragment, which was kept already, so only cut pieces pay an
+    emptiness LP.  Raises if the fragment count would exceed fragment_cap.
     """
     if len(models) != pwa.n_modes:
         raise ValueError(f"{len(models)} models for {pwa.n_modes} modes")
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     steps = [StepRecord([Fragment(x0)])]
     for _ in range(horizon):
         children = []
@@ -418,7 +398,7 @@ def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=2
                     events.append(ev)
                     if isinstance(piece, EmptySet):
                         break
-                if isinstance(piece, EmptySet) or is_empty(piece):
+                if isinstance(piece, EmptySet) or (piece is not frag.set and is_empty(piece)):
                     continue
                 new_set, plan = propagation_step(models[q], piece, u_prop, w, max_order)
                 children.append(Fragment(new_set, mode=q, parent=fi, split=tuple(events),
@@ -431,17 +411,20 @@ def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=2
     return ReachResult(steps)
 
 
-def model_based_reference(system, x0, u_prop, w, horizon, max_order):
+def propagate_lti(model, x0, u_prop, w, horizon, max_order):
+    """Reachable sets of x' = M [x; u] + w for k = 0..horizon: propagate_pwa
+    with the one model over the unguarded mode LINEAR."""
+    return propagate_pwa([model], LINEAR, x0, u_prop, w, horizon, max_order)
+
+
+def model_based_reference(pwa, x0, u_prop, w, horizon, max_order):
     """Propagation with the true dynamics as singleton model sets.
 
-    system: (A, B) for linear dynamics, or a PwaSpec carrying true matrices.
+    pwa: a PwaSpec whose modes carry their true matrices; a linear system is
+    one mode with an empty region.
     """
-    if isinstance(system, PwaSpec):
-        models = [MatrixZonotope(np.hstack([a, b])) for a, b in system.true_matrices()]
-        return propagate_pwa(models, system, x0, u_prop, w, horizon, max_order)
-    a, b = system
-    model = MatrixZonotope(np.hstack([np.asarray(a, dtype=float), np.asarray(b, dtype=float)]))
-    return propagate_lti(model, x0, u_prop, w, horizon, max_order)
+    models = [MatrixZonotope(np.hstack([a, b])) for a, b in pwa.true_matrices()]
+    return propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order)
 
 
 # ---------------------------------------------------------------------------
@@ -498,38 +481,23 @@ def _report(worst, states):
                              worst["max_point_error"], states.shape[0], states.shape[1] - 1)
 
 
-def certify_lti(result, beta_star, states, xi0, xi_u, xi_w):
+def certify_pwa(result, beta_stars, pwa, states, xi0, xi_u, xi_w):
     """Constructive containment certificates for simulated trajectories.
 
-    result: the propagate_lti result whose sets are certified.  states:
+    result: the propagate_pwa result whose sets are certified.  states:
     (N, horizon+1, n_x) simulated with recorded factor draws xi0 (N, m0),
-    xi_u (horizon, N, m_u), xi_w (horizon, N, p_w); beta_star is the
-    model-set factor vector recovered from the data noise (empty for
-    singleton models).  Replays the recorded step plans.
-    """
-    states, xi0, xi_u, xi_w = _certificate_inputs(result, states, xi0, xi_u, xi_w)
-    beta_star = np.asarray(beta_star, dtype=float).reshape(-1)
-    worst = {"max_factor": 0.0, "max_constraint": 0.0, "max_point_error": 0.0}
-    xi = xi0
-    _check_step(result.steps[0].fragments[0].set, xi, states[:, 0, :], worst)
-    for k, step in enumerate(result.steps[1:]):
-        frag = step.fragments[0]
-        xi = replay_step(frag.plan, xi, xi_u[k], beta_star, xi_w[k])
-        _check_step(frag.set, xi, states[:, k + 1, :], worst)
-    return _report(worst, states)
-
-
-def certify_pwa(result, beta_stars, pwa, states, xi0, xi_u, xi_w):
-    """Containment certificates for piecewise-affine trajectories.
-
-    result: the propagate_pwa result whose sets are certified.  Each
-    trajectory follows its own fragment lineage: at step k its state's mode
-    selects the child fragment, the guard-split events append the slice
-    factors, and the step plan pushes the rest.  beta_stars is one factor
-    vector per mode.  Raises ValueError when a trajectory enters a piece
+    xi_u (horizon, N, m_u), xi_w (horizon, N, p_w); beta_stars holds one
+    model-set factor vector per mode, recovered from the data noise (empty
+    for singleton models).  Each trajectory follows its own fragment
+    lineage: at step k its state's mode selects the child fragment, the
+    guard-split events append the slice factors, and the recorded step plan
+    pushes the rest.  Raises ValueError when a trajectory enters a piece
     that propagation pruned as empty.
     """
     states, xi0, xi_u, xi_w = _certificate_inputs(result, states, xi0, xi_u, xi_w)
+    if len(beta_stars) != pwa.n_modes:
+        raise ValueError(f"{len(beta_stars)} factor vectors for {pwa.n_modes} modes")
+    beta_stars = [np.asarray(b, dtype=float).reshape(-1) for b in beta_stars]
     worst = {"max_factor": 0.0, "max_constraint": 0.0, "max_point_error": 0.0}
     _check_step(result.steps[0].fragments[0].set, xi0, states[:, 0, :], worst)
     # trajectory ids (sorted) and their factors, per fragment of the step
@@ -557,3 +525,9 @@ def certify_pwa(result, beta_stars, pwa, states, xi0, xi_u, xi_w):
             order = np.argsort(ids)
             groups[ci] = (ids[order], np.vstack([x for _, x in parts])[order])
     return _report(worst, states)
+
+
+def certify_lti(result, beta_star, states, xi0, xi_u, xi_w):
+    """certify_pwa for a propagate_lti result, whose one model has the
+    factor vector beta_star."""
+    return certify_pwa(result, [beta_star], LINEAR, states, xi0, xi_u, xi_w)

@@ -20,7 +20,8 @@ class EmptySetError(ValueError):
 
 def _vector(x):
     v = np.asarray(x, dtype=float).reshape(-1)
-    assert np.all(np.isfinite(v)), "vector has non-finite entries"
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector has non-finite entries")
     return v
 
 
@@ -30,9 +31,18 @@ def _gen_matrix(g, dim):
     a = np.asarray(g, dtype=float)
     if a.ndim == 1:
         a = a.reshape(dim, -1) if dim == 1 else a.reshape(-1, 1)
-    assert a.ndim == 2 and a.shape[0] == dim, f"generator matrix must be {dim} x m"
-    assert np.all(np.isfinite(a)), "generators have non-finite entries"
+    if a.ndim != 2 or a.shape[0] != dim:
+        raise ValueError(f"generator matrix must be {dim} x m, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("generators have non-finite entries")
     return a
+
+
+def _check_constraints(a, b):
+    if b.size != a.shape[0]:
+        raise ValueError(f"constraint rhs has {b.size} entries for {a.shape[0]} rows")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("constraint matrix has non-finite entries")
 
 
 class EmptySet:
@@ -98,8 +108,7 @@ class ConstrainedZonotope:
         else:
             self.A = a.reshape(-1, m)
         self.b = np.zeros(self.A.shape[0]) if b is None else _vector(b)
-        assert self.b.size == self.A.shape[0], "constraint rhs length mismatch"
-        assert np.all(np.isfinite(self.A)), "constraint matrix has non-finite entries"
+        _check_constraints(self.A, self.b)
 
     @property
     def dim(self):
@@ -142,17 +151,19 @@ class MatrixZonotope:
 
     def __init__(self, center, generators=None):
         self.C = np.asarray(center, dtype=float)
-        assert self.C.ndim == 2, "matrix-zonotope center must be 2-D"
+        if self.C.ndim != 2:
+            raise ValueError(f"matrix-zonotope center must be 2-D, got shape {self.C.shape}")
         if generators is None:
             gens = np.zeros((0,) + self.C.shape)
         else:
             gens = np.asarray(generators, dtype=float)
             if gens.ndim == 2:
                 gens = gens[None, :, :]
-        assert gens.ndim == 3 and gens.shape[1:] == self.C.shape, (
-            f"generators must be (kappa, {self.C.shape[0]}, {self.C.shape[1]})"
-        )
-        assert np.all(np.isfinite(self.C)) and np.all(np.isfinite(gens))
+        if gens.ndim != 3 or gens.shape[1:] != self.C.shape:
+            raise ValueError(f"generators must be (kappa, {self.C.shape[0]}, {self.C.shape[1]}), "
+                             f"got shape {gens.shape}")
+        if not (np.all(np.isfinite(self.C)) and np.all(np.isfinite(gens))):
+            raise ValueError("matrix zonotope has non-finite entries")
         self.generators = gens
 
     @property
@@ -166,7 +177,8 @@ class MatrixZonotope:
     def at(self, beta):
         """The member matrix C + sum_l beta_l G_l."""
         beta = _vector(beta)
-        assert beta.size == self.num_generators
+        if beta.size != self.num_generators:
+            raise ValueError(f"beta has {beta.size} entries, expected {self.num_generators}")
         if beta.size == 0:
             return self.C.copy()
         return self.C + np.einsum("l,lij->ij", beta, self.generators)
@@ -196,8 +208,7 @@ class ConstrainedMatrixZonotope(MatrixZonotope):
         else:
             self.A = a.reshape(-1, kappa)
         self.b = _vector(b)
-        assert self.b.size == self.A.shape[0]
-        assert np.all(np.isfinite(self.A))
+        _check_constraints(self.A, self.b)
 
     @property
     def num_constraints(self):
@@ -273,7 +284,8 @@ def set_from_dict(d):
 
 
 def _check_dims(a, b):
-    assert a.dim == b.dim, f"dimension mismatch: {a.dim} vs {b.dim}"
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def minkowski_sum(a, b):
@@ -302,7 +314,8 @@ def _to_cz(z):
 def linear_map(m, z):
     """Image under x -> M x."""
     m = np.asarray(m, dtype=float)
-    assert m.ndim == 2 and m.shape[1] == z.dim
+    if m.ndim != 2 or m.shape[1] != z.dim:
+        raise ValueError(f"map of shape {m.shape} does not apply to dimension {z.dim}")
     if isinstance(z, EmptySet):
         return EmptySet(m.shape[0])
     if isinstance(z, Zonotope):
@@ -397,7 +410,8 @@ def contains_point(z, x, tol=1e-9):
     x = _vector(x)
     if isinstance(z, EmptySet):
         return False
-    assert x.size == z.dim
+    if x.size != z.dim:
+        raise ValueError(f"point has {x.size} entries, the set dimension {z.dim}")
     cz = _to_cz(z)
     m, n, q = cz.num_generators, cz.dim, cz.num_constraints
     # variables: [xi (m), slack (n)]
@@ -424,7 +438,8 @@ def halfspace_intersection_with_plan(z, normal, offset):
     c = float(offset)
     if isinstance(z, EmptySet):
         return z, ("empty",)
-    assert h.size == z.dim
+    if h.size != z.dim:
+        raise ValueError(f"normal has {h.size} entries, the set dimension {z.dim}")
     cz = _to_cz(z)
     d = float(h @ cz.c)
     row = h @ cz.G
@@ -612,7 +627,8 @@ def project_polygon(z, dims, n_dirs=32):
     Plain zonotopes are projected exactly.  Constrained zonotopes are
     over-approximated by intersecting n_dirs support halfplanes.
     """
-    assert len(dims) == 2
+    if len(dims) != 2:
+        raise ValueError(f"project_polygon needs two coordinates, got {dims}")
     if isinstance(z, EmptySet):
         raise EmptySetError("projection of the empty set")
     sel = np.zeros((2, z.dim))
@@ -696,6 +712,7 @@ def sample_factors(z, rng, count, max_tries=50):
 
 def sample_points(z, rng, count):
     """count points from the set, via factors drawn with sample_factors."""
-    assert not isinstance(z, EmptySet)
+    if isinstance(z, EmptySet):
+        raise EmptySetError("sampling from the empty set")
     xi = sample_factors(z, rng, count)
     return z.c + xi @ z.G.T

@@ -68,7 +68,7 @@ def test_discretize_singular_a():
 
 
 def test_discretize_rejects_mismatched_shapes():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         discretize(np.eye(3), np.ones((2, 1)), 0.1)
 
 
@@ -100,6 +100,36 @@ def test_config_rejects_dimension_mismatch():
     cfg = tiny_lti_config(x0={"center": [0.0, 0.0, 0.0], "generators": np.eye(3).tolist()})
     with pytest.raises(HarnessError, match="x0"):
         cfg.true_system()
+
+
+def test_linear_true_system_is_one_unguarded_mode():
+    system = tiny_lti_config().true_system()
+    assert system.pwa.n_modes == 1 and system.pwa.modes[0].region == []
+    assert (system.n_x, system.n_u) == (2, 1)
+    a, b = system.pwa.true_matrices()[0]
+    assert np.array_equal(a, [[0.6, 0.2], [-0.1, 0.5]]) and np.array_equal(b, [[1.0], [0.5]])
+
+
+def test_true_system_rejects_bad_discrete_shapes():
+    cfg = tiny_lti_config(system={"type": "discrete", "a": [[0.6, 0.2], [-0.1, 0.5]],
+                                  "b": [[1.0, 0.0, 2.0]]})
+    with pytest.raises(HarnessError, match="mode 0"):
+        cfg.true_system()
+
+
+def test_true_system_rejects_bad_pwa_shapes():
+    base = bundled_config("pwa_2mode")
+    bad_b = json.loads(json.dumps(base.system))
+    bad_b["modes"][1]["b"] = [[1.0, 0.0], [0.0, 1.0]]
+    bad_a = json.loads(json.dumps(base.system))
+    bad_a["modes"][1]["a"] = [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]
+    bad_normal = json.loads(json.dumps(base.system))
+    bad_normal["modes"][0]["region"][0]["normal"] = [-1.0, 0.0, 0.0]
+    no_modes = dict(base.system, modes=[])
+    for system, match in ((bad_b, "mode 1"), (bad_a, "mode 1"), (bad_normal, "normal"),
+                          (no_modes, "no modes")):
+        with pytest.raises(HarnessError, match=match):
+            replace(base, system=system).true_system()
 
 
 def test_bundled_configs_load():
@@ -263,20 +293,19 @@ def test_study_propagates_each_combo_once(monkeypatch):
     # the self-check certifies the sets the study propagated; it does not
     # propagate them again
     calls = []
-    for name in ("propagate_lti", "propagate_pwa"):
-        original = getattr(reach, name)
+    original = reach.propagate_pwa
 
-        def counted(*args, _original=original, **kwargs):
-            calls.append(_original.__name__)
-            return _original(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
 
-        for module in (reach, harness):
-            monkeypatch.setattr(module, name, counted)
+    for module in (reach, harness):
+        monkeypatch.setattr(module, "propagate_pwa", counted)
     report = run_lti_experiment(tiny_lti_config(compute_supports=False))
-    assert calls == ["propagate_lti"] * len(report["combos"])
+    assert len(calls) == len(report["combos"])
     calls.clear()
     report = run_pwa_experiment(tiny_pwa_config())
-    assert calls == ["propagate_pwa"] * len(report["combos"])
+    assert len(calls) == len(report["combos"])
 
 
 def test_runtime_seconds_covers_emission(tmp_path, monkeypatch):
@@ -361,7 +390,7 @@ def test_pwa_partition_indices_cover_all_columns():
     cfg = bundled_config("pwa_2mode")
     system = cfg.true_system()
     data, log = collect_data(cfg, system, "random")
-    parts, indices = partition_data_by_mode(log.trajectories, system.pwa, return_indices=True)
+    parts, indices = partition_data_by_mode(log.trajectories, system.pwa)
     assert sum(p.T for p in parts) == data.T
     assert sorted(np.concatenate(indices).tolist()) == list(range(data.T))
     for q, part in enumerate(parts):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from datareach import reach
 from datareach.reach import (
+    LINEAR,
     Fragment,
     Halfspace,
     PwaMode,
@@ -272,6 +274,33 @@ def test_propagate_lti_rejects_negative_horizon():
         propagate_lti(model, Zonotope([0.0]), Zonotope([0.0]), Zonotope([0.0]), -1, 10)
 
 
+def test_propagate_pwa_rejects_negative_horizon():
+    model = MatrixZonotope(np.ones((1, 2)))
+    with pytest.raises(ValueError, match="horizon"):
+        propagate_pwa([model], LINEAR, Zonotope([0.0]), Zonotope([0.0]), Zonotope([0.0]), -1, 10)
+
+
+def test_uncut_pieces_skip_the_emptiness_lp(monkeypatch):
+    # a one-mode region that holds every reachable set never cuts, so no
+    # piece needs an emptiness LP, and the result is the linear one
+    rng = np.random.default_rng(14)
+    model = make_constrained_model(rng, 2, 1, 4)
+    x0 = Zonotope([0.5, -1.0], 0.2 * np.eye(2))
+    u_prop = Zonotope([0.1], np.array([[0.4]]))
+    w = Zonotope(np.zeros(2), 0.01 * np.eye(2))
+    wide = PwaSpec([PwaMode(region=[Halfspace([1.0, 0.0], 1e6)])])
+    calls = []
+    monkeypatch.setattr(reach, "is_empty", lambda z: calls.append(z) or False)
+    res = propagate_pwa([model], wide, x0, u_prop, w, 4, 6)
+    assert calls == []
+    lti = propagate_lti(model, x0, u_prop, w, 4, 6)
+    for k in range(1, 5):
+        (frag,), (ref,) = res.steps[k].fragments, lti.steps[k].fragments
+        assert frag.mode == ref.mode == 0 and frag.parent == 0 and frag.split == (("pass",),)
+        assert isinstance(frag.set, ConstrainedZonotope) and frag.set.num_constraints > 0
+        assert np.array_equal(frag.set.G, ref.set.G) and np.array_equal(frag.set.A, ref.set.A)
+
+
 def test_replay_step_rejects_wrong_factor_width():
     rng = np.random.default_rng(11)
     model = make_uncertain_model(rng, 2, 1, 2)
@@ -425,6 +454,8 @@ def test_certificates_reject_draws_that_do_not_match_the_result():
             certify_pwa(res, betas, pwa, *args)
         with pytest.raises(ValueError):
             certify_lti(lti, np.zeros(0), *args)
+    with pytest.raises(ValueError, match="1 factor vectors for 2 modes"):
+        certify_pwa(res, betas[:1], pwa, states, xi0, xi_u, xi_w)
 
 
 def test_certify_pwa_raises_when_a_trajectory_enters_a_pruned_piece():
@@ -451,13 +482,14 @@ def test_partition_data_by_mode():
     x_traj = np.array([[1.0, 0.5, -0.3, 0.0, 2.0]])
     u_traj = np.array([[0.1, 0.2, 0.3, 0.4]])
     with pytest.warns(UserWarning):  # mode 1 sees a single transition
-        parts = partition_data_by_mode([(x_traj, u_traj)], pwa)
+        parts, indices = partition_data_by_mode([(x_traj, u_traj)], pwa)
     # start states 1.0, 0.5, -0.3, 0.0 -> modes 0, 0, 1, 0 (boundary to mode 0)
     assert parts[0].T == 3 and parts[1].T == 1
     assert np.allclose(parts[0].x_minus, [[1.0, 0.5, 0.0]])
     assert np.allclose(parts[0].x_plus, [[0.5, -0.3, 2.0]])
     assert np.allclose(parts[0].u_minus, [[0.1, 0.2, 0.4]])
     assert np.allclose(parts[1].x_minus, [[-0.3]])
+    assert indices[0].tolist() == [0, 1, 3] and indices[1].tolist() == [2]
 
 
 def test_partition_warns_on_starved_mode():
@@ -475,7 +507,7 @@ def test_model_based_reference_lti_and_pwa():
     x0 = Zonotope([1.0, 1.0], 0.1 * np.eye(2))
     u_prop = Zonotope([0.0], np.array([[0.2]]))
     w = Zonotope(np.zeros(2), 0.01 * np.eye(2))
-    ref = model_based_reference((a, b), x0, u_prop, w, 3, 50)
+    ref = model_based_reference(PwaSpec([PwaMode(region=[], a=a, b=b)]), x0, u_prop, w, 3, 50)
     direct = propagate_lti(MatrixZonotope(np.hstack([a, b])), x0, u_prop, w, 3, 50)
     for k in range(4):
         for _ in range(5):
@@ -486,6 +518,8 @@ def test_model_based_reference_lti_and_pwa():
     ref = model_based_reference(pwa, Zonotope([0.2], [[0.5]]),
                                 Zonotope([0.0], [[0.1]]), Zonotope([0.0], [[0.01]]), 3, 50)
     assert ref.horizon == 3
+    with pytest.raises(ValueError, match="true matrices"):
+        model_based_reference(LINEAR, x0, u_prop, w, 3, 50)
 
 
 def test_union_interval_hull():

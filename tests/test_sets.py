@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,46 @@ def test_empty_set_behaviour():
         interval_hull(e)
     assert isinstance(minkowski_sum(e, Zonotope(np.zeros(3))), EmptySet)
     assert isinstance(linear_map(np.ones((2, 3)), e), EmptySet)
+
+
+def test_bad_caller_input_raises_value_error():
+    with pytest.raises(ValueError, match="generator matrix"):
+        Zonotope([0.0, 0.0], np.ones((3, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        Zonotope([np.nan])
+    with pytest.raises(ValueError, match="rhs"):
+        ConstrainedZonotope([0.0], [[1.0]], [[1.0]], [0.0, 1.0])
+    with pytest.raises(ValueError, match="kappa"):
+        MatrixZonotope(np.eye(2), np.ones((1, 2, 3)))
+    with pytest.raises(ValueError, match="beta"):
+        MatrixZonotope(np.eye(2), np.ones((1, 2, 2))).at([0.5, 0.5])
+    with pytest.raises(ValueError, match="dimension"):
+        minkowski_sum(Zonotope([0.0]), Zonotope([0.0, 0.0]))
+    with pytest.raises(ValueError):
+        linear_map(np.eye(3), Zonotope([0.0, 0.0]))
+    with pytest.raises(ValueError):
+        contains_point(Zonotope([0.0, 0.0]), [0.0])
+    with pytest.raises(ValueError):
+        halfspace_intersection(Zonotope([0.0, 0.0]), [1.0], 0.0)
+    with pytest.raises(ValueError):
+        project_polygon(Zonotope([0.0, 0.0, 0.0]), (0, 1, 2))
+    with pytest.raises(EmptySetError):
+        sample_points(EmptySet(2), np.random.default_rng(0), 3)
+
+
+def test_set_validation_survives_python_optimize_flag():
+    # python -O strips assert statements; a bad Zonotope must still raise
+    code = ("from datareach import Zonotope\n"
+            "try:\n"
+            "    Zonotope([0.0, 0.0], [[1.0, 0.0, 0.0]])\n"
+            "except ValueError:\n"
+            "    print('raised')\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=root,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
 
 
 def test_constrained_zonotope_reduces_to_zonotope_without_constraints():

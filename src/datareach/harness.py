@@ -18,7 +18,7 @@ streams.
 Output layout (when an output directory is given):
 
     report.json                     all numeric results, deterministic
-    metadata.json                   timestamps, runtime, phase times, versions
+    metadata.json                   timestamps, runtime, phase times, LP counts, versions
     sets/<combo>/step<k>.json       reachable fragments per step
     polygons/<combo>_<i>-<j>.csv    2-D projection outlines per step
     volume_table.csv                tabulated-step volumes and ratios (lti)
@@ -44,7 +44,7 @@ from .inputdesign import (
     info_update,
     sample_input,
 )
-from .linalg import svd
+from .linalg import lp_counts, svd
 from .modelset import DataSet, build_model_sets, generator_norm_proxy
 from .reach import (
     Halfspace,
@@ -260,6 +260,10 @@ class ExperimentConfig:
         for label, z, dim in checks:
             if z.dim != dim:
                 raise HarnessError(f"{label} has dimension {z.dim}, expected {dim}")
+        for pair in self.projection_dims:
+            if len(pair) != 2 or len(set(pair)) != 2 or not all(1 <= i <= system.n_x for i in pair):
+                raise HarnessError(f"projection_dims entry {list(pair)} is not two distinct "
+                                   f"1-based state indices in 1..{system.n_x}")
         return system
 
     def to_dict(self):
@@ -574,10 +578,11 @@ class _Laps:
         self._mark = now
 
 
-def _emit_common(out, cfg, report, runs, fmt, tables, t0, lap):
+def _emit_common(out, cfg, report, runs, fmt, tables, t0, lap, lp):
     """Write the full output layout; metadata.json comes last so that its
     runtime_seconds (counted from perf_counter t0, before lap started)
-    covers all the rest, the phases timed by lap included."""
+    covers all the rest, the phases timed by lap included, and its lp
+    block (the study's lp_counts) includes the polygon LPs."""
     _write_json(out / "report.json", report)
     for combo, run in runs.items():
         _emit_sets(out, combo, run)
@@ -589,6 +594,7 @@ def _emit_common(out, cfg, report, runs, fmt, tables, t0, lap):
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "runtime_seconds": time.perf_counter() - t0,
         "phase_seconds": lap.seconds,
+        "lp": lp,
         "versions": {
             "datareach": __version__,
             "numpy": np.__version__,
@@ -648,6 +654,11 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
     trajectories, and (optionally) compares supports and final volumes.
     Returns the report dict; with out_dir the full file layout is written.
     """
+    with lp_counts() as lp:
+        return _lti_study(cfg, out_dir, fmt, lp)
+
+
+def _lti_study(cfg, out_dir, fmt, lp):
     t0 = time.perf_counter()
     lap = _Laps(("collect", "propagate", "supports", "self_check", "volumes", "emit"))
     if cfg.kind != "lti":
@@ -759,7 +770,7 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
         if "volume_table" in report:
             tables.append(("volume_table.csv", ["method", "volume", "ratio"],
                            [[r["method"], r["volume"], r["ratio"]] for r in report["volume_table"]]))
-        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0, lap)
+        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0, lap, lp)
     return report
 
 
@@ -771,6 +782,11 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
     with per-mode trajectory certificates, and reports fragment counts,
     interval hulls, and (optionally) union supports.
     """
+    with lp_counts() as lp:
+        return _pwa_study(cfg, out_dir, fmt, lp)
+
+
+def _pwa_study(cfg, out_dir, fmt, lp):
     t0 = time.perf_counter()
     lap = _Laps(("collect", "propagate", "hulls", "supports", "self_check", "emit"))
     if cfg.kind != "pwa":
@@ -869,5 +885,5 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
                     rows.append([c, k, dim + 1, h["low"][dim], h["high"][dim],
                                  h["width"][dim]])
         tables = [("hull_widths.csv", ["method", "step", "dim", "low", "high", "width"], rows)]
-        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0, lap)
+        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0, lap, lp)
     return report

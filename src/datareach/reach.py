@@ -380,13 +380,17 @@ def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=2
     Every fragment is split along each mode region; nonempty pieces are
     propagated through that mode's model.  A piece that no guard cut is its
     parent fragment, which was kept already, so only cut pieces pay an
-    emptiness LP.  Raises if the fragment count would exceed fragment_cap.
+    emptiness LP, and that LP is asked of the parent with the cutting
+    halfspaces as a region: the parent's own LP, warm from its cached
+    basis.  Raises if the fragment count would exceed fragment_cap.
     """
     if len(models) != pwa.n_modes:
         raise ValueError(f"{len(models)} models for {pwa.n_modes} modes")
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    steps = [StepRecord([Fragment(x0)])]
+    # a fresh copy of a constrained x0, so that no LP of this result starts
+    # from a basis that earlier queries left on the caller's set
+    steps = [StepRecord([Fragment(x0.copy() if isinstance(x0, ConstrainedZonotope) else x0)])]
     for _ in range(horizon):
         children = []
         for fi, frag in enumerate(steps[-1].fragments):
@@ -398,7 +402,11 @@ def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=2
                     events.append(ev)
                     if isinstance(piece, EmptySet):
                         break
-                if isinstance(piece, EmptySet) or (piece is not frag.set and is_empty(piece)):
+                if isinstance(piece, EmptySet):
+                    continue
+                cuts = [(h.normal, h.offset) for h, ev in zip(mode.region, events)
+                        if ev[0] == "cut"]
+                if cuts and is_empty(frag.set, region=cuts):
                     continue
                 new_set, plan = propagation_step(models[q], piece, u_prop, w, max_order)
                 children.append(Fragment(new_set, mode=q, parent=fi, split=tuple(events),

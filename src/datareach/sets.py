@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import LpProblem, lp_solve, svd
+from .linalg import BASIC, LpProblem, lp_solve, svd
 
 
 class EmptySetError(ValueError):
@@ -92,9 +92,16 @@ class Zonotope:
 
 
 class ConstrainedZonotope:
-    """<c, G, A, b>: {c + G xi : xi in [-1, 1]^m, A xi = b}."""
+    """<c, G, A, b>: {c + G xi : xi in [-1, 1]^m, A xi = b}.
 
-    __slots__ = ("c", "G", "A", "b")
+    _lp_basis caches the optimal simplex basis of the last LP on the set's
+    own feasible region (see _own_columns) as the two status arrays
+    (columns, rows) that lp_solve returns, never a solver instance; every
+    later LP on the set starts from it.  Copies and derived sets start
+    without one.
+    """
+
+    __slots__ = ("c", "G", "A", "b", "_lp_basis")
 
     def __init__(self, center, generators, a=None, b=None):
         self.c = _vector(center)
@@ -109,6 +116,7 @@ class ConstrainedZonotope:
             self.A = a.reshape(-1, m)
         self.b = np.zeros(self.A.shape[0]) if b is None else _vector(b)
         _check_constraints(self.A, self.b)
+        self._lp_basis = None
 
     @property
     def dim(self):
@@ -349,6 +357,79 @@ def cartesian_product(a, b):
 
 # ---------------------------------------------------------------------------
 # Queries
+#
+# Every LP on a constrained set z extends z's own LP {A xi = b, |xi| <= 1}
+# over the factors _own_columns picks: supports change only its costs,
+# emptiness and membership add rows (and the remaining factors as columns).
+# Each starts from the basis cached on z, and an LP whose final basis is
+# again a basis of the own LP (every added row's slack basic, every added
+# column nonbasic) caches it for the next.
+
+
+def _own_columns(z):
+    """Mask of the factors in z's own LP: those with a nonzero A column, or
+    all of them when A is zero (the LP still decides whether 0 = b).  The
+    other factors are separable and enter supports in closed form."""
+    cons = np.any(z.A != 0.0, axis=0)
+    if not cons.any():
+        cons[:] = True
+    return cons
+
+
+def _solve_own(z, problem, cons):
+    """lp_solve problem, whose leading columns (z's factors in cons) and
+    leading rows (A) are z's own LP, from z's cached basis; cache its final
+    basis when that is a basis of the own LP again."""
+    problem.basis = z._lp_basis
+    res = lp_solve(problem)
+    final = (res[-1].basis if res else None) if isinstance(res, list) else res.basis
+    if final is None:
+        return res
+    n_cols, n_rows = int(np.count_nonzero(cons)), z.num_constraints
+    cols, rows = final
+    if np.all(rows[n_rows:] == BASIC) and not np.any(cols[n_cols:] == BASIC):
+        z._lp_basis = (cols[:n_cols].copy(), rows[:n_rows].copy())
+    return res
+
+
+def _support(z, dirs, purpose):
+    """Support values of a set that is not an EmptySet for the rows of dirs
+    (k, n): closed form for plain sets and separable factors, one batched LP
+    on the own LP for the rest."""
+    dg = dirs @ z.G
+    vals = dirs @ z.c
+    if isinstance(z, Zonotope) or z.num_constraints == 0:
+        vals += np.sum(np.abs(dg), axis=1)
+        return vals
+    cons = _own_columns(z)
+    m = int(np.count_nonzero(cons))
+    res = _solve_own(z, LpProblem(dg[:, cons], z.A[:, cons], z.b, -np.ones(m), np.ones(m),
+                                  purpose=purpose), cons)
+    if any(r.status == "infeasible" for r in res):
+        raise EmptySetError("support of an empty constrained zonotope")
+    vals += np.sum(np.abs(dg[:, ~cons]), axis=1) + [r.objective for r in res]
+    return vals
+
+
+def _feasible(z, rows, lo, hi, box, purpose):
+    """Whether some factors xi with |xi| <= box (and A xi = b on a
+    constrained z) satisfy lo <= rows @ xi <= hi.  On a constrained z this
+    is the own LP plus these rows, with the other factors as extra columns."""
+    m = z.num_generators
+    constrained = isinstance(z, ConstrainedZonotope) and z.num_constraints > 0
+    if m == 0:  # rows @ xi is 0, and A xi = b needs b = 0
+        return bool(np.all(lo <= 0.0) and np.all(hi >= 0.0)
+                    and not (constrained and np.any(z.b)))
+    bounds = np.full(m, float(box))
+    if not constrained:
+        problem = LpProblem(np.zeros(m), None, None, -bounds, bounds, rows=(rows, lo, hi),
+                            purpose=purpose)
+        return lp_solve(problem).status == "feasible"
+    cons = _own_columns(z)
+    order = np.concatenate([np.flatnonzero(cons), np.flatnonzero(~cons)])
+    problem = LpProblem(np.zeros(m), z.A[:, order], z.b, -bounds, bounds,
+                        rows=(rows[:, order], lo, hi), purpose=purpose)
+    return _solve_own(z, problem, cons).status == "feasible"
 
 
 def support(z, direction):
@@ -358,7 +439,8 @@ def support(z, direction):
     which gives an array of k values.  On a constrained set the factors whose
     A column is zero are separable and add sum |d . g| in closed form; the
     other factors make one LP whose k objectives share one warm-started
-    solver model.  Raises EmptySetError on empty sets.
+    solver model, started from the set's cached basis.  Raises
+    EmptySetError on empty sets.
     """
     d = np.asarray(direction, dtype=float)
     if isinstance(z, EmptySet):
@@ -367,20 +449,7 @@ def support(z, direction):
         raise ValueError(f"direction must be ({z.dim},) or (k, {z.dim}), got shape {d.shape}")
     if not np.all(np.isfinite(d)):
         raise ValueError("direction has non-finite entries")
-    dirs = d.reshape(-1, z.dim)
-    dg = dirs @ z.G
-    vals = dirs @ z.c
-    if isinstance(z, Zonotope) or z.num_constraints == 0:
-        vals += np.sum(np.abs(dg), axis=1)
-    else:
-        cons = np.any(z.A != 0.0, axis=0)
-        if not cons.any():
-            cons[:] = True  # keep the LP: it still decides whether 0 = b
-        m = int(np.count_nonzero(cons))
-        res = lp_solve(LpProblem(dg[:, cons], z.A[:, cons], z.b, -np.ones(m), np.ones(m)))
-        if any(r.status == "infeasible" for r in res):
-            raise EmptySetError("support of an empty constrained zonotope")
-        vals += np.sum(np.abs(dg[:, ~cons]), axis=1) + [r.objective for r in res]
+    vals = _support(z, d.reshape(-1, z.dim), "support")
     return float(vals[0]) if d.ndim == 1 else vals
 
 
@@ -391,39 +460,49 @@ def interval_hull(z):
     return -vals[n:], vals[:n]
 
 
-def is_empty(z):
+def is_empty(z, region=()):
+    """Whether z, or z intersected with a region, is empty.
+
+    region is a sequence of (normal, offset) pairs, the halfspaces
+    normal . x <= offset.  One halfspace is decided by whether min normal . x
+    over z (its support in -normal) exceeds the offset; otherwise by the
+    feasibility of z's own LP with the rows normal . G xi <= offset -
+    normal . c added.  The result equals is_empty of the set that halfspace_intersection
+    cuts from z, without building that set.
+    """
+    halfspaces = [(_vector(h), float(o)) for h, o in region]
+    for h, _ in halfspaces:
+        if h.size != z.dim:
+            raise ValueError(f"normal has {h.size} entries, the set dimension {z.dim}")
     if isinstance(z, EmptySet):
         return True
-    if isinstance(z, Zonotope) or z.num_constraints == 0:
+    if len(halfspaces) == 1:
+        h, offset = halfspaces[0]
+        try:
+            return float(-_support(z, -h[None, :], "is_empty")[0]) > offset
+        except EmptySetError:
+            return True
+    if not halfspaces and (isinstance(z, Zonotope) or z.num_constraints == 0):
         return False
-    m = z.num_generators
-    res = lp_solve(LpProblem(np.zeros(m), z.A, z.b, -np.ones(m), np.ones(m)))
-    return res.status == "infeasible"
+    normals = np.array([h for h, _ in halfspaces]).reshape(-1, z.dim)
+    offsets = np.array([o for _, o in halfspaces])
+    return not _feasible(z, normals @ z.G, np.full(offsets.size, -np.inf),
+                         offsets - normals @ z.c, 1.0, "is_empty")
 
 
 def contains_point(z, x, tol=1e-9):
     """LP membership test: is x within tol of the set?
 
     Looks for factors xi with |xi| <= 1 + tol, A xi = b, and
-    |c + G xi - x| <= tol componentwise.
+    |c + G xi - x| <= tol componentwise: on a constrained set, the n rows
+    G xi in [x - c - tol, x - c + tol] added to its own LP.
     """
     x = _vector(x)
-    if isinstance(z, EmptySet):
-        return False
     if x.size != z.dim:
         raise ValueError(f"point has {x.size} entries, the set dimension {z.dim}")
-    cz = _to_cz(z)
-    m, n, q = cz.num_generators, cz.dim, cz.num_constraints
-    # variables: [xi (m), slack (n)]
-    a_eq = np.block([
-        [cz.G, np.eye(n)],
-        [cz.A, np.zeros((q, n))],
-    ])
-    b_eq = np.concatenate([x - cz.c, cz.b])
-    lb = np.concatenate([-np.ones(m) * (1 + tol), -np.ones(n) * tol])
-    ub = -lb
-    res = lp_solve(LpProblem(np.zeros(m + n), a_eq, b_eq, lb, ub))
-    return res.status == "feasible"
+    if isinstance(z, EmptySet):
+        return False
+    return _feasible(z, z.G, x - z.c - tol, x - z.c + tol, 1.0 + tol, "contains_point")
 
 
 def halfspace_intersection_with_plan(z, normal, offset):
@@ -622,24 +701,28 @@ def _zonotope_polygon(c, g):
 
 
 def project_polygon(z, dims, n_dirs=32):
-    """Vertices of the projection onto two coordinates, counterclockwise.
+    """Vertices of the projection onto coordinates dims = (i, j), 0-based
+    and distinct, counterclockwise.
 
     Plain zonotopes are projected exactly.  Constrained zonotopes are
-    over-approximated by intersecting n_dirs support halfplanes.
+    over-approximated by intersecting n_dirs support halfplanes, taken on
+    the set itself in the directions the 2-D ones select.
     """
-    if len(dims) != 2:
-        raise ValueError(f"project_polygon needs two coordinates, got {dims}")
+    if len(dims) != 2 or any(int(d) != d for d in dims):
+        raise ValueError(f"project_polygon needs two coordinate indices, got {dims}")
+    u, v = (int(d) for d in dims)
+    if not (0 <= u < z.dim and 0 <= v < z.dim and u != v):
+        raise ValueError(f"coordinates {dims} are not two distinct indices in 0..{z.dim - 1}")
     if isinstance(z, EmptySet):
         raise EmptySetError("projection of the empty set")
     sel = np.zeros((2, z.dim))
-    sel[0, dims[0]] = 1.0
-    sel[1, dims[1]] = 1.0
-    flat = linear_map(sel, z)
-    if isinstance(flat, Zonotope) or flat.num_constraints == 0:
-        return _zonotope_polygon(flat.c, flat.G)
+    sel[0, u] = 1.0
+    sel[1, v] = 1.0
+    if isinstance(z, Zonotope) or z.num_constraints == 0:
+        return _zonotope_polygon(sel @ z.c, sel @ z.G)
     angles = np.linspace(0.0, 2.0 * np.pi, n_dirs, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    vals = support(flat, dirs)
+    vals = support(z, dirs @ sel)
     verts = []
     for i in range(n_dirs):
         j = (i + 1) % n_dirs

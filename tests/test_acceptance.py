@@ -19,6 +19,9 @@ from datareach.modelset import build_model_sets
 from datareach.rightinv import pinv_right_inverse, row_norm_right_inverse, row_norm_sum
 from datareach.selfcheck import run_selfcheck
 
+# minutes, not seconds: `pytest -m "not slow"` leaves these out of a quick loop
+pytestmark = pytest.mark.slow
+
 
 @pytest.fixture()
 def verdict(capfd):

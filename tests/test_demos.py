@@ -9,6 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# each demo is a fresh interpreter: `pytest -m "not slow"` leaves them out
+pytestmark = pytest.mark.slow
+
 
 @pytest.mark.parametrize("demo", ["build_model_set.py", "input_design_walkthrough.py"])
 def test_demo_runs(demo):

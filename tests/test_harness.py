@@ -132,6 +132,17 @@ def test_true_system_rejects_bad_pwa_shapes():
             replace(base, system=system).true_system()
 
 
+def test_true_system_rejects_bad_projection_dims():
+    # the 1-based [0, 1] used to pass and write the projection of states 2
+    # and 1... as <combo>_0-1.csv
+    for dims in (((0, 1),), ((1, 1),), ((1, 3),), ((1, 2, 2),), ((2,),)):
+        with pytest.raises(HarnessError, match="projection_dims"):
+            tiny_lti_config(projection_dims=dims).true_system()
+        with pytest.raises(HarnessError, match="projection_dims"):
+            run_lti_experiment(tiny_lti_config(projection_dims=dims))
+    assert tiny_lti_config(projection_dims=((2, 1),)).true_system().n_x == 2
+
+
 def test_bundled_configs_load():
     assert bundled_config("lti_5d").kind == "lti"
     assert bundled_config("pwa_2mode").kind == "pwa"
@@ -350,6 +361,26 @@ def test_metadata_times_each_study_phase(tmp_path, monkeypatch):
         assert "phase_seconds" not in (tmp_path / kind / "report.json").read_text()
     lti = json.loads((tmp_path / "lti" / "metadata.json").read_text())["phase_seconds"]
     assert lti["volumes"] >= 0.05 * len(report["volume_table"])
+
+
+def test_metadata_counts_lps_by_purpose(tmp_path):
+    run_pwa_experiment(replace(tiny_pwa_config(), horizon=4), out_dir=tmp_path)
+    lp = json.loads((tmp_path / "metadata.json").read_text())["lp"]
+    assert set(lp) == {"support", "is_empty", "contains_point"}
+    for tally in lp.values():
+        assert set(tally) == {"calls", "objectives", "cold_starts", "simplex_iterations",
+                              "seconds"}
+        assert 0 <= tally["cold_starts"] <= tally["calls"] <= tally["objectives"]
+    assert lp["support"]["simplex_iterations"] > 0
+    assert "cold_starts" not in (tmp_path / "report.json").read_text()
+    # every constrained fragment gets a hull, so each pays exactly one cold
+    # start: at its first guard-cut emptiness query or at its hull
+    constrained = 0
+    for path in (tmp_path / "sets").rglob("step*.json"):
+        for frag in json.loads(path.read_text())["fragments"]:
+            constrained += frag["set"]["type"] == "constrained_zonotope" and bool(frag["set"]["b"])
+    assert constrained > 0
+    assert lp["support"]["cold_starts"] + lp["is_empty"]["cold_starts"] == constrained
 
 
 def test_lti_seed_changes_report():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from datareach.linalg import RANK_RTOL, LpProblem, lp_solve, svd
+from datareach.linalg import BASIC, RANK_RTOL, LpProblem, lp_counts, lp_solve, svd
 
 
 def test_svd_reconstruction_and_orthogonality():
@@ -202,3 +202,73 @@ def test_lp_solve_batch_statuses():
     assert [r.status for r in res] == ["unbounded", "feasible", "unbounded"]
     assert res[1].objective == 0.0
     assert lp_solve(LpProblem(np.zeros((0, 2)), None, None, *box)) == []
+
+
+def test_lp_solve_extra_rows_and_starting_basis():
+    rng = np.random.default_rng(60)
+    for _ in range(20):
+        n, q, k = 8, 3, 2
+        a_eq = rng.normal(size=(q, n))
+        x0 = rng.uniform(-0.5, 0.5, size=n)
+        b_eq = a_eq @ x0
+        rows = rng.normal(size=(k, n))
+        lo, hi = rows @ x0 - 0.2, np.array([np.inf, rows[1] @ x0 + 0.1])
+        box = (-np.ones(n), np.ones(n))
+        c = rng.normal(size=n)
+        # the extra rows as equalities on bounded slack columns
+        ref = lp_solve(LpProblem(np.concatenate([c, np.zeros(k)]),
+                                 np.block([[a_eq, np.zeros((q, k))], [rows, -np.eye(k)]]),
+                                 np.concatenate([b_eq, np.zeros(k)]),
+                                 np.concatenate([box[0], lo]), np.concatenate([box[1], hi])))
+        got = lp_solve(LpProblem(c, a_eq, b_eq, *box, rows=(rows, lo, hi)))
+        assert np.isclose(got.objective, ref.objective, atol=1e-9)
+        cols, row_status = got.basis
+        assert cols.dtype == row_status.dtype == np.int8
+        assert (cols.size, row_status.size) == (n, q + k)
+        assert np.count_nonzero(cols == BASIC) + np.count_nonzero(row_status == BASIC) == q + k
+        # a basis of the equalities alone starts the LP with the extra rows:
+        # the extra rows' slacks start basic
+        plain = lp_solve(LpProblem(c, a_eq, b_eq, *box))
+        warm = lp_solve(LpProblem(c, a_eq, b_eq, *box, rows=(rows, lo, hi), basis=plain.basis))
+        assert np.isclose(warm.objective, ref.objective, atol=1e-9)
+        # and a stack of objectives from the final basis matches cold solves
+        costs = rng.normal(size=(4, n))
+        again = lp_solve(LpProblem(costs, a_eq, b_eq, *box, basis=plain.basis))
+        for obj, r in zip(costs, again):
+            assert np.isclose(r.objective, lp_solve(LpProblem(obj, a_eq, b_eq, *box)).objective,
+                              atol=1e-9)
+        assert all(r.basis is None for r in again[:-1]) and again[-1].basis is not None
+
+
+def test_lp_solve_rejects_bad_rows_and_bases():
+    box = (-np.ones(3), np.ones(3))
+    a_eq, b_eq = np.ones((1, 3)), np.zeros(1)
+    with pytest.raises(ValueError):
+        lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box, rows=(np.ones((2, 2)), [0, 0], [1, 1])))
+    with pytest.raises(ValueError):
+        lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box, rows=(np.ones((2, 3)), [0], [1, 1])))
+    with pytest.raises(ValueError):
+        lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box, rows=(np.ones((1, 3)), [np.nan], [1])))
+    basis = lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box)).basis
+    for bad in ((basis[0], np.zeros(0, np.int8)),             # basic count off
+                (np.concatenate([basis[0], [0]]), basis[1])):  # more columns than the LP
+        with pytest.raises(ValueError, match="basis"):
+            lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box, basis=bad))
+    infeasible = lp_solve(LpProblem(np.ones(3), a_eq, np.array([5.0]), *box))
+    assert infeasible.status == "infeasible" and infeasible.basis is None
+
+
+def test_lp_counts_tally_by_purpose():
+    box = (-np.ones(3), np.ones(3))
+    a_eq, b_eq = np.ones((1, 3)), np.zeros(1)
+    lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box))  # nobody counting
+    with lp_counts() as counts:
+        first = lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box, purpose="a"))
+        lp_solve(LpProblem(np.eye(3), a_eq, b_eq, *box, basis=first.basis, purpose="a"))
+        with lp_counts() as inner:
+            lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box, purpose="b"))
+        lp_solve(LpProblem(np.ones(3), None, None, *box))
+    assert set(counts) == {"a", "lp"} and set(inner) == {"b"}
+    a = counts["a"]
+    assert (a["calls"], a["objectives"], a["cold_starts"]) == (2, 4, 1)
+    assert a["simplex_iterations"] >= 1 and a["seconds"] > 0.0

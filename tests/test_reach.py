@@ -18,14 +18,17 @@ from datareach.reach import (
     replay_split,
     replay_step,
 )
+from datareach.linalg import lp_counts
 from datareach.sets import (
     ConstrainedMatrixZonotope,
     ConstrainedZonotope,
+    EmptySet,
     MatrixZonotope,
     Zonotope,
     contains_point,
     halfspace_intersection,
     halfspace_intersection_with_plan,
+    is_empty,
     sample_factors,
     support,
 )
@@ -299,6 +302,49 @@ def test_uncut_pieces_skip_the_emptiness_lp(monkeypatch):
         assert frag.mode == ref.mode == 0 and frag.parent == 0 and frag.split == (("pass",),)
         assert isinstance(frag.set, ConstrainedZonotope) and frag.set.num_constraints > 0
         assert np.array_equal(frag.set.G, ref.set.G) and np.array_equal(frag.set.A, ref.set.A)
+
+
+def test_guard_cut_emptiness_is_asked_of_the_parent(monkeypatch):
+    # three guarded modes, one with a two-halfspace region, and constrained
+    # models: every emptiness LP is a region query on a parent fragment, and
+    # the kept children are exactly the pieces whose cut set is nonempty
+    rng = np.random.default_rng(15)
+    pwa = PwaSpec([
+        PwaMode(region=[Halfspace([1.0, 0.0], 0.0)]),
+        PwaMode(region=[Halfspace([-1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.3)]),
+        PwaMode(region=[Halfspace([-1.0, 0.0], 0.0), Halfspace([0.0, -1.0], -0.3)]),
+    ])
+    models = [make_constrained_model(rng, 2, 1, 4) for _ in range(3)]
+    x0 = halfspace_intersection(Zonotope([0.05, 0.2], 0.3 * np.eye(2)), [1.0, 1.0], 0.4)
+    support(x0, np.eye(2))  # x0 now carries a basis of its own LP
+    u_prop = Zonotope([0.0], np.array([[0.2]]))
+    w = Zonotope(np.zeros(2), 0.01 * np.eye(2))
+    asked = []
+
+    def recording(z, region=()):
+        asked.append((z, len(region)))
+        return is_empty(z, region=region)
+
+    monkeypatch.setattr(reach, "is_empty", recording)
+    with lp_counts() as counts:
+        res = propagate_pwa(models, pwa, x0, u_prop, w, 3, 8)
+    assert res.steps[0].fragments[0].set is not x0  # a fresh copy: no basis carried in
+    assert counts["is_empty"]["calls"] == len(asked) > 0
+    assert {n for _, n in asked} == {1, 2}
+    for k in range(1, 4):
+        parents = res.steps[k - 1].fragments
+        kept = {(f.parent, f.mode) for f in res.steps[k].fragments}
+        for z, _ in asked:
+            assert any(z is p.set for step in res.steps for p in step.fragments)
+        for fi, frag in enumerate(parents):
+            for q, mode in enumerate(pwa.modes):
+                piece = frag.set.copy()
+                for h in mode.region:
+                    piece, _ = halfspace_intersection_with_plan(piece, h.normal, h.offset)
+                    if isinstance(piece, EmptySet):
+                        break
+                nonempty = not isinstance(piece, EmptySet) and not is_empty(piece)
+                assert ((fi, q) in kept) is nonempty, (k, fi, q)
 
 
 def test_replay_step_rejects_wrong_factor_width():

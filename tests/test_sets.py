@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from datareach import sets
-from datareach.linalg import LpProblem, lp_solve
+from datareach import linalg, sets
+from datareach.linalg import LpProblem, lp_counts, lp_solve
 from datareach.reach import propagation_step, replay_step
 from datareach.sets import (
     ConstrainedMatrixZonotope,
@@ -736,6 +737,177 @@ def test_project_polygon_point():
     poly = project_polygon(z, (0, 1))
     assert poly.shape == (1, 2)
     assert np.allclose(poly[0], [3.0, 4.0])
+
+
+def test_projection_and_point_dimensions_are_validated():
+    z = random_zonotope(np.random.default_rng(32), 3, 4)
+    cz, _ = random_czonotope(np.random.default_rng(33), 3, 5)
+    for s in (z, cz, EmptySet(3)):
+        # a negative index used to project the last coordinate, a repeated
+        # one a diagonal, and one past the dimension raised IndexError
+        for dims in ((-1, 0), (1, 1), (1, 7), (0, 3), (0.5, 1)):
+            with pytest.raises(ValueError):
+                project_polygon(s, dims)
+    assert project_polygon(cz, (2, 0)).shape[1] == 2
+    with pytest.raises(ValueError):
+        contains_point(EmptySet(3), [0.0, 0.0])  # used to return False
+    with pytest.raises(ValueError):
+        is_empty(cz, region=[([1.0, 0.0], 0.0)])
+
+
+# ---------------------------------------------------------------------------
+# the LP basis kept per constrained set
+
+
+def random_cz_with_free_factors(rng, n=3, m=14, q=6, n_free=4):
+    """A nonempty constrained zonotope with q random constraint rows, whose
+    n_free factors carry none, and one member point."""
+    a = rng.normal(size=(q, m))
+    a[:, rng.choice(m, n_free, replace=False)] = 0.0
+    xi = rng.uniform(-0.7, 0.7, m)
+    cz = ConstrainedZonotope(rng.normal(size=n), rng.normal(size=(n, m)), a, a @ xi)
+    return cz, cz.c + cz.G @ xi
+
+
+def _cold_support(z, dirs):
+    """Support values from one cold LP per direction over all factors."""
+    m = z.num_generators
+    return np.array([d @ z.c + lp_solve(LpProblem(d @ z.G, z.A, z.b, -np.ones(m),
+                                                  np.ones(m))).objective for d in dirs])
+
+
+def _cold_feasible(z, rows, lo, hi, box):
+    """Cold feasibility of |xi| <= box, A xi = b, lo <= rows xi <= hi, with
+    the rows as equalities on slack variables."""
+    m, k = z.num_generators, rows.shape[0]
+    a_eq = np.block([[z.A, np.zeros((z.num_constraints, k))], [rows, -np.eye(k)]])
+    res = lp_solve(LpProblem(np.zeros(m + k), a_eq, np.concatenate([z.b, np.zeros(k)]),
+                             np.concatenate([-box * np.ones(m), lo]),
+                             np.concatenate([box * np.ones(m), hi])))
+    return res.status == "feasible"
+
+
+def test_warm_queries_match_cold_lps():
+    rng = np.random.default_rng(40)
+    for trial in range(6):
+        cz, inside = random_cz_with_free_factors(rng)
+        dirs = rng.normal(size=(10, 3))
+        h = rng.normal(size=3)
+        lo, hi = -_cold_support(cz, [-h])[0], _cold_support(cz, [h])[0]
+        outside = cz.c + 10.0 * (hi - h @ cz.c + 1.0) * h / (h @ h)
+        queries = [
+            ("support", lambda: support(cz, dirs), lambda: _cold_support(cz, dirs)),
+            ("hull", lambda: np.concatenate(interval_hull(cz)),
+             lambda: np.concatenate([-_cold_support(cz, -np.eye(3)), _cold_support(cz, np.eye(3))])),
+            ("inside", lambda: contains_point(cz, inside, tol=1e-7),
+             lambda: _cold_feasible(cz, cz.G, inside - cz.c - 1e-7, inside - cz.c + 1e-7, 1 + 1e-7)),
+            ("outside", lambda: contains_point(cz, outside),
+             lambda: _cold_feasible(cz, cz.G, outside - cz.c - 1e-9, outside - cz.c + 1e-9, 1 + 1e-9)),
+            ("cut", lambda: is_empty(cz, region=[(h, 0.5 * (lo + hi))]), lambda: False),
+            ("disjoint", lambda: is_empty(cz, region=[(h, lo - 0.1)]), lambda: True),
+            ("two cuts", lambda: is_empty(cz, region=[(h, 0.5 * (lo + hi)), (-h, -hi + 0.1)]),
+             lambda: not _cold_feasible(cz, np.vstack([h, -h]) @ cz.G, np.full(2, -np.inf),
+                                        np.array([0.5 * (lo + hi), -hi + 0.1])
+                                        - np.vstack([h, -h]) @ cz.c, 1.0)),
+            ("own", lambda: is_empty(cz), lambda: False),
+        ]
+        order = rng.permutation(len(queries)) if trial else range(len(queries))
+        for i in order:
+            name, warm, cold = queries[i]
+            got, expect = warm(), cold()
+            if isinstance(expect, bool):
+                assert got is expect, name
+            else:
+                assert np.max(np.abs(got - expect)) <= 1e-9, name
+        # the polygon: its support in each of its directions is the cold one
+        angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        flat = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        poly = project_polygon(cz, (2, 0), n_dirs=16)
+        full = np.zeros((16, 3))
+        full[:, 2], full[:, 0] = flat[:, 0], flat[:, 1]
+        assert np.max(np.abs(np.max(poly @ flat.T, axis=0) - _cold_support(cz, full))) <= 1e-9
+
+
+def test_outside_point_leaves_later_supports_unchanged():
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        cz, _ = random_cz_with_free_factors(rng)
+        twin = cz.copy()
+        dirs = rng.normal(size=(8, 3))
+        first = support(cz, dirs)
+        assert np.array_equal(first, support(twin, dirs))
+        kept = cz._lp_basis
+        far = cz.c + 2.0 * (np.abs(cz.G).sum(axis=1) + 1.0)
+        assert not contains_point(cz, far)
+        assert cz._lp_basis is kept
+        assert np.array_equal(support(cz, dirs[::-1]), support(twin, dirs[::-1]))
+
+
+def test_only_the_first_lp_on_a_set_starts_cold():
+    rng = np.random.default_rng(42)
+    cz, inside = random_cz_with_free_factors(rng)
+    h = rng.normal(size=3)
+    mid = float(h @ inside)
+    with lp_counts() as counts:
+        support(cz, rng.normal(size=(5, 3)))
+        interval_hull(cz)
+        is_empty(cz, region=[(h, mid)])
+        is_empty(cz, region=[(h, mid), (-h, -mid + 0.1)])
+        contains_point(cz, inside, tol=1e-7)
+        project_polygon(cz, (0, 1))
+        is_empty(cz)
+        support(cz, h)
+    assert set(counts) == {"support", "is_empty", "contains_point"}
+    assert sum(c["cold_starts"] for c in counts.values()) == 1
+    assert counts["support"]["cold_starts"] == 1
+    assert sum(c["calls"] for c in counts.values()) == 8
+    assert counts["support"]["objectives"] == 5 + 6 + 32 + 1
+    # a fresh set pays its own cold start
+    with lp_counts() as counts:
+        is_empty(cz.copy(), region=[(h, mid)])
+    assert counts["is_empty"]["cold_starts"] == 1
+
+
+def test_region_emptiness_agrees_with_halfspace_intersection():
+    rng = np.random.default_rng(43)
+    for trial in range(12):
+        z = random_zonotope(rng, 3, 5) if trial % 3 == 0 else random_cz_with_free_factors(rng)[0]
+        h = rng.normal(size=3)
+        lo, hi = -support(z, -h), support(z, h)
+        for offset in (lo - 0.05 * (hi - lo), lo + 0.3 * (hi - lo), lo + 1e-6):
+            expect = is_empty(halfspace_intersection(z, h, offset))
+            assert is_empty(z, region=[(h, offset)]) is expect
+            assert expect is (offset < lo)
+        g = rng.normal(size=3)
+        for o1, o2 in ((lo + 0.5 * (hi - lo), -lo - 0.6 * (hi - lo)), (hi, -support(z, g) + 0.1)):
+            for a_h, b_h in (((h, o1), (-h, o2)), ((h, o1), (g, o2))):
+                two = halfspace_intersection(halfspace_intersection(z, *a_h), *b_h)
+                assert is_empty(z, region=[a_h, b_h]) is is_empty(two)
+
+
+def test_lp_basis_slot_holds_status_arrays_only(monkeypatch):
+    made = []
+    real = linalg._highs_model
+
+    def tracked(*args):
+        highs = real(*args)
+        made.append(weakref.ref(highs))
+        return highs
+
+    monkeypatch.setattr(linalg, "_highs_model", tracked)
+    cz, inside = random_cz_with_free_factors(np.random.default_rng(44))
+    assert "_lp_basis" in ConstrainedZonotope.__slots__
+    assert cz._lp_basis is None and cz.copy()._lp_basis is None
+    support(cz, np.eye(3))
+    contains_point(cz, inside, tol=1e-7)
+    assert type(cz._lp_basis) is tuple and len(cz._lp_basis) == 2
+    cols, rows = cz._lp_basis
+    assert type(cols) is type(rows) is np.ndarray and cols.dtype == rows.dtype == np.int8
+    assert cols.shape == (int(np.count_nonzero(np.any(cz.A != 0.0, axis=0))),)
+    assert rows.shape == (cz.num_constraints,)
+    assert np.count_nonzero(cols == 1) + np.count_nonzero(rows == 1) == cz.num_constraints
+    # no solver instance outlives its call
+    assert len(made) == 2 and all(ref() is None for ref in made)
 
 
 # ---------------------------------------------------------------------------

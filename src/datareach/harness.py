@@ -18,7 +18,7 @@ streams.
 Output layout (when an output directory is given):
 
     report.json                     all numeric results, deterministic
-    metadata.json                   timestamps, runtime, phase times, LP counts, versions
+    metadata.json                   timestamps, runtime, phase times, LP and design counts, versions
     sets/<combo>/step<k>.json       reachable fragments per step
     polygons/<combo>_<i>-<j>.csv    2-D projection outlines per step
     volume_table.csv                tabulated-step volumes and ratios (lti)
@@ -28,7 +28,7 @@ Output layout (when an output directory is given):
 import csv
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -37,6 +37,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import __version__
+from .counters import design_counts, lp_counts
 from .inputdesign import (
     DesignConfig,
     design_input,
@@ -44,7 +45,7 @@ from .inputdesign import (
     info_update,
     sample_input,
 )
-from .linalg import lp_counts, svd
+from .linalg import svd
 from .modelset import DataSet, build_model_sets, generator_norm_proxy
 from .reach import (
     Halfspace,
@@ -223,7 +224,10 @@ class ExperimentConfig:
         self.pwa_variants = tuple((m, r) for m, r in self.pwa_variants)
         self.projection_dims = tuple(tuple(int(i) for i in p) for p in self.projection_dims)
         if isinstance(self.design, dict):
-            self.design = DesignConfig(**self.design)
+            try:
+                self.design = DesignConfig(**self.design)
+            except (TypeError, ValueError) as e:  # an unknown key or a bad value
+                raise HarnessError(f"design: {e}") from e
 
     @property
     def x0_collect(self):
@@ -271,8 +275,7 @@ class ExperimentConfig:
         for f in fields(self):
             v = getattr(self, f.name)
             if f.name == "design":
-                v = {"n_candidates": v.n_candidates, "refine_iters": v.refine_iters,
-                     "refine_step": v.refine_step, "rng_seed": v.rng_seed}
+                v = asdict(v)
             elif isinstance(v, (Zonotope, ConstrainedZonotope)):
                 v = v.to_dict()
             elif isinstance(v, tuple):
@@ -578,11 +581,12 @@ class _Laps:
         self._mark = now
 
 
-def _emit_common(out, cfg, report, runs, fmt, tables, t0, lap, lp):
+def _emit_common(out, cfg, report, runs, fmt, tables, t0, lap, tallies):
     """Write the full output layout; metadata.json comes last so that its
     runtime_seconds (counted from perf_counter t0, before lap started)
-    covers all the rest, the phases timed by lap included, and its lp
-    block (the study's lp_counts) includes the polygon LPs."""
+    covers all the rest, the phases timed by lap included, and its tallies
+    (the study's lp_counts and design_counts, one block each) include the
+    polygon LPs."""
     _write_json(out / "report.json", report)
     for combo, run in runs.items():
         _emit_sets(out, combo, run)
@@ -594,7 +598,7 @@ def _emit_common(out, cfg, report, runs, fmt, tables, t0, lap, lp):
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "runtime_seconds": time.perf_counter() - t0,
         "phase_seconds": lap.seconds,
-        "lp": lp,
+        **tallies,
         "versions": {
             "datareach": __version__,
             "numpy": np.__version__,
@@ -654,11 +658,11 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
     trajectories, and (optionally) compares supports and final volumes.
     Returns the report dict; with out_dir the full file layout is written.
     """
-    with lp_counts() as lp:
-        return _lti_study(cfg, out_dir, fmt, lp)
+    with lp_counts() as lp, design_counts() as design:
+        return _lti_study(cfg, out_dir, fmt, {"lp": lp, "design": design})
 
 
-def _lti_study(cfg, out_dir, fmt, lp):
+def _lti_study(cfg, out_dir, fmt, tallies):
     t0 = time.perf_counter()
     lap = _Laps(("collect", "propagate", "supports", "self_check", "volumes", "emit"))
     if cfg.kind != "lti":
@@ -770,7 +774,7 @@ def _lti_study(cfg, out_dir, fmt, lp):
         if "volume_table" in report:
             tables.append(("volume_table.csv", ["method", "volume", "ratio"],
                            [[r["method"], r["volume"], r["ratio"]] for r in report["volume_table"]]))
-        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0, lap, lp)
+        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0, lap, tallies)
     return report
 
 
@@ -782,11 +786,11 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
     with per-mode trajectory certificates, and reports fragment counts,
     interval hulls, and (optionally) union supports.
     """
-    with lp_counts() as lp:
-        return _pwa_study(cfg, out_dir, fmt, lp)
+    with lp_counts() as lp, design_counts() as design:
+        return _pwa_study(cfg, out_dir, fmt, {"lp": lp, "design": design})
 
 
-def _pwa_study(cfg, out_dir, fmt, lp):
+def _pwa_study(cfg, out_dir, fmt, tallies):
     t0 = time.perf_counter()
     lap = _Laps(("collect", "propagate", "hulls", "supports", "self_check", "emit"))
     if cfg.kind != "pwa":
@@ -885,5 +889,5 @@ def _pwa_study(cfg, out_dir, fmt, lp):
                     rows.append([c, k, dim + 1, h["low"][dim], h["high"][dim],
                                  h["width"][dim]])
         tables = [("hull_widths.csv", ["method", "step", "dim", "low", "high", "width"], rows)]
-        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0, lap, lp)
+        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0, lap, tallies)
     return report

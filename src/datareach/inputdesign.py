@@ -1,17 +1,23 @@
 """Online input design for informative data collection.
 
 The regressor samples s = [x; u] accumulate into an information matrix
-S_k = delta I + sum_t s_t s_t'.  Choosing the next input to maximize the
-decrease of trace(S^{-1}) (the A-optimality criterion) is a fractional
-quadratic program over the input set's factors; it is attacked with random
-candidates plus projected gradient ascent.
+S = delta I + sum_t s_t s_t'.  The next input maximizes the decrease of
+trace(S^{-1}) (A-optimality), a ratio of quadratic forms in the input set's
+factors xi: with u = c + G xi, s = L z for z = [1; xi], and with P = S^{-1}
+the gain is z'Nz / z'Dz, N = (PL)'(PL), D = e0 e0' + L'PL.  It is attacked
+with random candidates plus projected gradient ascent.  The ratio is known
+to about 1e-9 relative only: the forms inherit the conditioning of S^{-1}.
 """
 
+import numbers
+import time
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from .sets import ConstrainedZonotope, Zonotope, project_factors, sample_factors
+from . import counters
+from .sets import Zonotope, project_factors, sample_factors
 
 # Maintained-inverse drift (||S S_inv - I||_F) above which the inverse is
 # recomputed from scratch.
@@ -45,6 +51,14 @@ class DesignConfig:
     refine_iters: int = 50
     refine_step: float = 0.5
     rng_seed: int = 0
+
+    def __post_init__(self):
+        for name, low in (("n_candidates", 1), ("refine_iters", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise ValueError(f"{name} must be an int >= {low}, got {v!r}")
+        if not (isinstance(self.refine_step, numbers.Real) and 0.0 < self.refine_step < np.inf):
+            raise ValueError(f"refine_step must be finite and positive, got {self.refine_step!r}")
 
 
 def info_init(d, delta=1e-3):
@@ -91,78 +105,63 @@ def sample_input(u_set, rng):
     return u_set.c + u_set.G @ xi
 
 
-def _fractional_terms(state, x, u_set):
-    """Coefficients of the objective over factors xi:
-
-        f(xi) = (c2 + 2 q2.xi + xi.Q2.xi) / (1 + c1 + 2 q1.xi + xi.Q1.xi)
-    """
-    n_x = np.asarray(x).size
-    a = np.concatenate([np.asarray(x, dtype=float).reshape(-1), u_set.c])
-    b = np.vstack([np.zeros((n_x, u_set.num_generators)), u_set.G])
-    p1 = state.s_inv
-    p2 = p1 @ p1
-    return {
-        "q1": b.T @ (p1 @ a), "q2": b.T @ (p2 @ a),
-        "Q1": b.T @ p1 @ b, "Q2": b.T @ p2 @ b,
-        "c1": float(a @ p1 @ a), "c2": float(a @ p2 @ a),
-    }
-
-
-def _objective(terms, xi):
-    """Vectorized objective for factor rows xi (N, m) or a single row."""
-    xi = np.atleast_2d(xi)
-    num = terms["c2"] + 2.0 * xi @ terms["q2"] + np.einsum("ni,ij,nj->n", xi, terms["Q2"], xi)
-    den = 1.0 + terms["c1"] + 2.0 * xi @ terms["q1"] + np.einsum("ni,ij,nj->n", xi, terms["Q1"], xi)
-    return num / den
-
-
-def _gradient(terms, xi):
-    num = float(terms["c2"] + 2.0 * xi @ terms["q2"] + xi @ terms["Q2"] @ xi)
-    den = 1.0 + float(terms["c1"] + 2.0 * xi @ terms["q1"] + xi @ terms["Q1"] @ xi)
-    d_num = 2.0 * (terms["q2"] + terms["Q2"] @ xi)
-    d_den = 2.0 * (terms["q1"] + terms["Q1"] @ xi)
-    return (d_num * den - num * d_den) / den**2
-
-
-def _project(u_set, xi):
-    if isinstance(u_set, Zonotope) or u_set.num_constraints == 0:
-        return np.clip(xi, -1.0, 1.0), True
-    proj, ok = project_factors(u_set.A, u_set.b, xi[None, :])
-    return proj[0], bool(ok[0])
+def _gain_at(forms, xi):
+    """The gain z'Nz / z'Dz at z = [1; xi] and its gradient in xi, in Python
+    floats: for a few factors, numpy's per-call overhead outweighs the work."""
+    z = [1.0, *xi]
+    nz, dz = ([sum(map(mul, row, z)) for row in form] for form in forms)
+    num, den = sum(map(mul, nz, z)), sum(map(mul, dz, z))
+    scale = 2.0 / (den * den)
+    return num / den, [scale * (a * den - num * b) for a, b in zip(nz[1:], dz[1:])]
 
 
 def design_input(state, x, u_set, config=None, rng=None):
     """Pick the input in u_set that maximizes the information gain delta_A.
 
     Random candidate factors seed a projected gradient ascent with a halving
-    (Armijo) line search; the best point seen anywhere is kept.  Returns
-    (u, gain).
+    (Armijo) line search from the best of them.  Returns (u, gain).
     """
+    counts, start = counters.DESIGN.get(), time.perf_counter()
     config = config or DesignConfig()
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
-    terms = _fractional_terms(state, x, u_set)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    n_x = state.dim - u_set.dim
+    if x.size != n_x or not np.all(np.isfinite(x)):
+        raise ValueError(f"x must have {n_x} finite entries, got {x}")
+    rng = np.random.default_rng(config.rng_seed) if rng is None else rng
+    lift = np.zeros((state.dim, u_set.num_generators + 1))  # L, with s = L z
+    lift[:n_x, 0], lift[n_x:, 0], lift[n_x:, 1:] = x, u_set.c, u_set.G
+    pl = state.s_inv @ lift
+    forms = np.stack([pl.T @ pl, lift.T @ pl])  # N and D
+    forms[1, 0, 0] += 1.0
+    forms = 0.5 * (forms + forms.transpose(0, 2, 1))
     cands = sample_factors(u_set, rng, config.n_candidates)
-    vals = _objective(terms, cands)
-    best_idx = int(np.argmax(vals))
-    best_xi, best_val = cands[best_idx].copy(), float(vals[best_idx])
-
-    xi, val = best_xi.copy(), best_val
-    for _ in range(config.refine_iters):
-        grad = _gradient(terms, xi)
+    zs = np.hstack([np.ones((len(cands), 1)), cands])
+    num, den = np.einsum("ni,kij,nj->kn", zs, forms, zs)
+    forms, xi = forms.tolist(), cands[int(np.argmax(num / den))].tolist()
+    val, grad = _gain_at(forms, xi)
+    box = isinstance(u_set, Zonotope) or u_set.num_constraints == 0
+    steps = 0
+    while steps < config.refine_iters:
         step = config.refine_step
-        moved = False
         while step > 1e-12:
-            cand, feasible = _project(u_set, xi + step * grad)
+            trial = [a + step * g for a, g in zip(xi, grad)]
+            if box:
+                trial, feasible = [min(max(t, -1.0), 1.0) for t in trial], True
+            else:
+                proj, ok = project_factors(u_set.A, u_set.b, np.array([trial]))
+                trial, feasible = proj[0].tolist(), bool(ok[0])
             if feasible:
-                cand_val = float(_objective(terms, cand)[0])
-                gap = float(grad @ (cand - xi))
-                if cand_val >= val + 1e-4 * gap and cand_val > val:
-                    xi, val, moved = cand, cand_val, True
+                t_val, t_grad = _gain_at(forms, trial)
+                gap = sum([g * (t - a) for g, t, a in zip(grad, trial, xi)])
+                if t_val >= val + 1e-4 * gap and t_val > val:
+                    xi, val, grad, steps = trial, t_val, t_grad, steps + 1
                     break
             step *= 0.5
-        if not moved:
+        else:  # no step length was accepted
             break
-    if val > best_val:
-        best_xi, best_val = xi, val
-    return u_set.c + u_set.G @ best_xi, best_val
+    if counts is not None:
+        counts["calls"] += 1
+        counts["refine_iterations"] += steps
+        counts["capped_calls"] += steps == config.refine_iters
+        counts["seconds"] += time.perf_counter() - start
+    return u_set.c + u_set.G @ np.array(xi), val

@@ -5,14 +5,14 @@ funnels its numerics through this module so that the rank tolerance and LP
 conventions are defined in exactly one place.
 """
 
-import contextvars
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
+
+from . import counters
 
 try:
     # the HiGHS binding that scipy.optimize.linprog wraps; it keeps a model
@@ -101,7 +101,7 @@ class LpProblem:
     columns and rows: the columns past it start nonbasic at a bound and the
     rows past it start with their slack basic, which keeps a basis of the
     leading block a basis of the whole LP.  purpose names the caller in
-    the lp_counts tally.
+    the counters.lp_counts tally.
     """
 
     c: np.ndarray
@@ -139,27 +139,6 @@ LOWER, BASIC, UPPER, ZERO = 0, 1, 2, 3
 _STATUS = tuple(_highs.HighsBasisStatus(code) for code in range(5))
 _ROW_WISE = int(_highs.MatrixFormat.kRowwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
-
-# the lp_counts tally of the current context; None when nobody counts
-_COUNTS = contextvars.ContextVar("datareach_lp_counts", default=None)
-
-
-@contextmanager
-def lp_counts():
-    """Count the LPs that lp_solve runs inside the block, by purpose.
-
-    Yields a dict that fills as LPs run: purpose -> {"calls",
-    "objectives", "cold_starts" (calls given no starting basis),
-    "simplex_iterations", "seconds"}.  An inner block counts its LPs in
-    its own dict only.
-    """
-    counts = {}
-    token = _COUNTS.set(counts)
-    try:
-        yield counts
-    finally:
-        _COUNTS.reset(token)
-
 
 def _bound(v, n, default, name):
     out = np.full(n, default) if v is None else np.asarray(v, dtype=float).reshape(-1)
@@ -299,7 +278,7 @@ def lp_solve(problem):
     ub = _bound(problem.ub, n, np.inf, "ub")
     rows, lo, hi = _rows(problem, n)
 
-    counts = _COUNTS.get()
+    counts = counters.LP.get()
     tally = None
     if counts is not None:
         tally = counts.setdefault(problem.purpose, dict.fromkeys(

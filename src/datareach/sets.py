@@ -779,14 +779,13 @@ def project_factors(a, b, xi, passes=100, tol=1e-9):
 def sample_factors(z, rng, count, max_tries=50):
     """count feasible factor rows (count x m) for a zonotope or constrained
     zonotope, drawn uniformly then projected onto the constraints."""
-    cz = _to_cz(z)
-    m = cz.num_generators
-    if cz.num_constraints == 0:
+    m = z.num_generators
+    if isinstance(z, Zonotope) or z.num_constraints == 0:
         return rng.uniform(-1.0, 1.0, size=(count, m))
     out = np.empty((0, m))
     for _ in range(max_tries):
         raw = rng.uniform(-1.0, 1.0, size=(count, m))
-        proj, ok = project_factors(cz.A, cz.b, raw)
+        proj, ok = project_factors(z.A, z.b, raw)
         out = np.vstack([out, proj[ok]])
         if out.shape[0] >= count:
             return out[:count]

@@ -96,6 +96,18 @@ def test_config_rejects_bad_kind_and_sampling():
         tiny_lti_config(volume_step=7)
 
 
+def test_config_rejects_bad_design_block():
+    for design, field in (({"n_candidates": 0}, "n_candidates"),
+                          ({"refine_iters": -3}, "refine_iters"),
+                          ({"refine_step": float("nan")}, "refine_step"),
+                          ({"refine_steps": 0.5}, "refine_steps")):
+        with pytest.raises(HarnessError, match=field):
+            tiny_lti_config(design=design)
+    cfg = tiny_lti_config(design={"n_candidates": 7, "refine_step": 0.25})
+    assert cfg.to_dict()["design"] == {"n_candidates": 7, "refine_iters": 50,
+                                       "refine_step": 0.25, "rng_seed": 0}
+
+
 def test_config_rejects_dimension_mismatch():
     cfg = tiny_lti_config(x0={"center": [0.0, 0.0, 0.0], "generators": np.eye(3).tolist()})
     with pytest.raises(HarnessError, match="x0"):
@@ -381,6 +393,20 @@ def test_metadata_counts_lps_by_purpose(tmp_path):
             constrained += frag["set"]["type"] == "constrained_zonotope" and bool(frag["set"]["b"])
     assert constrained > 0
     assert lp["support"]["cold_starts"] + lp["is_empty"]["cold_starts"] == constrained
+
+
+def test_metadata_counts_designed_inputs(tmp_path):
+    cfg = tiny_lti_config(compute_supports=False, compute_volumes=False)
+    run_lti_experiment(cfg, out_dir=tmp_path / "both")
+    design = json.loads((tmp_path / "both" / "metadata.json").read_text())["design"]
+    assert design["calls"] == cfg.k_trajectories * cfg.t_steps
+    assert 0 <= design["capped_calls"] <= design["calls"]
+    assert 0 < design["refine_iterations"] <= design["calls"] * cfg.design.refine_iters
+    assert design["seconds"] > 0.0
+    assert "refine_iterations" not in (tmp_path / "both" / "report.json").read_text()
+    run_lti_experiment(replace(cfg, input_modes=("random",)), out_dir=tmp_path / "random")
+    design = json.loads((tmp_path / "random" / "metadata.json").read_text())["design"]
+    assert design == {"calls": 0, "refine_iterations": 0, "capped_calls": 0, "seconds": 0}
 
 
 def test_lti_seed_changes_report():

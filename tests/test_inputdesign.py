@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from datareach.counters import design_counts
 from datareach.inputdesign import (
     DesignConfig,
     InfoState,
@@ -10,7 +11,7 @@ from datareach.inputdesign import (
     info_update,
     sample_input,
 )
-from datareach.sets import Zonotope, contains_point, halfspace_intersection
+from datareach.sets import Zonotope, contains_point, halfspace_intersection, sample_factors
 
 
 def test_info_init():
@@ -142,6 +143,82 @@ def test_design_input_is_deterministic_for_fixed_seed():
     u1, g1 = design_input(st, x, u_set, DesignConfig(rng_seed=42))
     u2, g2 = design_input(st, x, u_set, DesignConfig(rng_seed=42))
     assert np.array_equal(u1, u2) and g1 == g2
+
+
+def _reference_gain(state, x, u_set, xi):
+    """The gain over factor rows xi in the xi-form the design kernel replaced:
+    (c2 + 2 q2.xi + xi.Q2.xi) / (1 + c1 + 2 q1.xi + xi.Q1.xi)."""
+    a = np.concatenate([x, u_set.c])
+    b = np.vstack([np.zeros((x.size, u_set.num_generators)), u_set.G])
+    p1 = state.s_inv
+    p2 = p1 @ p1
+    num = (a @ p2 @ a + 2.0 * xi @ (b.T @ (p2 @ a))
+           + np.einsum("ni,ij,nj->n", xi, b.T @ p2 @ b, xi))
+    den = (1.0 + a @ p1 @ a + 2.0 * xi @ (b.T @ (p1 @ a))
+           + np.einsum("ni,ij,nj->n", xi, b.T @ p1 @ b, xi))
+    return num / den
+
+
+def _design_cases():
+    """Seeded information states, some with fewer updates than dimensions,
+    on box input sets with 1..4 factors and one constrained input set."""
+    constrained = halfspace_intersection(Zonotope([0.0, 0.0], np.eye(2)), [1.0, 1.0], 0.5)
+    for seed in range(40):
+        rng = np.random.default_rng(100 + seed)
+        n_x, n_u, m = int(rng.integers(1, 5)), int(rng.integers(1, 3)), 1 + seed % 4
+        u_set = Zonotope(rng.normal(size=n_u), rng.normal(size=(n_u, m)))
+        if seed == 39:
+            n_u, u_set = 2, constrained
+        st = info_init(n_x + n_u)
+        for _ in range(int(rng.integers(0, 4 * (n_x + n_u) + 10))):
+            st = info_update(st, rng.normal(size=n_x + n_u) * rng.uniform(0.2, 3.0))
+        yield seed, st, rng.normal(size=n_x), u_set
+
+
+def test_design_kernel_matches_reference_objective_and_delta_a():
+    for seed, st, x, u_set in _design_cases():
+        cands = sample_factors(u_set, np.random.default_rng(seed), 100)
+        best = float(np.max(_reference_gain(st, x, u_set, cands)))
+        _, start = design_input(st, x, u_set, DesignConfig(rng_seed=seed, refine_iters=0))
+        assert abs(start - best) <= 1e-12 * best, seed
+        u, gain = design_input(st, x, u_set, DesignConfig(rng_seed=seed))
+        assert abs(delta_A(st, x, u) - gain) <= 1e-9 * gain, seed
+        assert gain >= start, seed
+        assert contains_point(u_set, u, tol=1e-7), seed
+
+
+def test_design_config_is_validated():
+    for bad in ({"n_candidates": 0}, {"n_candidates": 2.5}, {"n_candidates": True},
+                {"refine_iters": -3}, {"refine_iters": 1.0}, {"refine_step": -1.0},
+                {"refine_step": 0.0}, {"refine_step": float("nan")},
+                {"refine_step": float("inf")}, {"refine_step": "0.5"}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            DesignConfig(**bad)
+    assert DesignConfig(n_candidates=np.int64(3), refine_iters=0, refine_step=1).refine_iters == 0
+
+
+def test_design_input_rejects_bad_state_vector():
+    st = info_init(4)
+    u_set = Zonotope([0.0, 0.0], np.eye(2))
+    for x in (np.ones(3), np.ones(1), np.array([0.0, np.nan]), np.array([np.inf, 0.0])):
+        with pytest.raises(ValueError, match="finite entries"):
+            design_input(st, x, u_set)
+
+
+def test_design_counts_tally_calls_and_steps():
+    st = info_init(3)
+    u_set = Zonotope([0.0], np.array([[1.5]]))
+    x = np.array([0.2, 0.1])
+    design_input(st, x, u_set)  # nobody counting
+    with design_counts() as counts:
+        design_input(st, x, u_set, DesignConfig(refine_iters=0))
+        with design_counts() as inner:
+            design_input(st, x, u_set)
+        design_input(st, x, u_set, DesignConfig(refine_iters=3))
+    assert counts["calls"] == 2 and inner["calls"] == 1
+    assert counts["capped_calls"] >= 1  # refine_iters=0 always stops at its cap
+    assert counts["refine_iterations"] <= 3 and inner["refine_iterations"] <= 50
+    assert counts["seconds"] > 0.0
 
 
 def test_sample_input_stays_inside():

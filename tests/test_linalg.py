@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from datareach.linalg import BASIC, RANK_RTOL, LpProblem, lp_counts, lp_solve, svd
+from datareach.counters import lp_counts
+from datareach.linalg import BASIC, RANK_RTOL, LpProblem, lp_solve, svd
 
 
 def test_svd_reconstruction_and_orthogonality():

@@ -18,7 +18,7 @@ from datareach.reach import (
     replay_split,
     replay_step,
 )
-from datareach.linalg import lp_counts
+from datareach.counters import lp_counts
 from datareach.sets import (
     ConstrainedMatrixZonotope,
     ConstrainedZonotope,

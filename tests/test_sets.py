@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from datareach import linalg, sets
-from datareach.linalg import LpProblem, lp_counts, lp_solve
+from datareach.counters import lp_counts
+from datareach.linalg import LpProblem, lp_solve
 from datareach.reach import propagation_step, replay_step
 from datareach.sets import (
     ConstrainedMatrixZonotope,

@@ -1,5 +1,5 @@
 """Experiment harness: true-system simulation, data collection, and the
-full reachability studies with file emission.
+reachability study with file emission.
 
 The harness owns everything the library proper must not know: the ground
 truth matrices, the realized noise, and the bookkeeping that turns recorded
@@ -7,6 +7,12 @@ factor draws into containment certificates.  An experiment is described by
 an ExperimentConfig (JSON round-trippable, versioned schema) and produces a
 deterministic report dict; wall-clock data goes to a separate metadata file
 so reports stay byte-identical for a fixed config and seed.
+
+One study driver serves both the linear and the piecewise-affine study; a
+linear system is the one-mode case.  One fit loop collects each input mode
+once, splits its transitions by mode and builds each mode's model sets;
+one propagation loop, one support table and one self-check follow.  Only
+the summaries that exist for one kind alone differ.
 
 RNG streams are derived from the config seed with fixed stream ids.  The
 trajectory stream (initial states and process noise) is shared by both
@@ -40,6 +46,7 @@ from . import __version__
 from .counters import design_counts, lp_counts
 from .inputdesign import (
     DesignConfig,
+    check_counts,
     design_input,
     info_init,
     info_update,
@@ -212,6 +219,12 @@ class ExperimentConfig:
             raise HarnessError(f"kind must be 'lti' or 'pwa', got {self.kind!r}")
         if self.x0_sampling not in ("uniform", "vertex"):
             raise HarnessError(f"x0_sampling must be 'uniform' or 'vertex', got {self.x0_sampling!r}")
+        try:
+            check_counts(self, (("k_trajectories", 1), ("t_steps", 1), ("horizon", 0),
+                                ("n_check", 1), ("n_directions", 1), ("n_lp_spot", 0),
+                                ("fragment_cap", 1)))
+        except ValueError as e:
+            raise HarnessError(str(e)) from e
         if self.volume_step is not None:
             self.volume_step = int(self.volume_step)
             if not 0 <= self.volume_step <= self.horizon:
@@ -427,6 +440,42 @@ def true_noise_coefficients(log, columns=None):
     return xi_w.T.reshape(-1).copy()
 
 
+@dataclass
+class _Fit:
+    """One (input mode, right inverse) variant, fitted per mode of the true
+    system: the data part, right inverse, model sets and true noise factors
+    of each mode."""
+
+    log: CollectLog
+    parts: list
+    rinvs: list
+    bundles: list
+    betas: list
+
+
+def _fit_variants(cfg, system, variants):
+    """{(input mode, right inverse): _Fit} for each variant.
+
+    Each input mode is collected once and its transitions are split by the
+    mode active at their start; a linear system has one mode, whose part
+    holds every column in collection order.
+    """
+    collected, fits = {}, {}
+    for mode, rinv in variants:
+        if mode not in collected:
+            _, log = collect_data(cfg, system, mode)
+            collected[mode] = (log, *partition_data_by_mode(log.trajectories, system.pwa))
+        log, parts, indices = collected[mode]
+        inverse = pinv_right_inverse if rinv == "pinv" else row_norm_right_inverse
+        rinvs = [inverse(part.phi) for part in parts]
+        fits[(mode, rinv)] = _Fit(
+            log, parts, rinvs,
+            [build_model_sets(part, cfg.w.G, res.h) for part, res in zip(parts, rinvs)],
+            [true_noise_coefficients(log, idx) for idx in indices],
+        )
+    return fits
+
+
 def proxy_chain(cfg):
     """Collect both input modes and compare model-set size proxies.
 
@@ -434,22 +483,22 @@ def proxy_chain(cfg):
     row-norm right inverses, plus the two chain gaps
     proxy(designed, row_norm) - proxy(designed, pinv) and
     proxy(designed, pinv) - proxy(random, pinv) (negative means the chain
-    inequality holds).
+    inequality holds).  Linear configs only: the proxies are of one model
+    set over all the data.
     """
-    system = cfg.true_system()
+    if cfg.kind != "lti":
+        raise HarnessError(f"proxy_chain needs a linear config, got kind {cfg.kind!r}")
+    fits = _fit_variants(cfg, cfg.true_system(), product(_MODES, ("pinv", "row_norm")))
     out = {}
-    for mode in ("random", "designed"):
-        data, log = collect_data(cfg, system, mode)
-        phi = data.phi
-        pinv_res = pinv_right_inverse(phi)
-        row_res = row_norm_right_inverse(phi)
+    for mode in _MODES:
+        pinv, row = fits[(mode, "pinv")], fits[(mode, "row_norm")]
         out[mode] = {
-            "pinv_frobenius": pinv_res.frobenius_norm,
-            "proxy_pinv": generator_norm_proxy(build_model_sets(data, cfg.w.G, pinv_res.h).mz),
-            "proxy_row_norm": generator_norm_proxy(build_model_sets(data, cfg.w.G, row_res.h).mz),
-            "row_norm_sum_pinv": pinv_res.row_norm_sum,
-            "row_norm_sum_row_norm": row_res.row_norm_sum,
-            "trace_inverse": log.trace_inverse,
+            "pinv_frobenius": pinv.rinvs[0].frobenius_norm,
+            "proxy_pinv": generator_norm_proxy(pinv.bundles[0].mz),
+            "proxy_row_norm": generator_norm_proxy(row.bundles[0].mz),
+            "row_norm_sum_pinv": pinv.rinvs[0].row_norm_sum,
+            "row_norm_sum_row_norm": row.rinvs[0].row_norm_sum,
+            "trace_inverse": pinv.log.trace_inverse,
         }
     out["gap_row_norm_vs_pinv"] = out["designed"]["proxy_row_norm"] - out["designed"]["proxy_pinv"]
     out["gap_designed_vs_random"] = out["designed"]["proxy_pinv"] - out["random"]["proxy_pinv"]
@@ -498,12 +547,6 @@ def _unit_directions(rng, count, dim):
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
-def _parse_combo(combo):
-    mset, rest = combo.split("_", 1)
-    rinv, mode = rest.rsplit("_", 1)
-    return mset, rinv, mode
-
-
 def _rinv_summary(res):
     return {
         "method": res.method,
@@ -531,16 +574,11 @@ def _lp_spot_check(result, states, rng, n_spot, tol=1e-6):
     return failures
 
 
-def _support_table(runs, combos, dirs, horizon):
-    return {
-        c: [runs[c].union_support(k, dirs).tolist() for k in range(horizon + 1)]
-        for c in combos
-    }
-
-
-def _max_gap(sup_a, sup_b):
-    """max over steps and directions of sup_a - sup_b."""
-    return float(np.max(np.asarray(sup_a) - np.asarray(sup_b)))
+def _ordering(inner, outer):
+    """Whether the supports inner stay within outer: the largest excess over
+    steps and directions, and whether it is at most 1e-6."""
+    gap = float(np.max(np.asarray(inner) - np.asarray(outer)))
+    return {"max_gap": gap, "ok": gap <= 1e-6}
 
 
 def _emit_sets(out, combo, result):
@@ -658,124 +696,7 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
     trajectories, and (optionally) compares supports and final volumes.
     Returns the report dict; with out_dir the full file layout is written.
     """
-    with lp_counts() as lp, design_counts() as design:
-        return _lti_study(cfg, out_dir, fmt, {"lp": lp, "design": design})
-
-
-def _lti_study(cfg, out_dir, fmt, tallies):
-    t0 = time.perf_counter()
-    lap = _Laps(("collect", "propagate", "supports", "self_check", "volumes", "emit"))
-    if cfg.kind != "lti":
-        raise HarnessError(f"config kind is {cfg.kind!r}, expected 'lti'")
-    system = cfg.true_system()
-    _require_centered_noise(cfg.w)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "lti",
-        "name": cfg.name,
-        "config": cfg.to_dict(),
-    }
-
-    data, logs = {}, {}
-    bundles = {}
-    data_stats, rinv_stats = {}, {}
-    for mode in cfg.input_modes:
-        data[mode], logs[mode] = collect_data(cfg, system, mode)
-        phi = data[mode].phi
-        sigma = logs[mode].sigma
-        data_stats[mode] = {
-            "transitions": data[mode].T,
-            "sigma_min": float(sigma[-1]),
-            "sigma_max": float(sigma[0]),
-            "trace_inverse": logs[mode].trace_inverse,
-        }
-        for rinv in cfg.right_inverses:
-            res = pinv_right_inverse(phi) if rinv == "pinv" else row_norm_right_inverse(phi)
-            bundles[(mode, rinv)] = build_model_sets(data[mode], cfg.w.G, res.h)
-            rinv_stats[f"{rinv}_{mode}"] = _rinv_summary(res)
-            if rinv == "row_norm":
-                check = verify_sandwich(phi, res)
-                rinv_stats[f"{rinv}_{mode}"]["sandwich"] = {
-                    "lower": check.lower, "value": check.value,
-                    "upper": check.upper, "holds": check.holds,
-                }
-    report["data"] = data_stats
-    report["right_inverses"] = rinv_stats
-    report["proxies"] = {
-        f"{rinv}_{mode}": generator_norm_proxy(bundles[(mode, rinv)].mz)
-        for (mode, rinv) in bundles
-    }
-    lap("collect")
-
-    combos, runs = [], {}
-    for mode, rinv, mset in product(cfg.input_modes, cfg.right_inverses, cfg.model_sets):
-        combo = f"{mset}_{rinv}_{mode}"
-        bundle = bundles[(mode, rinv)]
-        model = bundle.mz if mset == "mz" else bundle.cmz
-        runs[combo] = propagate_pwa([model], system.pwa, cfg.x0, cfg.u_prop, cfg.w,
-                                    cfg.horizon, cfg.max_order)
-        combos.append(combo)
-    runs["model"] = model_based_reference(system.pwa, cfg.x0, cfg.u_prop,
-                                          cfg.w, cfg.horizon, cfg.max_order)
-    combos.append("model")
-    report["combos"] = combos
-    report["generator_counts"] = {
-        c: [[f.set.num_generators for f in s.fragments] for s in runs[c].steps]
-        for c in combos
-    }
-    lap("propagate")
-
-    if cfg.compute_supports:
-        rng_dir = np.random.default_rng([cfg.rng_seed, _DIRECTION_STREAM])
-        dirs = _unit_directions(rng_dir, cfg.n_directions, system.n_x)
-        sup = _support_table(runs, combos, dirs, cfg.horizon)
-        report["support_directions"] = dirs.tolist()
-        report["supports"] = sup
-        orderings = {"cmz_le_mz": {}, "model_within": {}}
-        for mode, rinv in product(cfg.input_modes, cfg.right_inverses):
-            if "mz" in cfg.model_sets and "cmz" in cfg.model_sets:
-                gap = _max_gap(sup[f"cmz_{rinv}_{mode}"], sup[f"mz_{rinv}_{mode}"])
-                orderings["cmz_le_mz"][f"{rinv}_{mode}"] = {"max_gap": gap, "ok": gap <= 1e-6}
-        for combo in combos:
-            if combo != "model":
-                gap = _max_gap(sup["model"], sup[combo])
-                orderings["model_within"][combo] = {"max_gap": gap, "ok": gap <= 1e-6}
-        report["orderings"] = orderings
-    lap("supports")
-
-    betas = {c: [np.zeros(0) if c == "model" else true_noise_coefficients(logs[_parse_combo(c)[2]])]
-             for c in combos}
-    _self_check(cfg, system, runs, report, betas)
-    lap("self_check")
-
-    if cfg.compute_volumes:
-        vstep = cfg.horizon if cfg.volume_step is None else cfg.volume_step
-
-        def _row_volume(run):
-            # cap at 50 generators so the determinant sum stays tractable;
-            # the cap fixes the reported numbers: they are exact volumes
-            # of the Girard-reduced sets, not of the full ones
-            z = reduce_girard(run.steps[vstep].fragments[0].set, 50.0 / system.n_x)
-            return volume(z)
-
-        table = [{"method": "model", "volume": _row_volume(runs["model"])}]
-        for combo in combos:
-            if combo.startswith("mz_"):
-                table.append({"method": combo, "volume": _row_volume(runs[combo])})
-        base = table[0]["volume"]
-        for row in table:
-            row["ratio"] = row["volume"] / base
-        report["volume_table"] = table
-        report["volume_step"] = vstep
-    lap("volumes")
-
-    if out_dir is not None:
-        tables = []
-        if "volume_table" in report:
-            tables.append(("volume_table.csv", ["method", "volume", "ratio"],
-                           [[r["method"], r["volume"], r["ratio"]] for r in report["volume_table"]]))
-        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0, lap, tallies)
-    return report
+    return _study(cfg, "lti", out_dir, fmt)
 
 
 def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
@@ -786,108 +707,147 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
     with per-mode trajectory certificates, and reports fragment counts,
     interval hulls, and (optionally) union supports.
     """
+    return _study(cfg, "pwa", out_dir, fmt)
+
+
+def _study(cfg, kind, out_dir, fmt):
+    """Both studies; a linear system is the one-mode case.  Only the
+    summaries that exist for one kind alone branch on kind: the linear study
+    reports singular values, the sandwich bound, generator counts, the
+    cmz-within-mz ordering and the volume table; the piecewise-affine study
+    reports per-mode data, fragment counts and interval hulls."""
     with lp_counts() as lp, design_counts() as design:
-        return _pwa_study(cfg, out_dir, fmt, {"lp": lp, "design": design})
-
-
-def _pwa_study(cfg, out_dir, fmt, tallies):
-    t0 = time.perf_counter()
-    lap = _Laps(("collect", "propagate", "hulls", "supports", "self_check", "emit"))
-    if cfg.kind != "pwa":
-        raise HarnessError(f"config kind is {cfg.kind!r}, expected 'pwa'")
-    system = cfg.true_system()
-    pwa = system.pwa
-    _require_centered_noise(cfg.w)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "pwa",
-        "name": cfg.name,
-        "config": cfg.to_dict(),
-    }
-
-    combos, runs = [], {}
-    variant_betas = {}
-    data_stats, rinv_stats = {}, {}
-    for mode, rinv in cfg.pwa_variants:
-        combo = f"cmz_{rinv}_{mode}"
-        _, log = collect_data(cfg, system, mode)
-        parts, indices = partition_data_by_mode(log.trajectories, pwa)
-        models, betas = [], []
-        mode_stats = []
-        for q, part in enumerate(parts):
-            phi_q = part.phi
-            res = pinv_right_inverse(phi_q) if rinv == "pinv" else row_norm_right_inverse(phi_q)
-            bundle = build_model_sets(part, cfg.w.G, res.h)
-            models.append(bundle.cmz)
-            betas.append(true_noise_coefficients(log, indices[q]))
-            mode_stats.append({
-                "mode": q,
-                "transitions": part.T,
-                "proxy": generator_norm_proxy(bundle.mz),
-            })
-            rinv_stats[f"{rinv}_{mode}_mode{q}"] = _rinv_summary(res)
-        data_stats[mode] = {
-            "transitions": sum(s["transitions"] for s in mode_stats),
-            "per_mode": mode_stats,
-            "trace_inverse": log.trace_inverse,
+        t0 = time.perf_counter()
+        lti = kind == "lti"
+        lap = _Laps(("collect", "propagate", "supports", "self_check", "volumes", "emit") if lti
+                    else ("collect", "propagate", "hulls", "supports", "self_check", "emit"))
+        if cfg.kind != kind:
+            raise HarnessError(f"config kind is {cfg.kind!r}, expected {kind!r}")
+        system = cfg.true_system()
+        pwa = system.pwa
+        _require_centered_noise(cfg.w)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "kind": kind,
+            "name": cfg.name,
+            "config": cfg.to_dict(),
         }
-        variant_betas[combo] = betas
+
+        variants = product(cfg.input_modes, cfg.right_inverses) if lti else cfg.pwa_variants
+        fits = _fit_variants(cfg, system, variants)
+        data_stats, rinv_stats = {}, {}
+        for (mode, rinv), fit in fits.items():
+            stats = data_stats[mode] = {"transitions": sum(p.T for p in fit.parts),
+                                        "trace_inverse": fit.log.trace_inverse}
+            if lti:
+                stats.update(sigma_min=float(fit.log.sigma[-1]), sigma_max=float(fit.log.sigma[0]))
+                res = fit.rinvs[0]
+                rinv_stats[f"{rinv}_{mode}"] = _rinv_summary(res)
+                if rinv == "row_norm":
+                    check = verify_sandwich(fit.parts[0].phi, res)
+                    rinv_stats[f"{rinv}_{mode}"]["sandwich"] = {
+                        "lower": check.lower, "value": check.value,
+                        "upper": check.upper, "holds": check.holds,
+                    }
+            else:
+                stats["per_mode"] = [
+                    {"mode": q, "transitions": part.T, "proxy": generator_norm_proxy(bundle.mz)}
+                    for q, (part, bundle) in enumerate(zip(fit.parts, fit.bundles))
+                ]
+                for q, res in enumerate(fit.rinvs):
+                    rinv_stats[f"{rinv}_{mode}_mode{q}"] = _rinv_summary(res)
+        report["data"] = data_stats
+        report["right_inverses"] = rinv_stats
+        if lti:
+            report["proxies"] = {f"{rinv}_{mode}": generator_norm_proxy(fit.bundles[0].mz)
+                                 for (mode, rinv), fit in fits.items()}
         lap("collect")
-        runs[combo] = propagate_pwa(models, pwa, cfg.x0, cfg.u_prop, cfg.w,
-                                    cfg.horizon, cfg.max_order,
-                                    fragment_cap=cfg.fragment_cap)
-        combos.append(combo)
-        lap("propagate")
-    runs["model"] = model_based_reference(pwa, cfg.x0, cfg.u_prop, cfg.w,
-                                          cfg.horizon, cfg.max_order)
-    combos.append("model")
-    lap("propagate")
-    report["combos"] = combos
-    report["data"] = data_stats
-    report["right_inverses"] = rinv_stats
 
-    counts = {c: runs[c].fragment_counts() for c in combos}
-    report["fragment_counts"] = counts
-    report["fragment_bound_ok"] = {
-        c: bool(all(n <= 2 ** k for k, n in enumerate(counts[c]))) for c in combos
-    }
-    hulls = {}
-    for c in combos:
-        per_step = []
-        for k in range(cfg.horizon + 1):
-            low, high = runs[c].union_interval_hull(k)
-            per_step.append({"low": low.tolist(), "high": high.tolist(),
-                             "width": (high - low).tolist()})
-        hulls[c] = per_step
-    report["interval_hulls"] = hulls
-    lap("hulls")
-
-    if cfg.compute_supports:
-        rng_dir = np.random.default_rng([cfg.rng_seed, _DIRECTION_STREAM])
-        dirs = _unit_directions(rng_dir, cfg.n_directions, system.n_x)
-        sup = _support_table(runs, combos, dirs, cfg.horizon)
-        report["support_directions"] = dirs.tolist()
-        report["supports"] = sup
-        report["orderings"] = {
-            "model_within": {
-                c: {"max_gap": _max_gap(sup["model"], sup[c]),
-                    "ok": _max_gap(sup["model"], sup[c]) <= 1e-6}
-                for c in combos if c != "model"
+        runs, betas = {}, {}
+        for (mode, rinv), fit in fits.items():
+            for mset in cfg.model_sets if lti else ("cmz",):
+                combo = f"{mset}_{rinv}_{mode}"
+                models = [b.mz if mset == "mz" else b.cmz for b in fit.bundles]
+                runs[combo] = propagate_pwa(models, pwa, cfg.x0, cfg.u_prop, cfg.w, cfg.horizon,
+                                            cfg.max_order, fragment_cap=cfg.fragment_cap)
+                betas[combo] = fit.betas
+        runs["model"] = model_based_reference(pwa, cfg.x0, cfg.u_prop, cfg.w,
+                                              cfg.horizon, cfg.max_order)
+        betas["model"] = [np.zeros(0)] * pwa.n_modes
+        combos = report["combos"] = list(runs)
+        if lti:
+            report["generator_counts"] = {
+                c: [[f.set.num_generators for f in s.fragments] for s in run.steps]
+                for c, run in runs.items()
             }
-        }
-    lap("supports")
+        lap("propagate")
 
-    variant_betas["model"] = [np.zeros(0)] * pwa.n_modes
-    _self_check(cfg, system, runs, report, variant_betas)
-    lap("self_check")
+        if not lti:
+            counts = report["fragment_counts"] = {c: run.fragment_counts() for c, run in runs.items()}
+            report["fragment_bound_ok"] = {
+                c: bool(all(n <= 2 ** k for k, n in enumerate(counts[c]))) for c in combos
+            }
+            hulls = report["interval_hulls"] = {}
+            for c, run in runs.items():
+                hulls[c] = []
+                for k in range(cfg.horizon + 1):
+                    low, high = run.union_interval_hull(k)
+                    hulls[c].append({"low": low.tolist(), "high": high.tolist(),
+                                     "width": (high - low).tolist()})
+            lap("hulls")
 
-    if out_dir is not None:
-        rows = []
-        for c in combos:
-            for k, h in enumerate(hulls[c]):
-                for dim in range(system.n_x):
-                    rows.append([c, k, dim + 1, h["low"][dim], h["high"][dim],
-                                 h["width"][dim]])
-        tables = [("hull_widths.csv", ["method", "step", "dim", "low", "high", "width"], rows)]
-        _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0, lap, tallies)
-    return report
+        if cfg.compute_supports:
+            rng_dir = np.random.default_rng([cfg.rng_seed, _DIRECTION_STREAM])
+            dirs = _unit_directions(rng_dir, cfg.n_directions, system.n_x)
+            sup = {c: [run.union_support(k, dirs).tolist() for k in range(cfg.horizon + 1)]
+                   for c, run in runs.items()}
+            report["support_directions"] = dirs.tolist()
+            report["supports"] = sup
+            orderings = {"model_within": {c: _ordering(sup["model"], sup[c])
+                                          for c in combos if c != "model"}}
+            if lti:
+                both = {"mz", "cmz"} <= set(cfg.model_sets)
+                orderings["cmz_le_mz"] = {
+                    f"{rinv}_{mode}": _ordering(sup[f"cmz_{rinv}_{mode}"], sup[f"mz_{rinv}_{mode}"])
+                    for mode, rinv in fits if both
+                }
+            report["orderings"] = orderings
+        lap("supports")
+
+        _self_check(cfg, system, runs, report, betas)
+        lap("self_check")
+
+        if lti:
+            if cfg.compute_volumes:
+                vstep = cfg.horizon if cfg.volume_step is None else cfg.volume_step
+
+                def _row_volume(run):
+                    # cap at 50 generators so the determinant sum stays
+                    # tractable; the cap fixes the reported numbers: they are
+                    # exact volumes of the Girard-reduced sets, not of the
+                    # full ones
+                    z = reduce_girard(run.steps[vstep].fragments[0].set, 50.0 / system.n_x)
+                    return volume(z)
+
+                table = [{"method": c, "volume": _row_volume(runs[c])}
+                         for c in ["model"] + [c for c in combos if c.startswith("mz_")]]
+                for row in table:
+                    row["ratio"] = row["volume"] / table[0]["volume"]
+                report["volume_table"] = table
+                report["volume_step"] = vstep
+            lap("volumes")
+
+        if out_dir is not None:
+            tables = []
+            if "volume_table" in report:
+                tables.append(("volume_table.csv", ["method", "volume", "ratio"],
+                               [[r["method"], r["volume"], r["ratio"]]
+                                for r in report["volume_table"]]))
+            if not lti:
+                tables.append(("hull_widths.csv", ["method", "step", "dim", "low", "high", "width"],
+                               [[c, k, dim + 1, h["low"][dim], h["high"][dim], h["width"][dim]]
+                                for c in combos for k, h in enumerate(hulls[c])
+                                for dim in range(system.n_x)]))
+            _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0, lap,
+                         {"lp": lp, "design": design})
+        return report

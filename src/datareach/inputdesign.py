@@ -45,6 +45,15 @@ class InfoState:
         return float(np.trace(self.s_inv))
 
 
+def check_counts(obj, bounds):
+    """ValueError unless each (name, low) of bounds names an attribute of obj
+    that is an int (a bool is not) and at least low."""
+    for name, low in bounds:
+        v = getattr(obj, name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+            raise ValueError(f"{name} must be an int >= {low}, got {v!r}")
+
+
 @dataclass
 class DesignConfig:
     n_candidates: int = 100
@@ -53,10 +62,7 @@ class DesignConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("n_candidates", 1), ("refine_iters", 0)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
-                raise ValueError(f"{name} must be an int >= {low}, got {v!r}")
+        check_counts(self, (("n_candidates", 1), ("refine_iters", 0)))
         if not (isinstance(self.refine_step, numbers.Real) and 0.0 < self.refine_step < np.inf):
             raise ValueError(f"refine_step must be finite and positive, got {self.refine_step!r}")
 

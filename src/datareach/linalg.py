@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from . import counters
 
@@ -91,10 +90,10 @@ class LpProblem:
     """maximize c @ x  subject to  A_eq @ x = b_eq,  rows,  lb <= x <= ub.
 
     c is one objective (m,) or a stack of k objectives (k, m) over the same
-    feasible region.  A_eq may be a dense array, a scipy.sparse matrix, or
-    None (no equalities).  lb/ub entries may be -inf/+inf.  rows, when
-    given, is (a, lo, hi): extra rows lo <= a @ x <= hi after the
-    equalities, with -inf/+inf allowed in lo/hi.
+    feasible region.  A_eq is a dense array, or None (no equalities).
+    lb/ub entries may be -inf/+inf.  rows, when given, is (a, lo, hi):
+    extra rows lo <= a @ x <= hi after the equalities, with -inf/+inf
+    allowed in lo/hi.
 
     basis, when given, is a starting basis (col_status, row_status) as
     returned in LpResult.basis.  It may cover only leading blocks of the
@@ -210,18 +209,13 @@ def _solve(highs, c, tally):
 
 
 def _row_wise(a, n, name):
-    """Nonzero counts per row, column indices and values of a dense or
-    scipy.sparse matrix a with n columns, row by row."""
-    if scipy.sparse.issparse(a):
-        a = scipy.sparse.csr_array(a, dtype=float, copy=True)
-        a.sum_duplicates()
-        counts, index, value = np.diff(a.indptr), a.indices, a.data
-    else:
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2:
-            raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-        mask = a != 0.0
-        counts, index, value = np.count_nonzero(mask, axis=1), np.nonzero(mask)[1], a[mask]
+    """Nonzero counts per row, column indices and values of a dense matrix
+    a with n columns, row by row."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
+    mask = a != 0.0
+    counts, index, value = np.count_nonzero(mask, axis=1), np.nonzero(mask)[1], a[mask]
     if a.shape[1] != n:
         raise ValueError(f"{name} has {a.shape[1]} columns, the LP has {n} variables")
     if not np.all(np.isfinite(value)):

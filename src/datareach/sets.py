@@ -38,6 +38,23 @@ def _gen_matrix(g, dim):
     return a
 
 
+def _constraint_matrix(a, m):
+    """a (None for no rows) as a q x m constraint matrix; an empty a keeps
+    its row count when it is 2-D."""
+    a = np.zeros((0, m)) if a is None else np.asarray(a, dtype=float)
+    if a.size == 0:
+        return np.zeros((a.shape[0] if a.ndim == 2 else 0, m))
+    return a.reshape(-1, m)
+
+
+def _block_diag(a, b):
+    """The block-diagonal matrix [[a, 0], [0, b]]."""
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
+    out[:a.shape[0], :a.shape[1]] = a
+    out[a.shape[0]:, a.shape[1]:] = b
+    return out
+
+
 def _check_constraints(a, b):
     if b.size != a.shape[0]:
         raise ValueError(f"constraint rhs has {b.size} entries for {a.shape[0]} rows")
@@ -106,14 +123,7 @@ class ConstrainedZonotope:
     def __init__(self, center, generators, a=None, b=None):
         self.c = _vector(center)
         self.G = _gen_matrix(generators, self.c.size)
-        m = self.G.shape[1]
-        if a is None:
-            a = np.zeros((0, m))
-        a = np.asarray(a, dtype=float)
-        if a.size == 0:
-            self.A = np.zeros((a.shape[0] if a.ndim == 2 else 0, m))
-        else:
-            self.A = a.reshape(-1, m)
+        self.A = _constraint_matrix(a, self.G.shape[1])
         self.b = np.zeros(self.A.shape[0]) if b is None else _vector(b)
         _check_constraints(self.A, self.b)
         self._lp_basis = None
@@ -209,12 +219,7 @@ class ConstrainedMatrixZonotope(MatrixZonotope):
 
     def __init__(self, center, generators, a, b):
         super().__init__(center, generators)
-        kappa = self.num_generators
-        a = np.asarray(a, dtype=float)
-        if a.size == 0:
-            self.A = np.zeros((a.shape[0] if a.ndim == 2 else 0, kappa))
-        else:
-            self.A = a.reshape(-1, kappa)
+        self.A = _constraint_matrix(a, self.num_generators)
         self.b = _vector(b)
         _check_constraints(self.A, self.b)
 
@@ -274,15 +279,12 @@ def set_from_dict(d):
         return Zonotope(d["c"], _array_from_json(d["G"]))
     if kind == "constrained_zonotope":
         return ConstrainedZonotope(d["c"], _array_from_json(d["G"]), _array_from_json(d["A"]), d["b"])
-    if kind == "matrix_zonotope":
-        gens = np.stack([_array_from_json(g) for g in d["generators"]]) if d["generators"] else None
+    if kind in ("matrix_zonotope", "constrained_matrix_zonotope"):
         c = _array_from_json(d["C"])
-        return MatrixZonotope(c, gens if gens is not None else np.zeros((0,) + c.shape))
-    if kind == "constrained_matrix_zonotope":
-        gens = np.stack([_array_from_json(g) for g in d["generators"]]) if d["generators"] else None
-        c = _array_from_json(d["C"])
-        if gens is None:
-            gens = np.zeros((0,) + c.shape)
+        gens = (np.stack([_array_from_json(g) for g in d["generators"]]) if d["generators"]
+                else np.zeros((0,) + c.shape))
+        if kind == "matrix_zonotope":
+            return MatrixZonotope(c, gens)
         return ConstrainedMatrixZonotope(c, gens, _array_from_json(d["A"]), d["b"])
     raise ValueError(f"unknown set type {kind!r}")
 
@@ -305,14 +307,8 @@ def minkowski_sum(a, b):
     if isinstance(a, Zonotope) and isinstance(b, Zonotope):
         return Zonotope(a.c + b.c, np.hstack([a.G, b.G]))
     za, zb = _to_cz(a), _to_cz(b)
-    qa, qb = za.num_constraints, zb.num_constraints
-    ma, mb = za.num_generators, zb.num_generators
-    g = np.hstack([za.G, zb.G])
-    a_new = np.block([
-        [za.A, np.zeros((qa, mb))],
-        [np.zeros((qb, ma)), zb.A],
-    ])
-    return ConstrainedZonotope(za.c + zb.c, g, a_new, np.concatenate([za.b, zb.b]))
+    return ConstrainedZonotope(za.c + zb.c, np.hstack([za.G, zb.G]), _block_diag(za.A, zb.A),
+                               np.concatenate([za.b, zb.b]))
 
 
 def _to_cz(z):
@@ -335,24 +331,12 @@ def cartesian_product(a, b):
     """Stacked set {(x, y) : x in a, y in b}."""
     if isinstance(a, EmptySet) or isinstance(b, EmptySet):
         return EmptySet(a.dim + b.dim)
+    c = np.concatenate([a.c, b.c])
+    g = _block_diag(a.G, b.G)
     if isinstance(a, Zonotope) and isinstance(b, Zonotope):
-        c = np.concatenate([a.c, b.c])
-        g = np.block([
-            [a.G, np.zeros((a.dim, b.num_generators))],
-            [np.zeros((b.dim, a.num_generators)), b.G],
-        ])
         return Zonotope(c, g)
     za, zb = _to_cz(a), _to_cz(b)
-    c = np.concatenate([za.c, zb.c])
-    g = np.block([
-        [za.G, np.zeros((za.dim, zb.num_generators))],
-        [np.zeros((zb.dim, za.num_generators)), zb.G],
-    ])
-    a_new = np.block([
-        [za.A, np.zeros((za.num_constraints, zb.num_generators))],
-        [np.zeros((zb.num_constraints, za.num_generators)), zb.A],
-    ])
-    return ConstrainedZonotope(c, g, a_new, np.concatenate([za.b, zb.b]))
+    return ConstrainedZonotope(c, g, _block_diag(za.A, zb.A), np.concatenate([za.b, zb.b]))
 
 
 # ---------------------------------------------------------------------------
@@ -529,12 +513,9 @@ def halfspace_intersection_with_plan(z, normal, offset):
         return EmptySet(z.dim), ("empty",)
     w = (c - d + r) / 2.0
     rhs = (c - d - r) / 2.0
-    m, q = cz.num_generators, cz.num_constraints
     g = np.hstack([cz.G, np.zeros((cz.dim, 1))])
-    a_new = np.block([
-        [cz.A, np.zeros((q, 1))],
-        [row.reshape(1, m), np.array([[w]])],
-    ])
+    a_new = _block_diag(cz.A, np.array([[w]]))
+    a_new[-1, :-1] = row
     out = ConstrainedZonotope(cz.c, g, a_new, np.concatenate([cz.b, [rhs]]))
     return out, ("cut", row, w, rhs)
 

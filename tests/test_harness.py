@@ -94,6 +94,14 @@ def test_config_rejects_bad_kind_and_sampling():
         tiny_lti_config(x0_sampling="corners")
     with pytest.raises(HarnessError, match="volume_step"):
         tiny_lti_config(volume_step=7)
+    # each count below used to pass the config and fail deep inside a study
+    for name, bad in (("k_trajectories", 0), ("t_steps", 0), ("n_check", 0),
+                      ("n_directions", 0), ("fragment_cap", 0), ("n_lp_spot", -1),
+                      ("horizon", -1), ("t_steps", 2.0), ("n_check", True)):
+        with pytest.raises(HarnessError, match=name):
+            tiny_lti_config(**{name: bad})
+    cfg = tiny_lti_config(n_lp_spot=0, horizon=0, fragment_cap=1)
+    assert (cfg.n_lp_spot, cfg.horizon, cfg.fragment_cap) == (0, 0, 1)
 
 
 def test_config_rejects_bad_design_block():
@@ -261,6 +269,47 @@ def test_true_noise_coefficients_are_t_major():
         assert np.array_equal(beta[col * p_w : (col + 1) * p_w], log.xi_w[:, col])
     sub = true_noise_coefficients(log, columns=[2, 5])
     assert np.array_equal(sub, np.concatenate([log.xi_w[:, 2], log.xi_w[:, 5]]))
+
+
+def test_linear_partition_is_the_whole_data_set():
+    # the one-mode split the studies fit on is collect_data's data set, bit
+    # for bit, with every column in collection order
+    cfg = tiny_lti_config()
+    system = cfg.true_system()
+    data, log = collect_data(cfg, system, "designed")
+    parts, indices = partition_data_by_mode(log.trajectories, system.pwa)
+    assert len(parts) == 1
+    for name in ("x_plus", "x_minus", "u_minus"):
+        assert np.array_equal(getattr(parts[0], name), getattr(data, name))
+    assert np.array_equal(indices[0], np.arange(data.T))
+    assert np.array_equal(true_noise_coefficients(log, indices[0]), true_noise_coefficients(log))
+
+
+def test_study_collects_each_input_mode_once(monkeypatch):
+    calls = []
+    original = harness.collect_data
+
+    def counted(cfg, system, mode, *args, **kwargs):
+        calls.append(mode)
+        return original(cfg, system, mode, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "collect_data", counted)
+    cfg = tiny_pwa_config(pwa_variants=(("random", "pinv"), ("random", "row_norm")))
+    report = run_pwa_experiment(cfg)
+    assert report["combos"] == ["cmz_pinv_random", "cmz_row_norm_random", "model"]
+    assert calls == ["random"]
+
+
+def test_proxy_chain_matches_the_study():
+    cfg = tiny_lti_config(compute_supports=False, compute_volumes=False)
+    out = proxy_chain(cfg)
+    report = run_lti_experiment(cfg)
+    for mode in ("random", "designed"):
+        for rinv in ("pinv", "row_norm"):
+            assert out[mode][f"proxy_{rinv}"] == report["proxies"][f"{rinv}_{mode}"]
+        assert out[mode]["trace_inverse"] == report["data"][mode]["trace_inverse"]
+    with pytest.raises(HarnessError, match="linear"):
+        proxy_chain(bundled_config("pwa_2mode"))
 
 
 def test_proxy_chain_reports_gaps():

@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from datareach.counters import lp_counts
 from datareach.linalg import BASIC, RANK_RTOL, LpProblem, lp_solve, svd
@@ -158,18 +157,6 @@ def test_lp_solve_matches_vertex_enumeration():
             assert r.status == cold.status == "feasible"
             assert np.isclose(r.objective, cold.objective, atol=1e-8)
             assert np.isclose(r.objective, _brute_force_box_lp(obj, a_eq, b_eq), atol=1e-8)
-
-
-def test_lp_solve_sparse_equalities():
-    rng = np.random.default_rng(6)
-    n = 20
-    c = rng.normal(size=n)
-    a = rng.normal(size=(4, n))
-    b = a @ rng.uniform(-0.3, 0.3, size=n)
-    dense = lp_solve(LpProblem(c, a, b, -np.ones(n), np.ones(n)))
-    sparse = lp_solve(LpProblem(c, scipy.sparse.csr_matrix(a), b, -np.ones(n), np.ones(n)))
-    assert dense.status == sparse.status == "feasible"
-    assert np.isclose(dense.objective, sparse.objective, atol=1e-8)
 
 
 def test_lp_solve_rejects_bad_shapes():

@@ -65,7 +65,6 @@ from .reach import (
 )
 from .rightinv import pinv_right_inverse, row_norm_right_inverse, verify_sandwich
 from .sets import (
-    ConstrainedZonotope,
     Zonotope,
     contains_point,
     project_polygon,
@@ -158,14 +157,14 @@ def _check_modes(modes):
 
 
 def _set_from_config(d):
-    if d is None or isinstance(d, (Zonotope, ConstrainedZonotope)):
+    if d is None or isinstance(d, Zonotope):
         return d
     d = dict(d)
     # accept the friendly {"center", "generators", "a", "b"} spelling too
     for alias, key in (("center", "c"), ("generators", "G"), ("a", "A")):
         if alias in d and key not in d:
             d[key] = d.pop(alias)
-    d.setdefault("type", "constrained_zonotope" if "A" in d else "zonotope")
+    d.setdefault("type", "zonotope")
     return set_from_dict(d)
 
 
@@ -289,7 +288,7 @@ class ExperimentConfig:
             v = getattr(self, f.name)
             if f.name == "design":
                 v = asdict(v)
-            elif isinstance(v, (Zonotope, ConstrainedZonotope)):
+            elif isinstance(v, Zonotope):
                 v = v.to_dict()
             elif isinstance(v, tuple):
                 v = [list(x) if isinstance(x, tuple) else x for x in v]
@@ -391,8 +390,8 @@ def collect_data(cfg, system, input_mode, design_cfg=None, rng_seed=None):
         rng_inp = np.random.default_rng([seed, _INPUT_STREAM])
     w = system.w
     x0_set = cfg.x0_collect
-    if cfg.x0_sampling == "vertex" and isinstance(x0_set, ConstrainedZonotope):
-        raise HarnessError("vertex x0 sampling needs an unconstrained initial set")
+    if cfg.x0_sampling == "vertex" and x0_set.num_constraints:
+        raise HarnessError("vertex x0 sampling needs an initial set without constraint rows")
     info = info_init(system.n_x + system.n_u) if designed else None
     trajectories, xi_w_cols, xi0s = [], [], []
     for _ in range(cfg.k_trajectories):
@@ -750,12 +749,11 @@ def _study(cfg, kind, out_dir, fmt):
                         "upper": check.upper, "holds": check.holds,
                     }
             else:
-                stats["per_mode"] = [
-                    {"mode": q, "transitions": part.T, "proxy": generator_norm_proxy(bundle.mz)}
-                    for q, (part, bundle) in enumerate(zip(fit.parts, fit.bundles))
-                ]
-                for q, res in enumerate(fit.rinvs):
-                    rinv_stats[f"{rinv}_{mode}_mode{q}"] = _rinv_summary(res)
+                stats["per_mode"] = [{"mode": q, "transitions": part.T}
+                                     for q, part in enumerate(fit.parts)]
+                for q, (res, bundle) in enumerate(zip(fit.rinvs, fit.bundles)):
+                    rinv_stats[f"{rinv}_{mode}_mode{q}"] = {
+                        **_rinv_summary(res), "proxy": generator_norm_proxy(bundle.mz)}
         report["data"] = data_stats
         report["right_inverses"] = rinv_stats
         if lti:

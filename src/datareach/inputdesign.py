@@ -17,7 +17,7 @@ from operator import mul
 import numpy as np
 
 from . import counters
-from .sets import Zonotope, project_factors, sample_factors
+from .sets import project_factors, sample_factors
 
 # Maintained-inverse drift (||S S_inv - I||_F) above which the inverse is
 # recomputed from scratch.
@@ -145,7 +145,7 @@ def design_input(state, x, u_set, config=None, rng=None):
     num, den = np.einsum("ni,kij,nj->kn", zs, forms, zs)
     forms, xi = forms.tolist(), cands[int(np.argmax(num / den))].tolist()
     val, grad = _gain_at(forms, xi)
-    box = isinstance(u_set, Zonotope) or u_set.num_constraints == 0
+    box = u_set.num_constraints == 0
     steps = 0
     while steps < config.refine_iters:
         step = config.refine_step

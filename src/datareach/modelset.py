@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import svd
-from .sets import ConstrainedMatrixZonotope, MatrixZonotope
+from .sets import MatrixZonotope
 
 
 # Largest |rhs|, relative to max(1, max |b|), that a kernel-constraint row
@@ -95,7 +95,7 @@ class ModelSetBundle:
     right inverse."""
 
     mz: MatrixZonotope
-    cmz: ConstrainedMatrixZonotope
+    cmz: MatrixZonotope
 
 
 def build_model_sets(data, w_generators, h):
@@ -145,7 +145,7 @@ def build_model_sets(data, w_generators, h):
     center = data.x_plus @ h
     gens = (-g_w.T[None, :, :, None] * h[:, None, None, :]).reshape(t * p_w, n_x, d) + 0.0
     return ModelSetBundle(MatrixZonotope(center, gens),
-                          ConstrainedMatrixZonotope(center, gens, a, b))
+                          MatrixZonotope(center, gens, a, b))
 
 
 def generator_norm_proxy(m):

@@ -5,13 +5,12 @@ One step maps the current state set R through
 
     R' = M (R x U) + W
 
-where M is a (possibly constrained) matrix zonotope of models over the lifted
-vector [x; u], U is the propagation input set, and W the disturbance set.
-propagation_step is the one kernel for this: a plain step is the same step
-with zero constraint rows.  With a plain matrix zonotope and a plain state
-set the result is a zonotope; matrix-factor constraints or guard splits turn
-the state sets into constrained zonotopes, whose constrained columns are
-exempt from order reduction.
+where M is a matrix zonotope of models over the lifted vector [x; u], U is
+the propagation input set, and W the disturbance set.  propagation_step is
+the one kernel for this.  The constraint rows of R, U and M all carry over
+to R': with none, R' has none either; matrix-factor rows or guard-split rows
+give the state sets rows, and the columns those rows touch are exempt from
+order reduction.
 
 propagate_pwa is the one propagation loop: it splits every fragment along
 the mode guards, propagates each nonempty piece through its mode's model
@@ -35,8 +34,6 @@ import numpy as np
 
 from .modelset import DataSet
 from .sets import (
-    ConstrainedMatrixZonotope,
-    ConstrainedZonotope,
     EmptySet,
     MatrixZonotope,
     Zonotope,
@@ -68,7 +65,7 @@ class StepPlan:
     w_g: np.ndarray
     cons_alpha: np.ndarray      # alpha columns whose factors carry constraints
     free_alpha: np.ndarray
-    beta_free: bool             # beta block unconstrained, hence in the free block
+    beta_free: bool             # model without rows: beta is in the free block
     kept: np.ndarray
     kept_cols: np.ndarray
     box_rows: np.ndarray
@@ -146,27 +143,20 @@ def propagation_step(model, r, u_prop, w, max_order):
     block; gamma and W columns are unconstrained.
 
     Constrained columns are never boxed.  The free block (unconstrained
-    alpha, beta when the model is plain, gamma, W) is Girard-reduced to
+    alpha, beta when the model has no rows, gamma, W) is Girard-reduced to
     max(n, max_order * n) columns: the order cap governs the free block
     alone, because subtracting the constrained count would collapse the free
     budget to n once the model constraints alone exceed the cap.  Output
     columns: constrained alpha, constrained beta, reduced free block.
 
-    The result is a Zonotope exactly when neither R nor the model is a
-    constrained type and U carries no constraint rows; the constraints of a
-    constrained U stay on its alpha columns like those of R.
+    The result has the rows of R and U, on their alpha columns, followed by
+    the model's rows on the beta block; it has none when none of the three
+    has any.  Rows of W are not kept, which only enlarges the result.
     """
     lifted = cartesian_product(r, u_prop)
-    c_lift, g_lift = lifted.c, lifted.G
+    c_lift, g_lift, a_z, b_z = lifted.c, lifted.G, lifted.A, lifted.b
     n, p = model.shape[0], g_lift.shape[1]
-    kappa = model.num_generators
-    model_constrained = isinstance(model, ConstrainedMatrixZonotope)
-    q_m = model.num_constraints if model_constrained else 0
-    if isinstance(lifted, ConstrainedZonotope):
-        a_z, b_z = lifted.A, lifted.b
-    else:
-        a_z, b_z = np.zeros((0, p)), np.zeros(0)
-    constrained = isinstance(r, ConstrainedZonotope) or model_constrained or a_z.shape[0] > 0
+    kappa, q_m = model.num_generators, model.num_constraints
 
     center = model.C @ c_lift + w.c
     alpha = model.C @ g_lift
@@ -183,17 +173,12 @@ def propagation_step(model, r, u_prop, w, max_order):
     g_out = np.hstack(head + [free_out])
     plan = StepPlan(model, c_lift, g_lift, w.G, cons_alpha, free_alpha, beta_free,
                     kept, free_out[:, : kept.size], box_rows, box_radii)
-    if not constrained:
-        return Zonotope(center, g_out), plan
-
     q_z = a_z.shape[0]
     a_out = np.zeros((q_z + q_m, g_out.shape[1]))
     a_out[:q_z, : cons_alpha.size] = a_z[:, cons_alpha]
-    b_out = b_z
     if q_m:
         a_out[q_z:, cons_alpha.size : cons_alpha.size + kappa] = model.A
-        b_out = np.concatenate([b_z, model.b])
-    return ConstrainedZonotope(center, g_out, a_out, b_out), plan
+    return Zonotope(center, g_out, a_out, np.concatenate([b_z, model.b])), plan
 
 
 def _free_factors(plan, idx, xi_lift, beta_star, xi_w):
@@ -249,11 +234,16 @@ def replay_step(plan, xi_state, xi_u, beta_star, xi_w):
 
 
 def replay_split(events, xi, w_floor=1e-12):
-    """Push factors through a recorded guard split (list of halfspace events)."""
+    """Push factors through a recorded guard split (list of halfspace events).
+
+    Only "pass" and "cut" events occur in a fragment's split: an "empty"
+    event ends the piece.  Raises ValueError on any other event.
+    """
     for ev in events:
         if ev[0] == "pass":
             continue
-        assert ev[0] == "cut"
+        if ev[0] != "cut":
+            raise ValueError(f"cannot replay a {ev[0]!r} event; only 'pass' and 'cut' carry factors")
         _, row, w, rhs = ev
         # w ~ 0 means the slice is a face; the new factor is then arbitrary
         sigma = (rhs - xi @ row) / w if abs(w) > w_floor else np.zeros(xi.shape[0])
@@ -376,7 +366,7 @@ def partition_data_by_mode(trajectories, pwa):
 def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=256):
     """Reachable fragments of a piecewise-affine system for k = 0..horizon.
 
-    models: one (constrained) matrix zonotope per mode, over [x; u].
+    models: one matrix zonotope per mode, over [x; u].
     Every fragment is split along each mode region; nonempty pieces are
     propagated through that mode's model.  A piece that no guard cut is its
     parent fragment, which was kept already, so only cut pieces pay an
@@ -388,9 +378,9 @@ def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=2
         raise ValueError(f"{len(models)} models for {pwa.n_modes} modes")
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    # a fresh copy of a constrained x0, so that no LP of this result starts
-    # from a basis that earlier queries left on the caller's set
-    steps = [StepRecord([Fragment(x0.copy() if isinstance(x0, ConstrainedZonotope) else x0)])]
+    # a fresh copy of x0, so that no LP of this result starts from a basis
+    # that earlier queries left on the caller's set
+    steps = [StepRecord([Fragment(x0.copy())])]
     for _ in range(horizon):
         children = []
         for fi, frag in enumerate(steps[-1].fragments):
@@ -464,7 +454,7 @@ def _check_step(rset, xi, states_k, report):
     rec = rset.c[None, :] + xi @ rset.G.T
     report["max_point_error"] = max(report["max_point_error"],
                                     float(np.max(np.abs(rec - states_k))))
-    if isinstance(rset, ConstrainedZonotope) and rset.num_constraints:
+    if rset.num_constraints:
         res = xi @ rset.A.T - rset.b[None, :]
         report["max_constraint"] = max(report["max_constraint"], float(np.max(np.abs(res))))
 

@@ -1,10 +1,15 @@
 """Zonotopic set representations and operations.
 
-Vector sets: Zonotope <c, G>, ConstrainedZonotope <c, G, A, b> (factors
-xi in [-1, 1]^m with A xi = b), and EmptySet.  Matrix sets: MatrixZonotope
-<C, {G_l}> and ConstrainedMatrixZonotope (adds A beta = b over the matrix
-factors).  Operations are module-level functions; the classes are thin
-containers with validation and JSON round-tripping.
+A vector set is a Zonotope <c, G, A, b>: the points c + G xi for factors
+xi in [-1, 1]^m with A xi = b.  A plain zonotope is the case with no
+constraint rows; a constrained zonotope (Scott et al., Automatica 2016) has
+some.  A matrix set is a MatrixZonotope <C, {G_l}, A, b>, whose factors beta
+satisfy A beta = b in the same way.  The row count alone decides how a set
+is serialized and which queries have a closed form, so a set never changes
+class: ConstrainedZonotope and ConstrainedMatrixZonotope are other names of
+the same two classes.  EmptySet is the empty vector set.  Operations are
+module-level functions; the classes are thin containers with validation and
+JSON round-tripping.
 """
 
 import math
@@ -38,13 +43,17 @@ def _gen_matrix(g, dim):
     return a
 
 
-def _constraint_matrix(a, m):
-    """a (None for no rows) as a q x m constraint matrix; an empty a keeps
-    its row count when it is 2-D."""
+def _constraints(a, b, m):
+    """(A, b) as a q x m matrix and a q-vector; a None a means no rows, an
+    empty a keeps its row count when it is 2-D, and a None b is zero."""
     a = np.zeros((0, m)) if a is None else np.asarray(a, dtype=float)
-    if a.size == 0:
-        return np.zeros((a.shape[0] if a.ndim == 2 else 0, m))
-    return a.reshape(-1, m)
+    a = np.zeros((a.shape[0] if a.ndim == 2 else 0, m)) if a.size == 0 else a.reshape(-1, m)
+    b = np.zeros(a.shape[0]) if b is None else _vector(b)
+    if b.size != a.shape[0]:
+        raise ValueError(f"constraint rhs has {b.size} entries for {a.shape[0]} rows")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("constraint matrix has non-finite entries")
+    return a, b
 
 
 def _block_diag(a, b):
@@ -53,13 +62,6 @@ def _block_diag(a, b):
     out[:a.shape[0], :a.shape[1]] = a
     out[a.shape[0]:, a.shape[1]:] = b
     return out
-
-
-def _check_constraints(a, b):
-    if b.size != a.shape[0]:
-        raise ValueError(f"constraint rhs has {b.size} entries for {a.shape[0]} rows")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("constraint matrix has non-finite entries")
 
 
 class EmptySet:
@@ -78,38 +80,8 @@ class EmptySet:
 
 
 class Zonotope:
-    """<c, G>: the set {c + G xi : xi in [-1, 1]^m}."""
-
-    __slots__ = ("c", "G")
-
-    def __init__(self, center, generators=None):
-        self.c = _vector(center)
-        self.G = _gen_matrix(generators, self.c.size)
-
-    @property
-    def dim(self):
-        return self.c.size
-
-    @property
-    def num_generators(self):
-        return self.G.shape[1]
-
-    def to_constrained(self):
-        m = self.num_generators
-        return ConstrainedZonotope(self.c, self.G, np.zeros((0, m)), np.zeros(0))
-
-    def copy(self):
-        return Zonotope(self.c.copy(), self.G.copy())
-
-    def __repr__(self):
-        return f"Zonotope(dim={self.dim}, gens={self.num_generators})"
-
-    def to_dict(self):
-        return {"type": "zonotope", "c": self.c.tolist(), "G": _array_to_json(self.G)}
-
-
-class ConstrainedZonotope:
-    """<c, G, A, b>: {c + G xi : xi in [-1, 1]^m, A xi = b}.
+    """<c, G, A, b>: {c + G xi : xi in [-1, 1]^m, A xi = b}, with no rows
+    (a plain zonotope) unless a is given.
 
     _lp_basis caches the optimal simplex basis of the last LP on the set's
     own feasible region (see _own_columns) as the two status arrays
@@ -120,12 +92,10 @@ class ConstrainedZonotope:
 
     __slots__ = ("c", "G", "A", "b", "_lp_basis")
 
-    def __init__(self, center, generators, a=None, b=None):
+    def __init__(self, center, generators=None, a=None, b=None):
         self.c = _vector(center)
         self.G = _gen_matrix(generators, self.c.size)
-        self.A = _constraint_matrix(a, self.G.shape[1])
-        self.b = np.zeros(self.A.shape[0]) if b is None else _vector(b)
-        _check_constraints(self.A, self.b)
+        self.A, self.b = _constraints(a, b, self.G.shape[1])
         self._lp_basis = None
 
     @property
@@ -141,33 +111,31 @@ class ConstrainedZonotope:
         return self.A.shape[0]
 
     def copy(self):
-        return ConstrainedZonotope(self.c.copy(), self.G.copy(), self.A.copy(), self.b.copy())
+        return Zonotope(self.c.copy(), self.G.copy(), self.A.copy(), self.b.copy())
 
     def __repr__(self):
-        return (
-            f"ConstrainedZonotope(dim={self.dim}, gens={self.num_generators}, "
-            f"cons={self.num_constraints})"
-        )
+        return (f"Zonotope(dim={self.dim}, gens={self.num_generators}, "
+                f"cons={self.num_constraints})")
 
     def to_dict(self):
-        return {
-            "type": "constrained_zonotope",
-            "c": self.c.tolist(),
-            "G": _array_to_json(self.G),
-            "A": _array_to_json(self.A),
-            "b": self.b.tolist(),
-        }
+        """{"type": "zonotope", "c", "G"} without rows, else the
+        "constrained_zonotope" form that adds "A" and "b"."""
+        d = {"type": "zonotope", "c": self.c.tolist(), "G": _array_to_json(self.G)}
+        if self.num_constraints:
+            d.update(type="constrained_zonotope", A=_array_to_json(self.A), b=self.b.tolist())
+        return d
 
 
 class MatrixZonotope:
-    """<C, {G_l}>: {C + sum_l beta_l G_l : beta in [-1, 1]^kappa}.
+    """<C, {G_l}, A, b>: {C + sum_l beta_l G_l : beta in [-1, 1]^kappa,
+    A beta = b}, with no rows unless a is given.
 
     Generators are stored as one (kappa, rows, cols) array.
     """
 
-    __slots__ = ("C", "generators")
+    __slots__ = ("C", "generators", "A", "b")
 
-    def __init__(self, center, generators=None):
+    def __init__(self, center, generators=None, a=None, b=None):
         self.C = np.asarray(center, dtype=float)
         if self.C.ndim != 2:
             raise ValueError(f"matrix-zonotope center must be 2-D, got shape {self.C.shape}")
@@ -183,6 +151,7 @@ class MatrixZonotope:
         if not (np.all(np.isfinite(self.C)) and np.all(np.isfinite(gens))):
             raise ValueError("matrix zonotope has non-finite entries")
         self.generators = gens
+        self.A, self.b = _constraints(a, b, gens.shape[0])
 
     @property
     def shape(self):
@@ -191,6 +160,10 @@ class MatrixZonotope:
     @property
     def num_generators(self):
         return self.generators.shape[0]
+
+    @property
+    def num_constraints(self):
+        return self.A.shape[0]
 
     def at(self, beta):
         """The member matrix C + sum_l beta_l G_l."""
@@ -202,43 +175,26 @@ class MatrixZonotope:
         return self.C + np.einsum("l,lij->ij", beta, self.generators)
 
     def __repr__(self):
-        return f"MatrixZonotope(shape={self.shape}, gens={self.num_generators})"
+        return (f"MatrixZonotope(shape={self.shape}, gens={self.num_generators}, "
+                f"cons={self.num_constraints})")
 
     def to_dict(self):
-        return {
+        """{"type": "matrix_zonotope", "C", "generators"} without rows, else
+        the "constrained_matrix_zonotope" form that adds "A" and "b"."""
+        d = {
             "type": "matrix_zonotope",
             "C": _array_to_json(self.C),
             "generators": [_array_to_json(g) for g in self.generators],
         }
-
-
-class ConstrainedMatrixZonotope(MatrixZonotope):
-    """Matrix zonotope whose factors also satisfy A beta = b."""
-
-    __slots__ = ("A", "b")
-
-    def __init__(self, center, generators, a, b):
-        super().__init__(center, generators)
-        self.A = _constraint_matrix(a, self.num_generators)
-        self.b = _vector(b)
-        _check_constraints(self.A, self.b)
-
-    @property
-    def num_constraints(self):
-        return self.A.shape[0]
-
-    def __repr__(self):
-        return (
-            f"ConstrainedMatrixZonotope(shape={self.shape}, gens={self.num_generators}, "
-            f"cons={self.num_constraints})"
-        )
-
-    def to_dict(self):
-        d = super().to_dict()
-        d["type"] = "constrained_matrix_zonotope"
-        d["A"] = _array_to_json(self.A)
-        d["b"] = self.b.tolist()
+        if self.num_constraints:
+            d.update(type="constrained_matrix_zonotope", A=_array_to_json(self.A),
+                     b=self.b.tolist())
         return d
+
+
+# Other names of the two classes: a set with constraint rows is no other type.
+ConstrainedZonotope = Zonotope
+ConstrainedMatrixZonotope = MatrixZonotope
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +227,19 @@ def _array_from_json(d):
 
 
 def set_from_dict(d):
-    """Inverse of the to_dict methods; dispatches on d["type"]."""
+    """Inverse of the to_dict methods.  Either spelling of a vector or a
+    matrix set loads; its "A" and "b", when present, are its rows."""
     kind = d["type"]
     if kind == "empty":
         return EmptySet(d["dim"])
-    if kind == "zonotope":
-        return Zonotope(d["c"], _array_from_json(d["G"]))
-    if kind == "constrained_zonotope":
-        return ConstrainedZonotope(d["c"], _array_from_json(d["G"]), _array_from_json(d["A"]), d["b"])
+    a = _array_from_json(d["A"]) if "A" in d else None
+    if kind in ("zonotope", "constrained_zonotope"):
+        return Zonotope(d["c"], _array_from_json(d["G"]), a, d.get("b"))
     if kind in ("matrix_zonotope", "constrained_matrix_zonotope"):
         c = _array_from_json(d["C"])
         gens = (np.stack([_array_from_json(g) for g in d["generators"]]) if d["generators"]
                 else np.zeros((0,) + c.shape))
-        if kind == "matrix_zonotope":
-            return MatrixZonotope(c, gens)
-        return ConstrainedMatrixZonotope(c, gens, _array_from_json(d["A"]), d["b"])
+        return MatrixZonotope(c, gens, a, d.get("b"))
     raise ValueError(f"unknown set type {kind!r}")
 
 
@@ -299,20 +253,13 @@ def _check_dims(a, b):
 
 
 def minkowski_sum(a, b):
-    """Minkowski sum.  Plain + plain stays plain; otherwise constrained."""
-    if isinstance(a, EmptySet) or isinstance(b, EmptySet):
-        _check_dims(a, b)
-        return EmptySet(a.dim)
+    """Minkowski sum; the constraint rows of both operands stay on their
+    factors."""
     _check_dims(a, b)
-    if isinstance(a, Zonotope) and isinstance(b, Zonotope):
-        return Zonotope(a.c + b.c, np.hstack([a.G, b.G]))
-    za, zb = _to_cz(a), _to_cz(b)
-    return ConstrainedZonotope(za.c + zb.c, np.hstack([za.G, zb.G]), _block_diag(za.A, zb.A),
-                               np.concatenate([za.b, zb.b]))
-
-
-def _to_cz(z):
-    return z.to_constrained() if isinstance(z, Zonotope) else z
+    if isinstance(a, EmptySet) or isinstance(b, EmptySet):
+        return EmptySet(a.dim)
+    return Zonotope(a.c + b.c, np.hstack([a.G, b.G]), _block_diag(a.A, b.A),
+                    np.concatenate([a.b, b.b]))
 
 
 def linear_map(m, z):
@@ -322,27 +269,21 @@ def linear_map(m, z):
         raise ValueError(f"map of shape {m.shape} does not apply to dimension {z.dim}")
     if isinstance(z, EmptySet):
         return EmptySet(m.shape[0])
-    if isinstance(z, Zonotope):
-        return Zonotope(m @ z.c, m @ z.G)
-    return ConstrainedZonotope(m @ z.c, m @ z.G, z.A, z.b)
+    return Zonotope(m @ z.c, m @ z.G, z.A, z.b)
 
 
 def cartesian_product(a, b):
     """Stacked set {(x, y) : x in a, y in b}."""
     if isinstance(a, EmptySet) or isinstance(b, EmptySet):
         return EmptySet(a.dim + b.dim)
-    c = np.concatenate([a.c, b.c])
-    g = _block_diag(a.G, b.G)
-    if isinstance(a, Zonotope) and isinstance(b, Zonotope):
-        return Zonotope(c, g)
-    za, zb = _to_cz(a), _to_cz(b)
-    return ConstrainedZonotope(c, g, _block_diag(za.A, zb.A), np.concatenate([za.b, zb.b]))
+    return Zonotope(np.concatenate([a.c, b.c]), _block_diag(a.G, b.G), _block_diag(a.A, b.A),
+                    np.concatenate([a.b, b.b]))
 
 
 # ---------------------------------------------------------------------------
 # Queries
 #
-# Every LP on a constrained set z extends z's own LP {A xi = b, |xi| <= 1}
+# Every LP on a set z with constraint rows extends z's own LP {A xi = b, |xi| <= 1}
 # over the factors _own_columns picks: supports change only its costs,
 # emptiness and membership add rows (and the remaining factors as columns).
 # Each starts from the basis cached on z, and an LP whose final basis is
@@ -378,11 +319,11 @@ def _solve_own(z, problem, cons):
 
 def _support(z, dirs, purpose):
     """Support values of a set that is not an EmptySet for the rows of dirs
-    (k, n): closed form for plain sets and separable factors, one batched LP
-    on the own LP for the rest."""
+    (k, n): closed form for a set without rows and for separable factors,
+    one batched LP on the own LP for the rest."""
     dg = dirs @ z.G
     vals = dirs @ z.c
-    if isinstance(z, Zonotope) or z.num_constraints == 0:
+    if z.num_constraints == 0:
         vals += np.sum(np.abs(dg), axis=1)
         return vals
     cons = _own_columns(z)
@@ -390,22 +331,20 @@ def _support(z, dirs, purpose):
     res = _solve_own(z, LpProblem(dg[:, cons], z.A[:, cons], z.b, -np.ones(m), np.ones(m),
                                   purpose=purpose), cons)
     if any(r.status == "infeasible" for r in res):
-        raise EmptySetError("support of an empty constrained zonotope")
+        raise EmptySetError("support of an empty zonotope")
     vals += np.sum(np.abs(dg[:, ~cons]), axis=1) + [r.objective for r in res]
     return vals
 
 
 def _feasible(z, rows, lo, hi, box, purpose):
-    """Whether some factors xi with |xi| <= box (and A xi = b on a
-    constrained z) satisfy lo <= rows @ xi <= hi.  On a constrained z this
-    is the own LP plus these rows, with the other factors as extra columns."""
+    """Whether some factors xi with |xi| <= box and A xi = b satisfy
+    lo <= rows @ xi <= hi.  On a z with rows this is the own LP plus these
+    rows, with the other factors as extra columns."""
     m = z.num_generators
-    constrained = isinstance(z, ConstrainedZonotope) and z.num_constraints > 0
     if m == 0:  # rows @ xi is 0, and A xi = b needs b = 0
-        return bool(np.all(lo <= 0.0) and np.all(hi >= 0.0)
-                    and not (constrained and np.any(z.b)))
+        return bool(np.all(lo <= 0.0) and np.all(hi >= 0.0) and not np.any(z.b))
     bounds = np.full(m, float(box))
-    if not constrained:
+    if z.num_constraints == 0:
         problem = LpProblem(np.zeros(m), None, None, -bounds, bounds, rows=(rows, lo, hi),
                             purpose=purpose)
         return lp_solve(problem).status == "feasible"
@@ -420,7 +359,7 @@ def support(z, direction):
     """Support value max{d . x : x in z}.
 
     direction is one direction (n,), which gives a float, or a stack (k, n),
-    which gives an array of k values.  On a constrained set the factors whose
+    which gives an array of k values.  On a set with rows the factors whose
     A column is zero are separable and add sum |d . g| in closed form; the
     other factors make one LP whose k objectives share one warm-started
     solver model, started from the set's cached basis.  Raises
@@ -466,7 +405,7 @@ def is_empty(z, region=()):
             return float(-_support(z, -h[None, :], "is_empty")[0]) > offset
         except EmptySetError:
             return True
-    if not halfspaces and (isinstance(z, Zonotope) or z.num_constraints == 0):
+    if not halfspaces and z.num_constraints == 0:
         return False
     normals = np.array([h for h, _ in halfspaces]).reshape(-1, z.dim)
     offsets = np.array([o for _, o in halfspaces])
@@ -478,7 +417,7 @@ def contains_point(z, x, tol=1e-9):
     """LP membership test: is x within tol of the set?
 
     Looks for factors xi with |xi| <= 1 + tol, A xi = b, and
-    |c + G xi - x| <= tol componentwise: on a constrained set, the n rows
+    |c + G xi - x| <= tol componentwise: on a set with rows, the n rows
     G xi in [x - c - tol, x - c + tol] added to its own LP.
     """
     x = _vector(x)
@@ -503,9 +442,8 @@ def halfspace_intersection_with_plan(z, normal, offset):
         return z, ("empty",)
     if h.size != z.dim:
         raise ValueError(f"normal has {h.size} entries, the set dimension {z.dim}")
-    cz = _to_cz(z)
-    d = float(h @ cz.c)
-    row = h @ cz.G
+    d = float(h @ z.c)
+    row = h @ z.G
     r = float(np.sum(np.abs(row)))
     if d + r <= c:
         return z, ("pass",)
@@ -513,19 +451,18 @@ def halfspace_intersection_with_plan(z, normal, offset):
         return EmptySet(z.dim), ("empty",)
     w = (c - d + r) / 2.0
     rhs = (c - d - r) / 2.0
-    g = np.hstack([cz.G, np.zeros((cz.dim, 1))])
-    a_new = _block_diag(cz.A, np.array([[w]]))
+    g = np.hstack([z.G, np.zeros((z.dim, 1))])
+    a_new = _block_diag(z.A, np.array([[w]]))
     a_new[-1, :-1] = row
-    out = ConstrainedZonotope(cz.c, g, a_new, np.concatenate([cz.b, [rhs]]))
-    return out, ("cut", row, w, rhs)
+    return Zonotope(z.c, g, a_new, np.concatenate([z.b, [rhs]])), ("cut", row, w, rhs)
 
 
 def halfspace_intersection(z, normal, offset):
     """Intersection with {x : h . x <= c}.
 
     Returns the input unchanged when the halfspace does not cut it, EmptySet
-    when they are disjoint, and otherwise a constrained zonotope with one
-    extra factor and one extra constraint row.
+    when they are disjoint, and otherwise the set with one extra factor and
+    one extra constraint row.
     """
     return halfspace_intersection_with_plan(z, normal, offset)[0]
 
@@ -560,9 +497,9 @@ def girard(g, budget):
 def reduce_girard(z, max_order):
     """Girard order reduction: box the lowest-scoring generators so that at
     most max_order * dim generators remain.  Returns z itself when it
-    already fits."""
-    if not isinstance(z, Zonotope):
-        raise ValueError("reduce_girard needs a plain zonotope")
+    already fits.  Only a zonotope without constraint rows is reduced."""
+    if isinstance(z, EmptySet) or z.num_constraints:
+        raise ValueError("reduce_girard needs a zonotope without constraint rows")
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     kept, _, _, g = girard(z.G, int(math.floor(max_order * z.dim)))
@@ -584,11 +521,11 @@ _VOLUME_BLOCK = 1 << 20
 
 
 def volume(z):
-    """Exact volume of a plain zonotope: 2^n * sum over n-column subsets S
-    of |det G_S|.  Refuses when there are more than _MAX_VOLUME_SUBSETS
-    subsets."""
-    if not isinstance(z, Zonotope):
-        raise ValueError("volume is defined for plain zonotopes")
+    """Exact volume of a zonotope without constraint rows: 2^n * sum over
+    n-column subsets S of |det G_S|.  Refuses when there are more than
+    _MAX_VOLUME_SUBSETS subsets."""
+    if isinstance(z, EmptySet) or z.num_constraints:
+        raise ValueError("volume is defined for zonotopes without constraint rows")
     n, m = z.dim, z.num_generators
     if m < n:
         return 0.0
@@ -685,7 +622,7 @@ def project_polygon(z, dims, n_dirs=32):
     """Vertices of the projection onto coordinates dims = (i, j), 0-based
     and distinct, counterclockwise.
 
-    Plain zonotopes are projected exactly.  Constrained zonotopes are
+    A set without constraint rows is projected exactly.  A set with rows is
     over-approximated by intersecting n_dirs support halfplanes, taken on
     the set itself in the directions the 2-D ones select.
     """
@@ -699,7 +636,7 @@ def project_polygon(z, dims, n_dirs=32):
     sel = np.zeros((2, z.dim))
     sel[0, u] = 1.0
     sel[1, v] = 1.0
-    if isinstance(z, Zonotope) or z.num_constraints == 0:
+    if z.num_constraints == 0:
         return _zonotope_polygon(sel @ z.c, sel @ z.G)
     angles = np.linspace(0.0, 2.0 * np.pi, n_dirs, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -758,10 +695,10 @@ def project_factors(a, b, xi, passes=100, tol=1e-9):
 
 
 def sample_factors(z, rng, count, max_tries=50):
-    """count feasible factor rows (count x m) for a zonotope or constrained
-    zonotope, drawn uniformly then projected onto the constraints."""
+    """count feasible factor rows (count x m) of a zonotope, drawn uniformly
+    then projected onto its constraint rows (if any)."""
     m = z.num_generators
-    if isinstance(z, Zonotope) or z.num_constraints == 0:
+    if z.num_constraints == 0:
         return rng.uniform(-1.0, 1.0, size=(count, m))
     out = np.empty((0, m))
     for _ in range(max_tries):

@@ -20,7 +20,9 @@ from datareach.harness import (
     simulate_batch,
     true_noise_coefficients,
 )
+from datareach.modelset import build_model_sets, generator_norm_proxy
 from datareach.reach import partition_data_by_mode
+from datareach.rightinv import pinv_right_inverse, row_norm_right_inverse
 
 
 def tiny_lti_config(**over):
@@ -245,6 +247,16 @@ def test_vertex_sampling_starts_at_corners():
     # the default stays strictly interior with probability one
     _, log_u = collect_data(tiny_lti_config(k_trajectories=6), system, "random")
     assert np.all(np.abs(log_u.xi0) < 1.0)
+    # corners of the factor box need not satisfy constraint rows; zero rows
+    # are no constraint
+    x0 = {"center": [1.0, -1.0], "generators": [[0.1, 0.0], [0.0, 0.1]]}
+    for a, b in (([[1.0, 0.0]], [0.0]), ([], [])):
+        cfg = tiny_lti_config(x0_sampling="vertex", x0_data={**x0, "a": a, "b": b})
+        if a:
+            with pytest.raises(HarnessError, match="constraint rows"):
+                collect_data(cfg, system, "random")
+        else:
+            assert np.all(np.abs(collect_data(cfg, system, "random")[1].xi0) == 1.0)
 
 
 def test_designed_collection_reduces_trace_on_most_seeds():
@@ -359,6 +371,27 @@ def test_pwa_reports_are_byte_identical(tmp_path):
     run_pwa_experiment(cfg, out_dir=tmp_path / "b")
     for name in ("report.json", "hull_widths.csv", Path("sets") / "cmz_pinv_random" / "step2.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_pwa_proxies_are_kept_per_variant():
+    # two variants of one input mode: each keeps the proxies of its own
+    # model sets, under its right-inverse entries
+    variants = (("random", "pinv"), ("random", "row_norm"))
+    cfg = tiny_pwa_config(pwa_variants=variants)
+    report = run_pwa_experiment(cfg)
+    system = cfg.true_system()
+    _, log = collect_data(cfg, system, "random")
+    parts, _ = partition_data_by_mode(log.trajectories, system.pwa)
+    assert report["data"]["random"]["per_mode"] == [
+        {"mode": q, "transitions": part.T} for q, part in enumerate(parts)]
+    for _, rinv in variants:
+        inverse = pinv_right_inverse if rinv == "pinv" else row_norm_right_inverse
+        for q, part in enumerate(parts):
+            mz = build_model_sets(part, cfg.w.G, inverse(part.phi).h).mz
+            entry = report["right_inverses"][f"{rinv}_random_mode{q}"]
+            assert entry["proxy"] == generator_norm_proxy(mz)
+    assert (report["right_inverses"]["pinv_random_mode0"]["proxy"]
+            != report["right_inverses"]["row_norm_random_mode0"]["proxy"])
 
 
 def test_study_propagates_each_combo_once(monkeypatch):

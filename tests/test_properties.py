@@ -1,6 +1,9 @@
-"""Property tests: soundness of the one propagation loop on random systems."""
+"""Property tests: soundness of the one propagation loop on random systems,
+and containment of the set operations on operands with and without
+constraint rows."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +15,18 @@ from datareach.reach import (
     certify_pwa,
     partition_data_by_mode,
     propagate_pwa,
+    replay_split,
 )
 from datareach.rightinv import pinv_right_inverse
-from datareach.sets import Zonotope
+from datareach.sets import (
+    Zonotope,
+    cartesian_product,
+    contains_point,
+    halfspace_intersection,
+    halfspace_intersection_with_plan,
+    linear_map,
+    minkowski_sum,
+)
 
 
 def random_pwa(rng, n_x, n_u, n_modes):
@@ -87,3 +99,98 @@ def test_certificates_hold_for_data_consistent_cmz_models(n_x, n_u, n_modes, hor
     res = propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order=5)
     draws = simulate(pwa, x0, u_prop, w, horizon, 40, rng)
     assert certify_pwa(res, betas, pwa, *draws).ok()
+
+
+# ---------------------------------------------------------------------------
+# containment of the set operations, on operands with and without rows
+
+
+def operand(rng, dim, rows, members=3):
+    """A zonotope with rows constraint rows and the factors (members, m) of
+    members of its points: the rows are drawn from the null space of the
+    members' factor differences, and b is their common value."""
+    m = members + rows + int(rng.integers(1, 3))
+    xi = rng.uniform(-1.0, 1.0, (members, m))
+    null = np.linalg.svd(xi[1:] - xi[0])[2][members - 1:]
+    a = rng.normal(size=(rows, null.shape[0])) @ null
+    z = Zonotope(rng.normal(size=dim), rng.normal(size=(dim, m)), a, a @ xi[0])
+    return z, xi
+
+
+def points(z, xi):
+    return z.c + xi @ z.G.T
+
+
+def assert_members(z, xi, x, tol=1e-9):
+    """xi are factors of z that place its points at x, rows included."""
+    assert xi.shape == (x.shape[0], z.num_generators)
+    assert np.all(np.abs(xi) <= 1.0 + tol)
+    assert np.allclose(xi @ z.A.T, z.b, atol=tol)
+    assert np.allclose(points(z, xi), x, atol=tol)
+
+
+ROWS = [(0, 0), (0, 2), (1, 0), (2, 1)]
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(dim=st.integers(1, 3), seed=SEEDS)
+def test_minkowski_sum_contains_sums_of_members(rows, dim, seed):
+    rng = np.random.default_rng(seed)
+    (a, xa), (b, xb) = operand(rng, dim, rows[0]), operand(rng, dim, rows[1])
+    s = minkowski_sum(a, b)
+    assert s.num_constraints == sum(rows)
+    assert_members(s, np.hstack([xa, xb]), points(a, xa) + points(b, xb))
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3)), seed=SEEDS)
+def test_cartesian_product_contains_pairs_of_members(rows, dims, seed):
+    rng = np.random.default_rng(seed)
+    (a, xa), (b, xb) = operand(rng, dims[0], rows[0]), operand(rng, dims[1], rows[1])
+    p = cartesian_product(a, b)
+    assert p.num_constraints == sum(rows)
+    assert_members(p, np.hstack([xa, xb]), np.hstack([points(a, xa), points(b, xb)]))
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(dim=st.integers(1, 3), out=st.integers(1, 3), seed=SEEDS)
+def test_linear_map_contains_images_of_members(rows, dim, out, seed):
+    rng = np.random.default_rng(seed)
+    z, xi = operand(rng, dim, rows)
+    m = rng.normal(size=(out, dim))
+    image = linear_map(m, z)
+    assert image.num_constraints == rows
+    assert_members(image, xi, points(z, xi) @ m.T)
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(dim=st.integers(1, 3), lift=st.floats(0.0, 5.0), seed=SEEDS)
+def test_halfspace_intersection_contains_members_inside(rows, dim, lift, seed):
+    rng = np.random.default_rng(seed)
+    z, xi = operand(rng, dim, rows)
+    x = points(z, xi)
+    h = rng.normal(size=dim)
+    offset = float(h @ x[0]) + lift  # member 0 is always inside
+    cut = halfspace_intersection(z, h, offset)
+    for p in x[x @ h <= offset]:
+        assert contains_point(cut, p, tol=1e-7)
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(dim=st.integers(1, 3), lift=st.floats(0.0, 5.0), seed=SEEDS)
+def test_pass_and_cut_events_replay_member_factors(rows, dim, lift, seed):
+    rng = np.random.default_rng(seed)
+    z, xi = operand(rng, dim, rows)
+    x = points(z, xi)
+    h = rng.normal(size=dim)
+    offset = float(h @ x[0]) + lift
+    piece, event = halfspace_intersection_with_plan(z, h, offset)
+    assert event[0] in ("pass", "cut")
+    inside = x @ h <= offset
+    assert_members(piece, replay_split([event], xi[inside]), x[inside])

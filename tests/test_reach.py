@@ -21,7 +21,6 @@ from datareach.reach import (
 from datareach.counters import lp_counts
 from datareach.sets import (
     ConstrainedMatrixZonotope,
-    ConstrainedZonotope,
     EmptySet,
     MatrixZonotope,
     Zonotope,
@@ -160,7 +159,7 @@ def test_certificates_constrained_path():
     assert report.ok(tol=1e-6)
     assert report.max_constraint <= 1e-9
     final = res.steps[-1].fragments[0].set
-    assert isinstance(final, ConstrainedZonotope)
+    assert final.num_constraints > 0
     for i in range(0, 30, 11):
         assert contains_point(final, states[i, horizon], tol=1e-7)
 
@@ -205,9 +204,9 @@ def test_replay_step_alone_reconstructs_points():
 
 
 def test_step_output_type_rule():
-    # plain state and plain model give a Zonotope; a constrained model gives a
-    # ConstrainedZonotope even when it has no constraint rows, and so does a
-    # constrained state or an input with constraint rows
+    # the step's rows are those of the state, the input and the model: a
+    # model, state or input without rows adds none, and a model with zero
+    # rows gives the very set a model without them gives
     rng = np.random.default_rng(10)
     mz = make_uncertain_model(rng, 2, 1, 2)
     cmz0 = ConstrainedMatrixZonotope(mz.C, mz.generators, np.zeros((0, 2)), np.zeros(0))
@@ -215,28 +214,25 @@ def test_step_output_type_rule():
     u_prop = Zonotope([0.0], np.array([[0.2]]))
     w = Zonotope(np.zeros(2), 0.01 * np.eye(2))
     plain, plan = propagation_step(mz, r, u_prop, w, 10)
-    assert type(plain) is Zonotope
+    assert type(plain) is Zonotope and plain.num_constraints == 0
     assert plan.cons_alpha.size == 0 and plan.beta_free
     out, plan = propagation_step(cmz0, r, u_prop, w, 10)
-    assert isinstance(out, ConstrainedZonotope) and out.num_constraints == 0
+    assert out.num_constraints == 0
     assert np.array_equal(out.G, plain.G) and np.array_equal(out.c, plain.c)
-    out, _ = propagation_step(mz, r.to_constrained(), u_prop, w, 10)
-    assert isinstance(out, ConstrainedZonotope) and out.num_constraints == 0
-    assert np.array_equal(out.G, plain.G)
-    # a constrained input with constraint rows makes the step constrained too:
-    # x' = x + u from x = 0 keeps u <= -0.5, as the constrained state path does
+    # an input with constraint rows gives the step its rows:
+    # x' = x + u from x = 0 keeps u <= -0.5, as the state path does
     ident = MatrixZonotope(np.array([[1.0, 1.0]]))
     x, w1 = Zonotope([0.0]), Zonotope([0.0])
     out, plan = propagation_step(ident, x, _cut_input(), w1, 10)
-    assert isinstance(out, ConstrainedZonotope) and out.num_constraints == 1
+    assert out.num_constraints == 1
     assert plan.cons_alpha.size == 2
     assert np.isclose(support(out, [1.0]), -0.5, atol=1e-9)
     assert np.isclose(support(out, [-1.0]), 1.0, atol=1e-9)
-    via_state, _ = propagation_step(ident, x.to_constrained(), _cut_input(), w1, 10)
-    assert np.isclose(support(via_state, [1.0]), support(out, [1.0]), atol=1e-12)
-    # without constraint rows a constrained input leaves the step plain
-    out, _ = propagation_step(ident, x, Zonotope([0.0], [[1.0]]).to_constrained(), w1, 10)
-    assert type(out) is Zonotope
+    # the model's rows follow the state and input rows, on the beta block
+    cmz = ConstrainedMatrixZonotope(mz.C, mz.generators, [[1.0, 0.0]], [0.25])
+    out, plan = propagation_step(cmz, r, u_prop, w, 10)
+    assert out.num_constraints == 1 and not plan.beta_free
+    assert np.array_equal(out.A[0, :2], [1.0, 0.0]) and np.array_equal(out.b, [0.25])
 
 
 def _cut_input():
@@ -262,7 +258,7 @@ def test_certificates_through_a_constrained_input():
         assert np.all(u <= -0.5 + 1e-9)
         states[:, k + 1] = np.hstack([states[:, k], u]) @ model.at(beta_star).T + xi_w[k] @ w.G.T
     res = propagate_lti(model, x0, u_prop, w, horizon, 4)
-    assert all(isinstance(s.fragments[0].set, ConstrainedZonotope) for s in res.steps[1:])
+    assert all(s.fragments[0].set.num_constraints > 0 for s in res.steps[1:])
     report = certify_lti(res, beta_star, states, xi0, xi_u, xi_w)
     assert report.ok(tol=1e-6)
     assert report.max_constraint <= 1e-9
@@ -300,7 +296,7 @@ def test_uncut_pieces_skip_the_emptiness_lp(monkeypatch):
     for k in range(1, 5):
         (frag,), (ref,) = res.steps[k].fragments, lti.steps[k].fragments
         assert frag.mode == ref.mode == 0 and frag.parent == 0 and frag.split == (("pass",),)
-        assert isinstance(frag.set, ConstrainedZonotope) and frag.set.num_constraints > 0
+        assert frag.set.num_constraints > 0
         assert np.array_equal(frag.set.G, ref.set.G) and np.array_equal(frag.set.A, ref.set.A)
 
 
@@ -373,6 +369,15 @@ def test_replay_split_factor_is_valid():
     assert np.allclose(xi_in @ cut.A.T, cut.b[None, :], atol=1e-9)
     rec = cut.c[None, :] + xi_in @ cut.G.T
     assert np.allclose(rec, pts[inside], atol=1e-9)
+
+
+def test_replay_split_rejects_events_without_factors():
+    # an "empty" event ends a piece, so no fragment's split carries one
+    z = Zonotope([0.0, 0.0], np.eye(2))
+    _, ev = halfspace_intersection_with_plan(z, [1.0, 0.0], -1.5)
+    assert ev == ("empty",)
+    with pytest.raises(ValueError, match="'empty'"):
+        replay_split([("pass",), ev], np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,6 @@ def random_czonotope(rng, dim, n_gens, n_cuts=1):
     for _ in range(n_cuts):
         h = rng.normal(size=dim)
         out = halfspace_intersection(out, h, float(h @ inside) + 0.1)
-    if isinstance(out, Zonotope):
-        out = out.to_constrained()
     return out, inside
 
 
@@ -158,16 +156,6 @@ def test_set_validation_survives_python_optimize_flag():
     assert out.stdout.strip() == "raised"
 
 
-def test_constrained_zonotope_reduces_to_zonotope_without_constraints():
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        z = random_zonotope(rng, 3, 6)
-        cz = z.to_constrained()
-        for _ in range(5):
-            d = rng.normal(size=3)
-            assert np.isclose(support(z, d), support(cz, d), atol=1e-9)
-
-
 def test_czonotope_support_matches_vertex_enumeration():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -266,8 +254,7 @@ def test_minkowski_sum_support_is_additive():
         a = random_zonotope(rng, 4, 5)
         b = random_zonotope(rng, 4, 3)
         s = minkowski_sum(a, b)
-        assert isinstance(s, Zonotope)
-        assert s.num_generators == 8
+        assert s.num_generators == 8 and s.num_constraints == 0
         for _ in range(5):
             d = rng.normal(size=4)
             assert np.isclose(support(s, d), support(a, d) + support(b, d), atol=1e-9)
@@ -278,7 +265,6 @@ def test_minkowski_sum_constrained_keeps_both_constraint_blocks():
     ca, _ = random_czonotope(rng, 2, 4, n_cuts=1)
     cb, _ = random_czonotope(rng, 2, 3, n_cuts=1)
     s = minkowski_sum(ca, cb)
-    assert isinstance(s, ConstrainedZonotope)
     assert s.num_constraints == ca.num_constraints + cb.num_constraints
     for _ in range(6):
         d = rng.normal(size=2)
@@ -307,7 +293,7 @@ def test_cartesian_product_supports_decompose():
 
     cz, _ = random_czonotope(rng, 2, 4)
     pc = cartesian_product(cz, b)
-    assert isinstance(pc, ConstrainedZonotope)
+    assert pc.num_constraints == cz.num_constraints
     assert np.isclose(support(pc, d), support(cz, da) + support(b, db), atol=1e-7)
 
 
@@ -324,7 +310,7 @@ def test_matrix_zonotope_product_block_layout():
     m = MatrixZonotope(np.eye(2), [np.array([[0.0, 1.0], [1.0, 0.0]])])
     z = Zonotope([1.0, 2.0], np.eye(2))
     prod = product(m, z)
-    assert isinstance(prod, Zonotope)
+    assert prod.num_constraints == 0
     assert np.allclose(prod.c, [1.0, 2.0])
     expected = np.column_stack([
         [1.0, 0.0], [0.0, 1.0],   # alpha block: C columns of G_z
@@ -360,7 +346,6 @@ def test_constrained_matrix_product_layout_and_membership():
     cm = ConstrainedMatrixZonotope(rng.normal(size=(n, mdim)), gens, a, b)
     z = random_zonotope(rng, mdim, p)
     prod = product(cm, z)
-    assert isinstance(prod, ConstrainedZonotope)
     assert prod.num_generators == p + kappa + kappa * p
     assert prod.A.shape == (1, prod.num_generators)
     # constrained beta block first, then the free alpha and gamma columns
@@ -419,7 +404,6 @@ def test_halfspace_intersection_branches():
     assert isinstance(empty, EmptySet)
     # proper cut
     cut = halfspace_intersection(z, [1.0, 0.0], 0.0)
-    assert isinstance(cut, ConstrainedZonotope)
     assert cut.num_generators == 3 and cut.num_constraints == 1
     assert np.isclose(support(cut, [1.0, 0.0]), 0.0, atol=1e-8)
     assert np.isclose(support(cut, [-1.0, 0.0]), 1.0, atol=1e-8)
@@ -612,9 +596,16 @@ def test_volume_refuses_huge_enumerations():
 
 def test_volume_rejects_sets_that_are_not_plain_zonotopes():
     rng = np.random.default_rng(30)
-    for z in (EmptySet(2), random_czonotope(rng, 2, 4)):
+    for z in (EmptySet(2), random_czonotope(rng, 2, 4)[0]):
+        assert isinstance(z, EmptySet) or z.num_constraints > 0
         with pytest.raises(ValueError):
             volume(z)
+        with pytest.raises(ValueError):
+            reduce_girard(z, 1)
+    # zero constraint rows are a plain zonotope
+    z0 = ConstrainedZonotope(np.zeros(2), np.hstack([np.eye(2), np.eye(2)]), np.zeros((0, 4)))
+    assert volume(z0) == pytest.approx(16.0)
+    assert reduce_girard(z0, 1).num_generators == 2
 
 
 def brute_force_volume(g):
@@ -953,6 +944,35 @@ def test_serialization_round_trip():
         assert type(back) is type(s)
         again = json.dumps(back.to_dict(), sort_keys=True)
         assert again == payload
+
+
+def test_zero_row_constrained_json_loads_without_rows():
+    # the zero-row constrained spellings that earlier versions wrote load as
+    # sets without rows and write back in the plain spelling
+    old = [
+        ({"type": "constrained_zonotope", "c": [1.0, -1.0], "G": [[1.0, 0.5], [0.0, 2.0]],
+          "A": [], "b": []},
+         {"type": "zonotope", "c": [1.0, -1.0], "G": [[1.0, 0.5], [0.0, 2.0]]}),
+        ({"type": "constrained_matrix_zonotope", "C": [[1.0, 2.0]],
+          "generators": [[[0.5, 0.0]], [[0.0, 0.25]]], "A": [], "b": []},
+         {"type": "matrix_zonotope", "C": [[1.0, 2.0]],
+          "generators": [[[0.5, 0.0]], [[0.0, 0.25]]]}),
+    ]
+    for written, plain in old:
+        s = set_from_dict(json.loads(json.dumps(written)))
+        assert s.num_constraints == 0 and s.A.shape == (0, 2) and s.b.shape == (0,)
+        assert s.to_dict() == plain
+        assert set_from_dict(plain).to_dict() == plain
+    # sets with rows keep the constrained spelling, and round-trip unchanged
+    rng = np.random.default_rng(34)
+    cz = ConstrainedZonotope(rng.normal(size=2), rng.normal(size=(2, 3)), [[1.0, 0.0, 1.0]], [0.5])
+    cmz = ConstrainedMatrixZonotope(rng.normal(size=(2, 2)), rng.normal(size=(3, 2, 2)),
+                                    [[1.0, -1.0, 0.0]], [0.0])
+    for s, kind in ((cz, "constrained_zonotope"), (cmz, "constrained_matrix_zonotope")):
+        payload = json.dumps(s.to_dict())
+        assert json.loads(payload)["type"] == kind
+        back = set_from_dict(json.loads(payload))
+        assert back.num_constraints == 1 and json.dumps(back.to_dict()) == payload
 
 
 def test_serialization_uses_sparse_blocks_for_large_sparse_matrices():

@@ -33,6 +33,7 @@ Output layout (when an output directory is given):
 
 import csv
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
@@ -82,6 +83,8 @@ _INPUT_STREAM = 1
 _CHECK_STREAM = 2
 _DIRECTION_STREAM = 3
 _MODES = ("random", "designed")
+_RIGHT_INVERSES = {"pinv": pinv_right_inverse, "row_norm": row_norm_right_inverse}
+_MODEL_SETS = ("mz", "cmz")
 
 
 class HarnessError(RuntimeError):
@@ -224,6 +227,9 @@ class ExperimentConfig:
                                 ("fragment_cap", 1)))
         except ValueError as e:
             raise HarnessError(str(e)) from e
+        if isinstance(self.max_order, bool) or not (isinstance(self.max_order, numbers.Real)
+                                                    and 1.0 <= self.max_order < np.inf):
+            raise HarnessError(f"max_order must be a finite real >= 1, got {self.max_order!r}")
         if self.volume_step is not None:
             self.volume_step = int(self.volume_step)
             if not 0 <= self.volume_step <= self.horizon:
@@ -234,6 +240,14 @@ class ExperimentConfig:
         self.right_inverses = tuple(self.right_inverses)
         self.model_sets = tuple(self.model_sets)
         self.pwa_variants = tuple((m, r) for m, r in self.pwa_variants)
+        names = [("input_modes", m, _MODES) for m in self.input_modes]
+        names += [("right_inverses", r, _RIGHT_INVERSES) for r in self.right_inverses]
+        names += [("model_sets", s, _MODEL_SETS) for s in self.model_sets]
+        for m, r in self.pwa_variants:
+            names += [("pwa_variants", m, _MODES), ("pwa_variants", r, _RIGHT_INVERSES)]
+        for label, name, known in names:
+            if name not in known:
+                raise HarnessError(f"{label}: unknown name {name!r}, expected one of {list(known)}")
         self.projection_dims = tuple(tuple(int(i) for i in p) for p in self.projection_dims)
         if isinstance(self.design, dict):
             try:
@@ -462,11 +476,10 @@ def _fit_variants(cfg, system, variants):
     collected, fits = {}, {}
     for mode, rinv in variants:
         if mode not in collected:
-            _, log = collect_data(cfg, system, mode)
-            collected[mode] = (log, *partition_data_by_mode(log.trajectories, system.pwa))
+            data, log = collect_data(cfg, system, mode)
+            collected[mode] = (log, *partition_data_by_mode(data, system.pwa))
         log, parts, indices = collected[mode]
-        inverse = pinv_right_inverse if rinv == "pinv" else row_norm_right_inverse
-        rinvs = [inverse(part.phi) for part in parts]
+        rinvs = [_RIGHT_INVERSES[rinv](part.phi) for part in parts]
         fits[(mode, rinv)] = _Fit(
             log, parts, rinvs,
             [build_model_sets(part, cfg.w.G, res.h) for part, res in zip(parts, rinvs)],
@@ -487,7 +500,7 @@ def proxy_chain(cfg):
     """
     if cfg.kind != "lti":
         raise HarnessError(f"proxy_chain needs a linear config, got kind {cfg.kind!r}")
-    fits = _fit_variants(cfg, cfg.true_system(), product(_MODES, ("pinv", "row_norm")))
+    fits = _fit_variants(cfg, cfg.true_system(), product(_MODES, _RIGHT_INVERSES))
     out = {}
     for mode in _MODES:
         pinv, row = fits[(mode, "pinv")], fits[(mode, "row_norm")]
@@ -558,19 +571,17 @@ def _rinv_summary(res):
 
 def _lp_spot_check(result, states, rng, n_spot, tol=1e-6):
     """A few independent membership LPs on random (trajectory, step) pairs,
-    as a cross-check on the factor certificates."""
-    n_traj = states.shape[0]
-    n_steps = len(result.steps)
-    if n_steps < 2:
-        return 0
+    as a cross-check on the factor certificates.  Returns (checks, failures):
+    the points checked, none when there is no step after the initial set,
+    and those that no fragment of their step contains."""
+    if result.horizon == 0:
+        return 0, 0
     failures = 0
     for _ in range(n_spot):
-        i = int(rng.integers(n_traj))
-        k = int(rng.integers(1, n_steps))
-        pt = states[i, k]
-        if not any(contains_point(f.set, pt, tol=tol) for f in result.steps[k].fragments):
+        i, k = int(rng.integers(states.shape[0])), int(rng.integers(1, result.horizon + 1))
+        if not any(contains_point(f.set, states[i, k], tol=tol) for f in result.steps[k].fragments):
             failures += 1
-    return failures
+    return n_spot, failures
 
 
 def _ordering(inner, outer):
@@ -648,11 +659,6 @@ def _emit_common(out, cfg, report, runs, fmt, tables, t0, lap, tallies):
 # experiments
 
 
-def _require_centered_noise(w):
-    if np.any(w.c != 0.0):
-        raise HarnessError("model-set construction assumes zero-centered noise")
-
-
 def _self_check(cfg, system, runs, report, betas):
     """Containment self-check of every run: factor certificates for fresh
     simulated trajectories, cross-checked by a few membership LPs.
@@ -666,14 +672,14 @@ def _self_check(cfg, system, runs, report, betas):
     checks, failed = {}, []
     for combo, run in runs.items():
         cert = certify_pwa(run, betas[combo], system.pwa, *draws)
-        spot_failures = _lp_spot_check(run, draws[0], rng_chk, cfg.n_lp_spot)
+        spot_checks, spot_failures = _lp_spot_check(run, draws[0], rng_chk, cfg.n_lp_spot)
         ok = bool(cert.ok() and spot_failures == 0)
         checks[combo] = {
             "trajectories": cfg.n_check,
             "max_factor": cert.max_factor,
             "max_constraint": cert.max_constraint,
             "max_point_error": cert.max_point_error,
-            "lp_spot_checks": cfg.n_lp_spot,
+            "lp_spot_checks": spot_checks,
             "lp_spot_failures": spot_failures,
             "ok": ok,
         }
@@ -724,7 +730,8 @@ def _study(cfg, kind, out_dir, fmt):
             raise HarnessError(f"config kind is {cfg.kind!r}, expected {kind!r}")
         system = cfg.true_system()
         pwa = system.pwa
-        _require_centered_noise(cfg.w)
+        if np.any(cfg.w.c != 0.0):
+            raise HarnessError("model-set construction assumes zero-centered noise")
         report = {
             "schema_version": SCHEMA_VERSION,
             "kind": kind,
@@ -765,7 +772,7 @@ def _study(cfg, kind, out_dir, fmt):
         for (mode, rinv), fit in fits.items():
             for mset in cfg.model_sets if lti else ("cmz",):
                 combo = f"{mset}_{rinv}_{mode}"
-                models = [b.mz if mset == "mz" else b.cmz for b in fit.bundles]
+                models = [getattr(b, mset) for b in fit.bundles]
                 runs[combo] = propagate_pwa(models, pwa, cfg.x0, cfg.u_prop, cfg.w, cfg.horizon,
                                             cfg.max_order, fragment_cap=cfg.fragment_cap)
                 betas[combo] = fit.betas

@@ -8,15 +8,16 @@ One step maps the current state set R through
 where M is a matrix zonotope of models over the lifted vector [x; u], U is
 the propagation input set, and W the disturbance set.  propagation_step is
 the one kernel for this.  The constraint rows of R, U and M all carry over
-to R': with none, R' has none either; matrix-factor rows or guard-split rows
-give the state sets rows, and the columns those rows touch are exempt from
-order reduction.
+to R': with none, R' has none either.  One mask marks the product columns
+those rows touch, which order reduction never boxes; the rest form the free
+block that it reduces.
 
 propagate_pwa is the one propagation loop: it splits every fragment along
 the mode guards, propagates each nonempty piece through its mode's model
 set, and tracks the fragment lineage.  A linear system is the one-mode case
 LINEAR, whose region has no guard, so its single fragment per step passes
-through uncut.
+through uncut.  partition_data_by_mode splits a data set's columns by the
+mode of their start state, for one model set per mode.
 
 Every fragment records how it was made: the guard-split events applied to
 its parent and the StepPlan of its step.  replay_step and replay_split push
@@ -54,18 +55,18 @@ from .sets import (
 class StepPlan:
     """Replay data for one propagation step.
 
-    The free block is [alpha[:, free_alpha], beta (if beta_free), gamma, W];
-    kept indexes its columns that survive the reduction (kept_cols), and
-    box_rows / box_radii give the box columns that cover the rest.
+    cons masks the constrained product columns of [alpha | beta], which lead
+    the result; kept holds the product columns of [alpha | beta | gamma | W]
+    that survive the reduction of the free block, in order, with their
+    generator columns kept_cols.  box_rows / box_radii give the box columns
+    that cover the rest.
     """
 
     model: MatrixZonotope
     c_lift: np.ndarray
     g_lift: np.ndarray
     w_g: np.ndarray
-    cons_alpha: np.ndarray      # alpha columns whose factors carry constraints
-    free_alpha: np.ndarray
-    beta_free: bool             # model without rows: beta is in the free block
+    cons: np.ndarray
     kept: np.ndarray
     kept_cols: np.ndarray
     box_rows: np.ndarray
@@ -133,71 +134,69 @@ def propagation_step(model, r, u_prop, w, max_order):
 
     For M = <C, {G_l}> (kappa generators) and R x U = <c, g> (p generators)
     the product M (R x U) is over-approximated with generator columns in
-    three blocks:
+    four blocks, the product columns:
         alpha: C @ g[:, i]     p columns, factor xi_i
         beta:  G_l @ c         kappa columns, factor beta_l
         gamma: G_l @ g[:, i]   kappa * p columns, l-major (l slow, i fast)
+        W:     the columns of w
     The bilinear products beta_l * xi_i are relaxed to fresh gamma factors,
-    which is what makes this an over-approximation.  Factor constraints of
-    R x U stay on their alpha columns, matrix-factor constraints on the beta
-    block; gamma and W columns are unconstrained.
+    which is what makes this an over-approximation.
 
-    Constrained columns are never boxed.  The free block (unconstrained
-    alpha, beta when the model has no rows, gamma, W) is Girard-reduced to
+    One mask cons over [alpha | beta] marks the constrained columns: the
+    nonzero columns of the rows of R x U on alpha and of the model's rows on
+    beta, the rule the set LPs apply to their own factors.  gamma and W are
+    never constrained.  Constrained columns are never boxed.  The free block
+    (the rest of alpha and beta, then gamma and W) is Girard-reduced to
     max(n, max_order * n) columns: the order cap governs the free block
     alone, because subtracting the constrained count would collapse the free
     budget to n once the model constraints alone exceed the cap.  Output
     columns: constrained alpha, constrained beta, reduced free block.
 
-    The result has the rows of R and U, on their alpha columns, followed by
-    the model's rows on the beta block; it has none when none of the three
-    has any.  Rows of W are not kept, which only enlarges the result.
+    The result has the rows of R and U followed by the model's rows, each
+    on its constrained columns; it has none when none of the three has any.
+    Rows of W are not kept, which only enlarges the result.
     """
     lifted = cartesian_product(r, u_prop)
     c_lift, g_lift, a_z, b_z = lifted.c, lifted.G, lifted.A, lifted.b
     n, p = model.shape[0], g_lift.shape[1]
-    kappa, q_m = model.num_generators, model.num_constraints
 
     center = model.C @ c_lift + w.c
     alpha = model.C @ g_lift
     beta = np.einsum("lij,j->il", model.generators, c_lift)
     gamma = np.einsum("lij,jp->lip", model.generators, g_lift)
-    gamma = gamma.transpose(1, 0, 2).reshape(n, kappa * p)
+    gamma = gamma.transpose(1, 0, 2).reshape(n, model.num_generators * p)
 
-    cons = np.any(a_z != 0.0, axis=0)
-    cons_alpha, free_alpha = np.nonzero(cons)[0], np.nonzero(~cons)[0]
-    beta_free = q_m == 0
-    head = [alpha[:, cons_alpha]] + ([] if beta_free else [beta])
-    free = np.hstack([alpha[:, free_alpha]] + ([beta] if beta_free else []) + [gamma, w.G])
+    cons_a, cons_b = np.any(a_z != 0.0, axis=0), np.any(model.A != 0.0, axis=0)
+    cons = np.concatenate([cons_a, cons_b])
+    free = np.hstack([alpha[:, ~cons_a], beta[:, ~cons_b], gamma, w.G])
     kept, box_rows, box_radii, free_out = girard(free, max(n, int(math.floor(max_order * n))))
-    g_out = np.hstack(head + [free_out])
-    plan = StepPlan(model, c_lift, g_lift, w.G, cons_alpha, free_alpha, beta_free,
-                    kept, free_out[:, : kept.size], box_rows, box_radii)
-    q_z = a_z.shape[0]
-    a_out = np.zeros((q_z + q_m, g_out.shape[1]))
-    a_out[:q_z, : cons_alpha.size] = a_z[:, cons_alpha]
-    if q_m:
-        a_out[q_z:, cons_alpha.size : cons_alpha.size + kappa] = model.A
+    # the free block's columns as product columns of [alpha | beta | gamma | W]
+    free_cols = np.concatenate([np.flatnonzero(~cons),
+                                np.arange(cons.size, cons.size + gamma.shape[1] + w.G.shape[1])])
+    plan = StepPlan(model, c_lift, g_lift, w.G, cons, free_cols[kept],
+                    free_out[:, : kept.size], box_rows, box_radii)
+    g_out = np.hstack([alpha[:, cons_a], beta[:, cons_b], free_out])
+    q_z, n_a, n_b = a_z.shape[0], np.count_nonzero(cons_a), np.count_nonzero(cons_b)
+    a_out = np.zeros((q_z + model.num_constraints, g_out.shape[1]))
+    a_out[:q_z, :n_a] = a_z[:, cons_a]
+    a_out[q_z:, n_a : n_a + n_b] = model.A[:, cons_b]
     return Zonotope(center, g_out, a_out, np.concatenate([b_z, model.b])), plan
 
 
-def _free_factors(plan, idx, xi_lift, beta_star, xi_w):
-    """Factor values for the columns idx (sorted) of the free block."""
+def _factors(plan, cols, xi_lift, beta_star, xi_w):
+    """Factor values of the product columns cols of [alpha | beta | gamma | W]
+    for N points: xi_lift (N, p) and xi_w (N, p_w) are their lifted and
+    noise factors, beta_star the factors of the member model."""
     p, kappa = plan.p, plan.model.num_generators
-    b0 = plan.free_alpha.size
-    b1 = b0 + (kappa if plan.beta_free else 0)
-    b2 = b1 + kappa * p
-    out = np.empty((xi_lift.shape[0], idx.size))
-    for j, col in enumerate(idx):
-        if col < b0:
-            out[:, j] = xi_lift[:, plan.free_alpha[col]]
-        elif col < b1:
-            out[:, j] = beta_star[col - b0]
-        elif col < b2:
-            g = col - b1
-            out[:, j] = beta_star[g // p] * xi_lift[:, g % p]
-        else:
-            out[:, j] = xi_w[:, col - b2]
+    starts = np.array([0, p, p + kappa, p + kappa + kappa * p])
+    block = np.searchsorted(starts, cols, side="right") - 1
+    j = cols - starts[block]
+    alpha, beta, gamma, w = (block == k for k in range(4))
+    out = np.empty((xi_lift.shape[0], cols.size))
+    out[:, alpha] = xi_lift[:, j[alpha]]
+    out[:, beta] = beta_star[j[beta]]
+    out[:, gamma] = beta_star[j[gamma] // p] * xi_lift[:, j[gamma] % p]
+    out[:, w] = xi_w[:, j[w]]
     return out
 
 
@@ -212,25 +211,20 @@ def replay_step(plan, xi_state, xi_u, beta_star, xi_w):
     if xi_lift.shape[1] != plan.p:
         raise ValueError(f"state and input factors have {xi_lift.shape[1]} columns, "
                          f"the step expects {plan.p}")
-    n_tr = xi_lift.shape[0]
-    kappa = plan.model.num_generators
-    kept_f = _free_factors(plan, plan.kept, xi_lift, beta_star, xi_w)
-    parts = [xi_lift[:, plan.cons_alpha]]
-    if not plan.beta_free:
-        parts.append(np.broadcast_to(beta_star, (n_tr, kappa)))
-    parts.append(kept_f)
-    if plan.box_rows.size:
-        # the box factors carry what the kept free columns miss of the free
-        # block's total contribution, computed in closed form
-        m_beta = np.einsum("l,lij->ij", beta_star, plan.model.generators)
-        fa = plan.free_alpha
-        full = (xi_lift @ plan.g_lift.T) @ m_beta.T + xi_w @ plan.w_g.T
-        full = full + (xi_lift[:, fa] @ plan.g_lift[:, fa].T) @ plan.model.C.T
-        if plan.beta_free:
-            full = full + (m_beta @ plan.c_lift)[None, :]
-        resid = full - kept_f @ plan.kept_cols.T
-        parts.append(resid[:, plan.box_rows] / plan.box_radii)
-    return np.hstack(parts)
+    head = _factors(plan, np.flatnonzero(plan.cons), xi_lift, beta_star, xi_w)
+    kept = _factors(plan, plan.kept, xi_lift, beta_star, xi_w)
+    if not plan.box_rows.size:
+        return np.hstack([head, kept])
+    # the box factors carry what the kept free columns miss of the free
+    # block's total contribution, computed in closed form
+    gens = plan.model.generators
+    free_a, free_b = ~plan.cons[: plan.p], ~plan.cons[plan.p :]
+    m_beta = np.einsum("l,lij->ij", beta_star, gens)
+    full = (xi_lift @ plan.g_lift.T) @ m_beta.T + xi_w @ plan.w_g.T
+    full = full + (xi_lift[:, free_a] @ plan.g_lift[:, free_a].T) @ plan.model.C.T
+    full = full + np.einsum("l,lij->ij", beta_star[free_b], gens[free_b]) @ plan.c_lift
+    resid = full - kept @ plan.kept_cols.T
+    return np.hstack([head, kept, resid[:, plan.box_rows] / plan.box_radii])
 
 
 def replay_split(events, xi, w_floor=1e-12):
@@ -326,41 +320,24 @@ class PwaSpec:
 LINEAR = PwaSpec([PwaMode(region=[])])
 
 
-def partition_data_by_mode(trajectories, pwa):
-    """Split transition data by the mode active at the start state.
+def partition_data_by_mode(data, pwa):
+    """Split a DataSet's transitions by the mode active at their start state.
 
-    trajectories: list of (X, U) with X of shape (n_x, T_i + 1) and U of
-    shape (n_u, T_i).  Returns (parts, indices): one DataSet per mode, and
-    per mode the global transition index of every column (counting across
-    trajectories in order).  Modes with fewer transitions than n_x + n_u
-    trigger a warning.
+    Returns (parts, indices): one DataSet per mode with its transitions in
+    data's column order, and per mode the columns of data it holds.  Modes
+    with fewer transitions than n_x + n_u trigger a warning.
     """
-    buckets = [([], [], [], []) for _ in range(pwa.n_modes)]
-    n_x = n_u = 0
-    offset = 0
-    for x_traj, u_traj in trajectories:
-        x_traj = np.asarray(x_traj, dtype=float)
-        u_traj = np.asarray(u_traj, dtype=float)
-        n_x, n_u = x_traj.shape[0], u_traj.shape[0]
-        modes = pwa.classify_batch(x_traj[:, :-1].T)
-        for t, q in enumerate(modes):
-            buckets[q][0].append(x_traj[:, t + 1])
-            buckets[q][1].append(x_traj[:, t])
-            buckets[q][2].append(u_traj[:, t])
-            buckets[q][3].append(offset + t)
-        offset += modes.size
-    out = []
-    indices = []
-    for q, (xp, xm, um, idx) in enumerate(buckets):
-        if xp:
-            data = DataSet(np.column_stack(xp), np.column_stack(xm), np.column_stack(um))
-        else:
-            data = DataSet(np.zeros((n_x, 0)), np.zeros((n_x, 0)), np.zeros((n_u, 0)))
-        if data.T < data.d:
-            warnings.warn(f"mode {q}: only {data.T} transitions for {data.d} unknowns")
-        out.append(data)
-        indices.append(np.asarray(idx, dtype=int))
-    return out, indices
+    modes = pwa.classify_batch(data.x_minus.T)
+    parts, indices = [], []
+    for q in range(pwa.n_modes):
+        idx = np.flatnonzero(modes == q)
+        part = DataSet(*(np.take(a, idx, axis=1)
+                         for a in (data.x_plus, data.x_minus, data.u_minus)))
+        if part.T < part.d:
+            warnings.warn(f"mode {q}: only {part.T} transitions for {part.d} unknowns")
+        parts.append(part)
+        indices.append(idx)
+    return parts, indices
 
 
 def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=256):
@@ -474,11 +451,6 @@ def _certificate_inputs(result, states, xi0, xi_u, xi_w):
     return states, xi0, xi_u, xi_w
 
 
-def _report(worst, states):
-    return CertificateReport(worst["max_factor"], worst["max_constraint"],
-                             worst["max_point_error"], states.shape[0], states.shape[1] - 1)
-
-
 def certify_pwa(result, beta_stars, pwa, states, xi0, xi_u, xi_w):
     """Constructive containment certificates for simulated trajectories.
 
@@ -522,7 +494,7 @@ def certify_pwa(result, beta_stars, pwa, states, xi0, xi_u, xi_w):
             ids = np.concatenate([s for s, _ in parts])
             order = np.argsort(ids)
             groups[ci] = (ids[order], np.vstack([x for _, x in parts])[order])
-    return _report(worst, states)
+    return CertificateReport(**worst, n_trajectories=states.shape[0], n_steps=result.horizon)
 
 
 def certify_lti(result, beta_star, states, xi0, xi_u, xi_w):

@@ -13,6 +13,7 @@ JSON round-tripping.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -624,8 +625,11 @@ def project_polygon(z, dims, n_dirs=32):
 
     A set without constraint rows is projected exactly.  A set with rows is
     over-approximated by intersecting n_dirs support halfplanes, taken on
-    the set itself in the directions the 2-D ones select.
+    the set itself in the directions the 2-D ones select.  n_dirs must be an
+    int >= 3 either way.
     """
+    if isinstance(n_dirs, bool) or not isinstance(n_dirs, numbers.Integral) or n_dirs < 3:
+        raise ValueError(f"n_dirs must be an int >= 3, got {n_dirs!r}")
     if len(dims) != 2 or any(int(d) != d for d in dims):
         raise ValueError(f"project_polygon needs two coordinate indices, got {dims}")
     u, v = (int(d) for d in dims)

@@ -23,6 +23,7 @@ from datareach.harness import (
 from datareach.modelset import build_model_sets, generator_norm_proxy
 from datareach.reach import partition_data_by_mode
 from datareach.rightinv import pinv_right_inverse, row_norm_right_inverse
+from datareach.sets import contains_point
 
 
 def tiny_lti_config(**over):
@@ -104,6 +105,23 @@ def test_config_rejects_bad_kind_and_sampling():
             tiny_lti_config(**{name: bad})
     cfg = tiny_lti_config(n_lp_spot=0, horizon=0, fragment_cap=1)
     assert (cfg.n_lp_spot, cfg.horizon, cfg.fragment_cap) == (0, 0, 1)
+
+
+def test_config_rejects_unknown_variant_names_and_bad_max_order():
+    # a misspelt right inverse used to run the row-norm ADMM under its name,
+    # a misspelt model set propagated the cmz set, and a max_order below 1
+    # reduced to order 1 or, not finite, failed deep inside a study
+    for name, bad in (("input_modes", ("random", "desgined")),
+                      ("right_inverses", ("pinvv",)),
+                      ("model_sets", ("mzz",)),
+                      ("pwa_variants", (("random", "pinvv"),)),
+                      ("pwa_variants", (("openloop", "pinv"),))):
+        with pytest.raises(HarnessError, match=name):
+            tiny_lti_config(**{name: bad})
+    for bad in (float("nan"), float("inf"), 0, -3, 0.5, True, "10"):
+        with pytest.raises(HarnessError, match="max_order"):
+            tiny_lti_config(max_order=bad)
+    assert tiny_lti_config(max_order=1).max_order == 1
 
 
 def test_config_rejects_bad_design_block():
@@ -209,6 +227,25 @@ def test_collect_data_shapes_and_rank():
     assert len(log.trajectories) == cfg.k_trajectories
 
 
+def test_self_check_counts_the_spot_checks_it_runs(monkeypatch):
+    # a linear study has one fragment per step, so each spot check is one
+    # membership LP; with no step after the initial set none runs
+    calls = []
+
+    def counting(z, x, tol=1e-9):
+        calls.append(x)
+        return contains_point(z, x, tol=tol)
+
+    monkeypatch.setattr(harness, "contains_point", counting)
+    for horizon, expect in ((0, 0), (2, 2)):
+        calls.clear()
+        cfg = tiny_lti_config(horizon=horizon, input_modes=("random",), right_inverses=("pinv",),
+                              model_sets=("mz",), compute_supports=False, compute_volumes=False)
+        checks = run_lti_experiment(cfg)["self_check"]
+        assert [c["lp_spot_checks"] for c in checks.values()] == [expect] * 2
+        assert len(calls) == 2 * expect
+
+
 def test_collect_data_rejects_unknown_mode():
     cfg = tiny_lti_config()
     with pytest.raises(HarnessError, match="input mode"):
@@ -289,7 +326,7 @@ def test_linear_partition_is_the_whole_data_set():
     cfg = tiny_lti_config()
     system = cfg.true_system()
     data, log = collect_data(cfg, system, "designed")
-    parts, indices = partition_data_by_mode(log.trajectories, system.pwa)
+    parts, indices = partition_data_by_mode(data, system.pwa)
     assert len(parts) == 1
     for name in ("x_plus", "x_minus", "u_minus"):
         assert np.array_equal(getattr(parts[0], name), getattr(data, name))
@@ -380,8 +417,8 @@ def test_pwa_proxies_are_kept_per_variant():
     cfg = tiny_pwa_config(pwa_variants=variants)
     report = run_pwa_experiment(cfg)
     system = cfg.true_system()
-    _, log = collect_data(cfg, system, "random")
-    parts, _ = partition_data_by_mode(log.trajectories, system.pwa)
+    data, _ = collect_data(cfg, system, "random")
+    parts, _ = partition_data_by_mode(data, system.pwa)
     assert report["data"]["random"]["per_mode"] == [
         {"mode": q, "transitions": part.T} for q, part in enumerate(parts)]
     for _, rinv in variants:
@@ -528,8 +565,8 @@ def test_lti_rejects_pwa_config():
 def test_pwa_partition_indices_cover_all_columns():
     cfg = bundled_config("pwa_2mode")
     system = cfg.true_system()
-    data, log = collect_data(cfg, system, "random")
-    parts, indices = partition_data_by_mode(log.trajectories, system.pwa)
+    data, _ = collect_data(cfg, system, "random")
+    parts, indices = partition_data_by_mode(data, system.pwa)
     assert sum(p.T for p in parts) == data.T
     assert sorted(np.concatenate(indices).tolist()) == list(range(data.T))
     for q, part in enumerate(parts):

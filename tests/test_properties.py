@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datareach.modelset import build_model_sets
+from datareach.modelset import DataSet, build_model_sets
 from datareach.reach import (
     Halfspace,
     PwaMode,
@@ -44,10 +44,10 @@ def random_pwa(rng, n_x, n_u, n_modes):
 
 
 def one_step_data(rng, pwa, w, per_mode):
-    """per_mode one-step transitions starting in each mode, with the noise
-    factors of every transition (p_w, T)."""
+    """A DataSet of per_mode one-step transitions starting in each mode, with
+    the noise factors of every transition (p_w, T)."""
     n_x, n_u = pwa.modes[0].b.shape
-    trajectories, xi_w = [], []
+    columns, xi_w = [], []
     for q in range(pwa.n_modes):
         for _ in range(per_mode):
             x = rng.uniform(-2.0, 2.0, n_x)
@@ -57,9 +57,9 @@ def one_step_data(rng, pwa, w, per_mode):
             xiw = rng.uniform(-1.0, 1.0, w.num_generators)
             a, b = pwa.modes[q].a, pwa.modes[q].b
             x_next = a @ x + b @ u + w.G @ xiw
-            trajectories.append((np.column_stack([x, x_next]), u[:, None]))
+            columns.append((x_next, x, u))
             xi_w.append(xiw)
-    return trajectories, np.column_stack(xi_w)
+    return DataSet(*(np.column_stack(c) for c in zip(*columns))), np.column_stack(xi_w)
 
 
 def simulate(pwa, x0, u_prop, w, horizon, n_traj, rng):
@@ -86,8 +86,8 @@ def test_certificates_hold_for_data_consistent_cmz_models(n_x, n_u, n_modes, hor
     rng = np.random.default_rng(seed)
     pwa = random_pwa(rng, n_x, n_u, n_modes)
     w = Zonotope(np.zeros(n_x), 0.02 * np.eye(n_x))
-    trajectories, xi_w = one_step_data(rng, pwa, w, per_mode=3 * (n_x + n_u))
-    parts, indices = partition_data_by_mode(trajectories, pwa)
+    data, xi_w = one_step_data(rng, pwa, w, per_mode=3 * (n_x + n_u))
+    parts, indices = partition_data_by_mode(data, pwa)
     models, betas = [], []
     for part, idx in zip(parts, indices):
         assert part.T >= part.d

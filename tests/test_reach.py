@@ -19,6 +19,7 @@ from datareach.reach import (
     replay_step,
 )
 from datareach.counters import lp_counts
+from datareach.modelset import DataSet
 from datareach.sets import (
     ConstrainedMatrixZonotope,
     EmptySet,
@@ -215,7 +216,7 @@ def test_step_output_type_rule():
     w = Zonotope(np.zeros(2), 0.01 * np.eye(2))
     plain, plan = propagation_step(mz, r, u_prop, w, 10)
     assert type(plain) is Zonotope and plain.num_constraints == 0
-    assert plan.cons_alpha.size == 0 and plan.beta_free
+    assert plan.cons.size == 3 + 2 and not plan.cons.any()
     out, plan = propagation_step(cmz0, r, u_prop, w, 10)
     assert out.num_constraints == 0
     assert np.array_equal(out.G, plain.G) and np.array_equal(out.c, plain.c)
@@ -225,14 +226,77 @@ def test_step_output_type_rule():
     x, w1 = Zonotope([0.0]), Zonotope([0.0])
     out, plan = propagation_step(ident, x, _cut_input(), w1, 10)
     assert out.num_constraints == 1
-    assert plan.cons_alpha.size == 2
+    assert plan.cons.tolist() == [True, True]
     assert np.isclose(support(out, [1.0]), -0.5, atol=1e-9)
     assert np.isclose(support(out, [-1.0]), 1.0, atol=1e-9)
-    # the model's rows follow the state and input rows, on the beta block
+    # the model's rows follow the state and input rows, on the beta columns
+    # they touch; beta_1 has an all-zero column and joins the free block
     cmz = ConstrainedMatrixZonotope(mz.C, mz.generators, [[1.0, 0.0]], [0.25])
     out, plan = propagation_step(cmz, r, u_prop, w, 10)
-    assert out.num_constraints == 1 and not plan.beta_free
-    assert np.array_equal(out.A[0, :2], [1.0, 0.0]) and np.array_equal(out.b, [0.25])
+    assert out.num_constraints == 1
+    assert plan.cons.tolist() == [False, False, False, True, False]
+    assert out.A[0, 0] == 1.0 and not out.A[0, 1:].any() and np.array_equal(out.b, [0.25])
+
+
+def test_zero_constraint_column_puts_its_beta_in_the_reduced_block():
+    # beta_2 has an all-zero column in the model's rows: it joins the free
+    # block that Girard reduction boxes, and the certificates replay it
+    # through the box residual of a model that has rows
+    rng = np.random.default_rng(16)
+    models = [make_constrained_model(rng, 1, 1, 3) for _ in range(2)]
+    betas = [feasible_beta(rng, 3) for _ in models]
+    assert all(np.array_equal(m.A, [[1.0, 1.0, 0.0]]) for m in models)
+    pwa = PwaSpec([PwaMode(mode.region, *np.hsplit(model.at(beta), [1]))
+                   for mode, model, beta in zip(one_dim_pwa().modes, models, betas)])
+    x0 = Zonotope([0.2], [[1.0]])
+    u_prop = Zonotope([0.3], [[0.1]])
+    w = Zonotope([0.0], [[0.01]])
+    horizon = 3
+    res = propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order=3)
+    frags = [f for s in res.steps[1:] for f in s.fragments]
+    assert {f.mode for f in frags} == {0, 1}
+    for f in frags:
+        p = f.plan.p
+        assert f.plan.cons[p:].tolist() == [True, True, False]
+        # the model's row lands on the two constrained beta columns only
+        head = np.count_nonzero(f.plan.cons)
+        assert np.array_equal(f.set.A[-1, head - 2 : head], [1.0, 1.0])
+        assert not f.set.A[-1, head:].any()
+    assert all(f.plan.box_rows.size for f in frags)
+    draws = simulate_pwa_recorded(pwa, x0, u_prop, w, horizon, 40, rng)
+    report = certify_pwa(res, betas, pwa, *draws)
+    assert report.ok(tol=1e-6)
+    assert report.max_constraint <= 1e-9
+
+
+def _factor_of_column(plan, col, xi_lift, beta, xi_w):
+    """Reference decode, one product column of [alpha | beta | gamma | W]."""
+    p, kappa = plan.p, plan.model.num_generators
+    if col < p:
+        return xi_lift[:, col]
+    if col < p + kappa:
+        return np.full(xi_lift.shape[0], beta[col - p])
+    g = col - p - kappa
+    if g < kappa * p:
+        return beta[g // p] * xi_lift[:, g % p]
+    return xi_w[:, g - kappa * p]
+
+
+def test_factors_match_a_per_column_decode():
+    rng = np.random.default_rng(17)
+    model = make_constrained_model(rng, 2, 1, 4)
+    w = Zonotope(np.zeros(2), 0.01 * np.eye(2))
+    r = Zonotope([0.5, -0.5], rng.normal(size=(2, 4)), [[1.0, 1.0, 0.0, 0.0]], [0.2])
+    _, plan = propagation_step(model, r, _cut_input(), w, max_order=3)
+    kappa, n_tr = model.num_generators, 6
+    assert plan.cons[: plan.p].any() and not plan.cons[: plan.p].all()
+    xi_lift = rng.uniform(-1, 1, size=(n_tr, plan.p))
+    beta, xi_w = rng.uniform(-1, 1, size=kappa), rng.uniform(-1, 1, size=(n_tr, 2))
+    cols = np.arange(plan.p + kappa + kappa * plan.p + 2)
+    ref = np.column_stack([_factor_of_column(plan, c, xi_lift, beta, xi_w) for c in cols])
+    for pick in (cols, np.flatnonzero(plan.cons), plan.kept, cols[::-3]):
+        got = reach._factors(plan, pick, xi_lift, beta, xi_w)
+        assert np.array_equal(got, ref[:, pick])
 
 
 def _cut_input():
@@ -531,9 +595,9 @@ def test_pwa_fragment_cap():
 def test_partition_data_by_mode():
     pwa = one_dim_pwa()
     x_traj = np.array([[1.0, 0.5, -0.3, 0.0, 2.0]])
-    u_traj = np.array([[0.1, 0.2, 0.3, 0.4]])
+    data = DataSet(x_traj[:, 1:], x_traj[:, :-1], [[0.1, 0.2, 0.3, 0.4]])
     with pytest.warns(UserWarning):  # mode 1 sees a single transition
-        parts, indices = partition_data_by_mode([(x_traj, u_traj)], pwa)
+        parts, indices = partition_data_by_mode(data, pwa)
     # start states 1.0, 0.5, -0.3, 0.0 -> modes 0, 0, 1, 0 (boundary to mode 0)
     assert parts[0].T == 3 and parts[1].T == 1
     assert np.allclose(parts[0].x_minus, [[1.0, 0.5, 0.0]])
@@ -546,9 +610,8 @@ def test_partition_data_by_mode():
 def test_partition_warns_on_starved_mode():
     pwa = one_dim_pwa()
     x_traj = np.array([[1.0, 0.5, 0.25]])
-    u_traj = np.array([[0.0, 0.0]])
     with pytest.warns(UserWarning):
-        partition_data_by_mode([(x_traj, u_traj)], pwa)
+        partition_data_by_mode(DataSet(x_traj[:, 1:], x_traj[:, :-1], [[0.0, 0.0]]), pwa)
 
 
 def test_model_based_reference_lti_and_pwa():

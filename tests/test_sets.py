@@ -340,7 +340,7 @@ def test_constrained_matrix_product_layout_and_membership():
     rng = np.random.default_rng(18)
     kappa, n, mdim, p = 3, 2, 2, 2
     gens = rng.normal(size=(kappa, n, mdim))
-    # constraint pins beta_0 + beta_1 = 0.4
+    # constraint pins beta_0 + beta_1 = 0.4; beta_2's column is all zero
     a = np.array([[1.0, 1.0, 0.0]])
     b = np.array([0.4])
     cm = ConstrainedMatrixZonotope(rng.normal(size=(n, mdim)), gens, a, b)
@@ -348,11 +348,14 @@ def test_constrained_matrix_product_layout_and_membership():
     prod = product(cm, z)
     assert prod.num_generators == p + kappa + kappa * p
     assert prod.A.shape == (1, prod.num_generators)
-    # constrained beta block first, then the free alpha and gamma columns
-    assert np.allclose(prod.A[:, :kappa], a)
-    assert np.allclose(prod.A[:, kappa:], 0.0)
-    assert np.allclose(prod.G[:, :kappa], np.einsum("lij,j->il", gens, z.c))
-    assert np.allclose(prod.G[:, kappa : kappa + p], cm.C @ z.G)
+    # the constrained beta columns first, then the free alpha, beta_2 and
+    # gamma columns
+    beta = np.einsum("lij,j->il", gens, z.c)
+    assert np.allclose(prod.A[:, :2], a[:, :2])
+    assert np.allclose(prod.A[:, 2:], 0.0)
+    assert np.allclose(prod.G[:, :2], beta[:, :2])
+    assert np.allclose(prod.G[:, 2 : 2 + p], cm.C @ z.G)
+    assert np.allclose(prod.G[:, 2 + p], beta[:, 2])
     for _ in range(5):
         beta = np.array([0.4 - 0.0, 0.0, rng.uniform(-1, 1)])
         beta[0] = rng.uniform(-0.6, 1.0)
@@ -684,6 +687,16 @@ def _point_in_convex_polygon(poly, x, tol=1e-7):
         if edge[0] * (x[1] - a[1]) - edge[1] * (x[0] - a[0]) < -tol:
             return False
     return True
+
+
+def test_project_polygon_rejects_too_few_directions():
+    # n_dirs of 0 or 2 used to return an empty outline
+    cz, _ = random_czonotope(np.random.default_rng(32), 3, 6, n_cuts=2)
+    for z in (cz, Zonotope([0.0, 0.0], np.eye(2))):
+        for bad in (0, 2, -1, 3.0, True):
+            with pytest.raises(ValueError, match="n_dirs"):
+                project_polygon(z, (0, 1), n_dirs=bad)
+    assert project_polygon(cz, (0, 1), n_dirs=3).shape[1] == 2
 
 
 def test_project_polygon_constrained_outer_approximation():

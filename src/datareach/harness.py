@@ -24,7 +24,8 @@ streams.
 Output layout (when an output directory is given):
 
     report.json                     all numeric results, deterministic
-    metadata.json                   timestamps, runtime, phase times, LP and design counts, versions
+    metadata.json                   timestamps, runtime, phase times, LP and design counts,
+                                    per-step set sizes, versions
     sets/<combo>/step<k>.json       reachable fragments per step
     polygons/<combo>_<i>-<j>.csv    2-D projection outlines per step
     volume_table.csv                tabulated-step volumes and ratios (lti)
@@ -634,7 +635,8 @@ def _emit_common(out, cfg, report, runs, fmt, tables, t0, lap, tallies):
     runtime_seconds (counted from perf_counter t0, before lap started)
     covers all the rest, the phases timed by lap included, and its tallies
     (the study's lp_counts and design_counts, one block each) include the
-    polygon LPs."""
+    polygon LPs.  Its set_sizes block gives, per combination and step, the
+    constraint rows and generator counts of each fragment."""
     _write_json(out / "report.json", report)
     for combo, run in runs.items():
         _emit_sets(out, combo, run)
@@ -647,6 +649,11 @@ def _emit_common(out, cfg, report, runs, fmt, tables, t0, lap, tallies):
         "runtime_seconds": time.perf_counter() - t0,
         "phase_seconds": lap.seconds,
         **tallies,
+        "set_sizes": {c: {"constraint_rows": [[f.set.num_constraints for f in s.fragments]
+                                              for s in run.steps],
+                          "generators": [[f.set.num_generators for f in s.fragments]
+                                         for s in run.steps]}
+                      for c, run in runs.items()},
         "versions": {
             "datareach": __version__,
             "numpy": np.__version__,

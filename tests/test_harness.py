@@ -23,7 +23,7 @@ from datareach.harness import (
 from datareach.modelset import build_model_sets, generator_norm_proxy
 from datareach.reach import partition_data_by_mode
 from datareach.rightinv import pinv_right_inverse, row_norm_right_inverse
-from datareach.sets import contains_point
+from datareach.sets import contains_point, set_from_dict
 
 
 def tiny_lti_config(**over):
@@ -512,6 +512,33 @@ def test_metadata_counts_lps_by_purpose(tmp_path):
             constrained += frag["set"]["type"] == "constrained_zonotope" and bool(frag["set"]["b"])
     assert constrained > 0
     assert lp["support"]["cold_starts"] + lp["is_empty"]["cold_starts"] == constrained
+
+
+def test_metadata_records_set_sizes_per_step(tmp_path):
+    # per combination and step, each fragment's constraint rows and
+    # generator counts, in metadata.json alone
+    for kind, run, cfg in (("lti", run_lti_experiment, tiny_lti_config(horizon=3)),
+                           ("pwa", run_pwa_experiment, tiny_pwa_config())):
+        report = run(cfg, out_dir=tmp_path / kind)
+        sizes = json.loads((tmp_path / kind / "metadata.json").read_text())["set_sizes"]
+        assert sorted(sizes) == sorted(report["combos"])
+        for combo, block in sizes.items():
+            assert set(block) == {"constraint_rows", "generators"}
+            for k, (rows, gens) in enumerate(zip(block["constraint_rows"], block["generators"])):
+                frags = json.loads((tmp_path / kind / "sets" / combo / f"step{k}.json")
+                                   .read_text())["fragments"]
+                assert len(rows) == len(gens) == len(frags)
+                for n_rows, n_gens, frag in zip(rows, gens, frags):
+                    z = set_from_dict(frag["set"])
+                    assert (n_rows, n_gens) == (z.num_constraints, z.num_generators)
+            assert len(block["constraint_rows"]) == cfg.horizon + 1
+            if combo.startswith("cmz"):
+                # the model's rows enter once: the sets stop growing
+                assert block["constraint_rows"][1][0] > 0
+                if kind == "lti":
+                    assert len({r for (r,) in block["constraint_rows"][1:]}) == 1
+        assert "set_sizes" not in (tmp_path / kind / "report.json").read_text()
+        assert "constraint_rows" not in (tmp_path / kind / "report.json").read_text()
 
 
 def test_metadata_counts_designed_inputs(tmp_path):

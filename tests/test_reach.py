@@ -238,10 +238,26 @@ def test_step_output_type_rule():
     assert out.A[0, 0] == 1.0 and not out.A[0, 1:].any() and np.array_equal(out.b, [0.25])
 
 
+def _lineage(res, k, fi):
+    """The fragments (step 1..k) along fragment fi of step k, oldest first."""
+    out = []
+    while k > 0:
+        frag = res.steps[k].fragments[fi]
+        out.append(frag)
+        k, fi = k - 1, frag.parent
+    return out[::-1]
+
+
+def _cut_count(frag):
+    return sum(ev[0] == "cut" for ev in frag.split)
+
+
 def test_zero_constraint_column_puts_its_beta_in_the_reduced_block():
     # beta_2 has an all-zero column in the model's rows: it joins the free
     # block that Girard reduction boxes, and the certificates replay it
-    # through the box residual of a model that has rows
+    # through the box residual of a model that has rows.  beta_0 and beta_1
+    # lead the step where their mode first enters a lineage, with the model's
+    # one row; later steps through that mode add into those columns
     rng = np.random.default_rng(16)
     models = [make_constrained_model(rng, 1, 1, 3) for _ in range(2)]
     betas = [feasible_beta(rng, 3) for _ in models]
@@ -255,18 +271,157 @@ def test_zero_constraint_column_puts_its_beta_in_the_reduced_block():
     res = propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order=3)
     frags = [f for s in res.steps[1:] for f in s.fragments]
     assert {f.mode for f in frags} == {0, 1}
-    for f in frags:
-        p = f.plan.p
-        assert f.plan.cons[p:].tolist() == [True, True, False]
-        # the model's row lands on the two constrained beta columns only
-        head = np.count_nonzero(f.plan.cons)
-        assert np.array_equal(f.set.A[-1, head - 2 : head], [1.0, 1.0])
-        assert not f.set.A[-1, head:].any()
+    firsts = revisits = 0
+    for k in range(1, horizon + 1):
+        for fi, f in enumerate(res.steps[k].fragments):
+            p = f.plan.p
+            parent = res.steps[k - 1].fragments[f.parent].set
+            rows_in = parent.num_constraints + _cut_count(f)
+            if f.mode not in {g.mode for g in _lineage(res, k, fi)[:-1]}:
+                firsts += 1
+                assert f.plan.cons[p:].tolist() == [True, True, False]
+                assert not f.plan.merged.any()
+                assert f.set.num_constraints == rows_in + 1
+                # the model's row lands on the two constrained beta columns only
+                head = np.count_nonzero(f.plan.cons)
+                assert np.array_equal(f.set.A[-1, head - 2 : head], [1.0, 1.0])
+                assert not f.set.A[-1, head:].any()
+            else:
+                revisits += 1
+                assert not f.plan.cons[p:].any()
+                assert f.plan.merged.tolist() == [True, True, False]
+                assert f.set.num_constraints == rows_in
+    assert firsts and revisits
     assert all(f.plan.box_rows.size for f in frags)
     draws = simulate_pwa_recorded(pwa, x0, u_prop, w, horizon, 40, rng)
     report = certify_pwa(res, betas, pwa, *draws)
     assert report.ok(tol=1e-6)
     assert report.max_constraint <= 1e-9
+
+
+def test_model_rows_enter_each_lineage_once():
+    # LTI: with the order cap boxing every step, each set after the first
+    # has the rows of x0 and one copy of the model's rows, and no more
+    rng = np.random.default_rng(18)
+    model = make_constrained_model(rng, 2, 1, 4)
+    beta_star = feasible_beta(rng, 4)
+    x0 = halfspace_intersection(Zonotope([0.5, -1.0], 0.25 * np.eye(2)), [1.0, 1.0], -0.45)
+    assert x0.num_constraints == 1
+    u_prop = Zonotope([0.1], np.array([[0.4]]))
+    w = Zonotope(np.zeros(2), 0.01 * np.eye(2))
+    horizon, n_traj = 5, 30
+    res = propagate_lti(model, x0, u_prop, w, horizon, 2)
+    for step in res.steps[1:]:
+        (frag,) = step.fragments
+        assert frag.plan.box_rows.size
+        assert frag.set.num_constraints == x0.num_constraints + model.num_constraints
+    xi0 = sample_factors(x0, rng, n_traj)
+    xi_u = rng.uniform(-1, 1, size=(horizon, n_traj, 1))
+    xi_w = rng.uniform(-1, 1, size=(horizon, n_traj, 2))
+    states = np.empty((n_traj, horizon + 1, 2))
+    states[:, 0] = x0.c + xi0 @ x0.G.T
+    for k in range(horizon):
+        u = u_prop.c + xi_u[k] @ u_prop.G.T
+        states[:, k + 1] = np.hstack([states[:, k], u]) @ model.at(beta_star).T + xi_w[k] @ w.G.T
+    report = certify_lti(res, beta_star, states, xi0, xi_u, xi_w)
+    assert report.ok(tol=1e-6) and report.max_constraint <= 1e-9
+    for k in (2, horizon):
+        for i in range(0, n_traj, 10):
+            assert contains_point(res.steps[k].fragments[0].set, states[i, k], tol=1e-7)
+
+    # PWA: a fragment's rows are those of x0, one copy of the rows of each
+    # mode in its lineage, and one row per guard cut along it
+    base = make_constrained_model(rng, 1, 1, 4)
+    models = [make_constrained_model(rng, 1, 1, 4),
+              ConstrainedMatrixZonotope(base.C, base.generators,
+                                        [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]], [0.3, 0.1])]
+    betas = [feasible_beta(rng, 4), np.array([0.15, 0.15, 0.3, 0.2])]
+    pwa = PwaSpec([PwaMode(mode.region, *np.hsplit(m.at(b), [1]))
+                   for mode, m, b in zip(one_dim_pwa().modes, models, betas)])
+    x0, u_prop, w = Zonotope([0.2], [[1.0]]), Zonotope([0.3], [[0.1]]), Zonotope([0.0], [[0.01]])
+    horizon = 4
+    res = propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order=3)
+    revisits = 0
+    for k in range(1, horizon + 1):
+        for fi, f in enumerate(res.steps[k].fragments):
+            line = _lineage(res, k, fi)
+            modes = {g.mode for g in line}
+            revisits += len(line) - len(modes)
+            assert f.set.num_constraints == (sum(models[q].num_constraints for q in modes)
+                                             + sum(_cut_count(g) for g in line))
+    assert revisits
+    draws = simulate_pwa_recorded(pwa, x0, u_prop, w, horizon, 40, rng)
+    report = certify_pwa(res, betas, pwa, *draws)
+    assert report.ok(tol=1e-6) and report.max_constraint <= 1e-9
+    states = draws[0]
+    for k in (1, horizon):
+        for i in range(0, 40, 13):
+            assert any(contains_point(f.set, states[i, k], tol=1e-7)
+                       for f in res.steps[k].fragments)
+
+
+def test_propagation_step_shares_beta_on_a_revisit():
+    # the second step through the model reuses the beta columns of the
+    # first: same columns, no new row, and the replay still lands each
+    # point of a fixed member model in the result
+    rng = np.random.default_rng(19)
+    model = make_constrained_model(rng, 2, 1, 4)
+    beta = feasible_beta(rng, 4)
+    r0 = Zonotope([0.5, -0.5], 0.2 * np.eye(2))
+    u_prop = Zonotope([0.2], np.array([[0.3]]))
+    w = Zonotope(np.zeros(2), 0.02 * np.eye(2))
+    r1, plan1 = propagation_step(model, r0, u_prop, w, max_order=3)
+    n_a = np.count_nonzero(plan1.cons[: plan1.p])
+    cols = n_a + np.arange(2)
+    r2, plan2 = propagation_step(model, r1, u_prop, w, 3, beta_cols=cols)
+    assert plan2.merged.tolist() == [True, True, False, False]
+    assert not plan2.cons[plan2.p :].any()
+    assert r2.num_constraints == r1.num_constraints == model.num_constraints
+    assert np.array_equal(r2.b, r1.b)
+    xi_r0 = rng.uniform(-1, 1, size=(20, 2))
+    xi_u = rng.uniform(-1, 1, size=(2, 20, 1))
+    xi_w = rng.uniform(-1, 1, size=(2, 20, 2))
+    xi = xi_r0
+    x = r0.c + xi_r0 @ r0.G.T
+    for plan, out, k in ((plan1, r1, 0), (plan2, r2, 1)):
+        xi = replay_step(plan, xi, xi_u[k], beta, xi_w[k])
+        u = u_prop.c + xi_u[k] @ u_prop.G.T
+        x = np.hstack([x, u]) @ model.at(beta).T + xi_w[k] @ w.G.T
+        assert np.all(np.abs(xi) <= 1.0 + 1e-9)
+        assert np.allclose(out.c + xi @ out.G.T, x, atol=1e-9)
+        assert np.allclose(xi @ out.A.T, out.b, atol=1e-9)
+    assert np.allclose(xi[:, cols], beta[:2])
+
+
+def test_propagation_step_rejects_bad_beta_cols():
+    rng = np.random.default_rng(20)
+    model = make_constrained_model(rng, 2, 1, 4)
+    u_prop = Zonotope([0.2], np.array([[0.3]]))
+    w = Zonotope(np.zeros(2), 0.02 * np.eye(2))
+    r1, plan1 = propagation_step(model, Zonotope([0.5, -0.5], 0.2 * np.eye(2)), u_prop, w, 3)
+    n_a = np.count_nonzero(plan1.cons[: plan1.p])
+    free = r1.num_generators - 1  # a reduced free column, in no row
+    assert not r1.A[:, free].any()
+    bad = (
+        ([n_a], "2 constrained beta"),                  # one index for two factors
+        ([n_a, n_a, n_a], "2 constrained beta"),        # three
+        ([[n_a, n_a + 1]], "2 constrained beta"),       # not a flat list
+        ([n_a, r1.num_generators], "out of range"),
+        ([-1, n_a], "out of range"),
+        ([n_a, n_a], "repeats"),
+        ([n_a, free], "not constrained"),
+        ([float(n_a), n_a + 1.0], "integer"),
+    )
+    for cols, match in bad:
+        with pytest.raises(ValueError, match=match):
+            propagation_step(model, r1, u_prop, w, 3, beta_cols=cols)
+    # a set without rows has no column that can carry a constrained beta
+    with pytest.raises(ValueError, match="not constrained"):
+        propagation_step(model, Zonotope([0.0, 0.0], np.eye(2)), u_prop, w, 3, beta_cols=[0, 1])
+    # a model without constrained beta takes an empty list
+    mz = make_uncertain_model(rng, 2, 1, 3)
+    out, plan = propagation_step(mz, r1, u_prop, w, 3, beta_cols=[])
+    assert not plan.merged.any() and out.num_constraints == r1.num_constraints
 
 
 def _factor_of_column(plan, col, xi_lift, beta, xi_w):

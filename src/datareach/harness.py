@@ -379,7 +379,7 @@ class CollectLog:
     trace_inverse: float      # tr(pinv(Phi Phi')) = sum of sigma^-2 above the rank cutoff
 
 
-def collect_data(cfg, system, input_mode, design_cfg=None, rng_seed=None):
+def collect_data(cfg, system, input_mode):
     """K trajectories of T_i transitions each from the collection sets.
 
     Random mode draws inputs uniformly from u_data; designed mode picks each
@@ -390,19 +390,17 @@ def collect_data(cfg, system, input_mode, design_cfg=None, rng_seed=None):
     Initial states and process noise come from a trajectory stream that
     depends only on the seed, never on the input mode, so the two modes are
     compared on identical disturbance realizations.  Random inputs draw from
-    a separate seed-derived stream; design candidates draw from the
-    DesignConfig's own seed.
+    a separate stream; both derive from cfg.rng_seed.  Design candidates
+    draw from cfg.design.rng_seed.
     """
     if input_mode not in _MODES:
         raise HarnessError(f"unknown input mode {input_mode!r}")
     designed = input_mode == "designed"
-    design_cfg = design_cfg or cfg.design
-    seed = cfg.rng_seed if rng_seed is None else rng_seed
-    rng_traj = np.random.default_rng([seed, _TRAJ_STREAM])
+    rng_traj = np.random.default_rng([cfg.rng_seed, _TRAJ_STREAM])
     if designed:
-        rng_inp = np.random.default_rng(design_cfg.rng_seed)
+        rng_inp = np.random.default_rng(cfg.design.rng_seed)
     else:
-        rng_inp = np.random.default_rng([seed, _INPUT_STREAM])
+        rng_inp = np.random.default_rng([cfg.rng_seed, _INPUT_STREAM])
     w = system.w
     x0_set = cfg.x0_collect
     if cfg.x0_sampling == "vertex" and x0_set.num_constraints:
@@ -420,7 +418,7 @@ def collect_data(cfg, system, input_mode, design_cfg=None, rng_seed=None):
         xs, us = [x], []
         for _ in range(cfg.t_steps):
             if designed:
-                u, _ = design_input(info, x, cfg.u_data, design_cfg, rng_inp)
+                u, _ = design_input(info, x, cfg.u_data, cfg.design, rng_inp)
             else:
                 u = sample_input(cfg.u_data, rng_inp)
             xiw = rng_traj.uniform(-1.0, 1.0, w.num_generators)

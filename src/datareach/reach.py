@@ -276,7 +276,10 @@ def replay_step(plan, xi_state, xi_u, beta_star, xi_w):
     return np.hstack([head, kept, resid[:, plan.box_rows] / plan.box_radii])
 
 
-def replay_split(events, xi, w_floor=1e-12):
+_FACE_W = 1e-12
+
+
+def replay_split(events, xi):
     """Push factors through a recorded guard split (list of halfspace events).
 
     Only "pass" and "cut" events occur in a fragment's split: an "empty"
@@ -288,8 +291,8 @@ def replay_split(events, xi, w_floor=1e-12):
         if ev[0] != "cut":
             raise ValueError(f"cannot replay a {ev[0]!r} event; only 'pass' and 'cut' carry factors")
         _, row, w, rhs = ev
-        # w ~ 0 means the slice is a face; the new factor is then arbitrary
-        sigma = (rhs - xi @ row) / w if abs(w) > w_floor else np.zeros(xi.shape[0])
+        # |w| <= _FACE_W: the slice is a face, and the new factor is then arbitrary
+        sigma = (rhs - xi @ row) / w if abs(w) > _FACE_W else np.zeros(xi.shape[0])
         xi = np.hstack([xi, sigma[:, None]])
     return xi
 
@@ -542,12 +545,13 @@ def certify_pwa(result, beta_stars, pwa, states, xi0, xi_u, xi_w):
     beta_stars = [np.asarray(b, dtype=float).reshape(-1) for b in beta_stars]
     worst = {"max_factor": 0.0, "max_constraint": 0.0, "max_point_error": 0.0}
     _check_step(result.steps[0].fragments[0].set, xi0, states[:, 0, :], worst)
-    # trajectory ids (sorted) and their factors, per fragment of the step
+    # trajectory ids and their factors, per fragment of the step; a child
+    # has one parent and one mode, so exactly one group feeds it
     groups = {0: (np.arange(states.shape[0]), xi0)}
     for k, step in enumerate(result.steps[1:]):
         child = {(f.parent, f.mode): ci for ci, f in enumerate(step.fragments)}
         modes_k = pwa.classify_batch(states[:, k, :])
-        merged = {}
+        next_groups = {}
         for fi, (ids, xi_f) in groups.items():
             for q in np.unique(modes_k[ids]):
                 ci = child.get((fi, int(q)))
@@ -560,12 +564,8 @@ def certify_pwa(result, beta_stars, pwa, states, xi0, xi_u, xi_w):
                 xi_next = replay_step(frag.plan, replay_split(frag.split, xi_f[pick]),
                                       xi_u[k][sel], beta_stars[int(q)], xi_w[k][sel])
                 _check_step(frag.set, xi_next, states[sel, k + 1, :], worst)
-                merged.setdefault(ci, []).append((sel, xi_next))
-        groups = {}
-        for ci, parts in merged.items():
-            ids = np.concatenate([s for s, _ in parts])
-            order = np.argsort(ids)
-            groups[ci] = (ids[order], np.vstack([x for _, x in parts])[order])
+                next_groups[ci] = (sel, xi_next)
+        groups = next_groups
     return CertificateReport(**worst, n_trajectories=states.shape[0], n_steps=result.horizon)
 
 

@@ -75,16 +75,20 @@ def pinv_right_inverse(phi):
     return _result(_pinv(phi), phi, "pinv")
 
 
-def row_norm_right_inverse(phi, tol=1e-7, max_iter=20000, adapt_until=400):
+_ADMM_RTOL = 1e-9
+_ADAPT_UNTIL = 400
+
+
+def row_norm_right_inverse(phi, max_iter=20000):
     """Right inverse minimizing the sum of row 2-norms, via ADMM.
 
     Splitting: minimize sum_t ||Z[t,:]|| + indicator(Phi H = I) with H = Z.
     The H-update projects onto the affine constraint, the Z-update is the
     row-wise block soft threshold, and the penalty rho is rescaled when the
     primal and dual residuals drift apart.  Adaptation stops after
-    adapt_until iterations (an eventually-constant rho is required for
+    _ADAPT_UNTIL iterations (an eventually-constant rho is required for
     convergence; on some wide instances endless rescaling cycles).  Stops
-    when max(primal, dual) <= min(1e-9, tol / 100) * max(1, ||H||_F, ||Z||_F).
+    when max(primal, dual) <= _ADMM_RTOL * max(1, ||H||_F, ||Z||_F).
 
     Raises RightInverseError (with .best set) if max_iter is hit first.
     """
@@ -101,7 +105,6 @@ def row_norm_right_inverse(phi, tol=1e-7, max_iter=20000, adapt_until=400):
     z = h.copy()
     u = np.zeros_like(h)
     rho = 1.0
-    rtol = min(1e-9, tol / 100.0)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
@@ -115,10 +118,10 @@ def row_norm_right_inverse(phi, tol=1e-7, max_iter=20000, adapt_until=400):
         u = u + h - z_new
         z = z_new
         scale = max(1.0, float(np.linalg.norm(h, "fro")), float(np.linalg.norm(z, "fro")))
-        if max(primal, dual) <= rtol * scale:
+        if max(primal, dual) <= _ADMM_RTOL * scale:
             converged = True
             break
-        if it <= adapt_until:
+        if it <= _ADAPT_UNTIL:
             if primal > 10.0 * dual:
                 rho *= 2.0
                 u /= 2.0

@@ -17,7 +17,7 @@ import numbers
 
 import numpy as np
 
-from .linalg import BASIC, LpProblem, lp_solve, svd
+from .linalg import LpProblem, lp_solve, svd
 
 
 class EmptySetError(ValueError):
@@ -84,11 +84,11 @@ class Zonotope:
     """<c, G, A, b>: {c + G xi : xi in [-1, 1]^m, A xi = b}, with no rows
     (a plain zonotope) unless a is given.
 
-    _lp_basis caches the optimal simplex basis of the last LP on the set's
-    own feasible region (see _own_columns) as the two status arrays
-    (columns, rows) that lp_solve returns, never a solver instance; every
-    later LP on the set starts from it.  Copies and derived sets start
-    without one.
+    _lp_basis caches the optimal simplex basis of the last support LP on
+    the set's own feasible region (see _own_columns) as the two status
+    arrays (columns, rows) that lp_solve returns, never a solver instance;
+    every later LP on the set starts from it, and only support LPs replace
+    it.  Copies and derived sets start without one.
     """
 
     __slots__ = ("c", "G", "A", "b", "_lp_basis")
@@ -284,12 +284,11 @@ def cartesian_product(a, b):
 # ---------------------------------------------------------------------------
 # Queries
 #
-# Every LP on a set z with constraint rows extends z's own LP {A xi = b, |xi| <= 1}
-# over the factors _own_columns picks: supports change only its costs,
-# emptiness and membership add rows (and the remaining factors as columns).
-# Each starts from the basis cached on z, and an LP whose final basis is
-# again a basis of the own LP (every added row's slack basic, every added
-# column nonbasic) caches it for the next.
+# Every LP on a set z extends z's own LP {A xi = b, |xi| <= 1} over the
+# factors _own_columns picks: supports change only its costs, emptiness and
+# membership add rows (and the remaining factors as columns).  Each starts
+# from the basis cached on z.  A support LP is the own LP itself, so its
+# final basis replaces the cache; the feasibility LPs never write it.
 
 
 def _own_columns(z):
@@ -300,22 +299,6 @@ def _own_columns(z):
     if not cons.any():
         cons[:] = True
     return cons
-
-
-def _solve_own(z, problem, cons):
-    """lp_solve problem, whose leading columns (z's factors in cons) and
-    leading rows (A) are z's own LP, from z's cached basis; cache its final
-    basis when that is a basis of the own LP again."""
-    problem.basis = z._lp_basis
-    res = lp_solve(problem)
-    final = (res[-1].basis if res else None) if isinstance(res, list) else res.basis
-    if final is None:
-        return res
-    n_cols, n_rows = int(np.count_nonzero(cons)), z.num_constraints
-    cols, rows = final
-    if np.all(rows[n_rows:] == BASIC) and not np.any(cols[n_cols:] == BASIC):
-        z._lp_basis = (cols[:n_cols].copy(), rows[:n_rows].copy())
-    return res
 
 
 def _support(z, dirs, purpose):
@@ -329,31 +312,29 @@ def _support(z, dirs, purpose):
         return vals
     cons = _own_columns(z)
     m = int(np.count_nonzero(cons))
-    res = _solve_own(z, LpProblem(dg[:, cons], z.A[:, cons], z.b, -np.ones(m), np.ones(m),
-                                  purpose=purpose), cons)
+    res = lp_solve(LpProblem(dg[:, cons], z.A[:, cons], z.b, -np.ones(m), np.ones(m),
+                             basis=z._lp_basis, purpose=purpose))
     if any(r.status == "infeasible" for r in res):
         raise EmptySetError("support of an empty zonotope")
+    if res:
+        z._lp_basis = res[-1].basis
     vals += np.sum(np.abs(dg[:, ~cons]), axis=1) + [r.objective for r in res]
     return vals
 
 
 def _feasible(z, rows, lo, hi, box, purpose):
     """Whether some factors xi with |xi| <= box and A xi = b satisfy
-    lo <= rows @ xi <= hi.  On a z with rows this is the own LP plus these
-    rows, with the other factors as extra columns."""
+    lo <= rows @ xi <= hi: the own LP plus these rows, with the other
+    factors as extra columns, from z's cached basis."""
     m = z.num_generators
     if m == 0:  # rows @ xi is 0, and A xi = b needs b = 0
         return bool(np.all(lo <= 0.0) and np.all(hi >= 0.0) and not np.any(z.b))
     bounds = np.full(m, float(box))
-    if z.num_constraints == 0:
-        problem = LpProblem(np.zeros(m), None, None, -bounds, bounds, rows=(rows, lo, hi),
-                            purpose=purpose)
-        return lp_solve(problem).status == "feasible"
     cons = _own_columns(z)
     order = np.concatenate([np.flatnonzero(cons), np.flatnonzero(~cons)])
     problem = LpProblem(np.zeros(m), z.A[:, order], z.b, -bounds, bounds,
-                        rows=(rows[:, order], lo, hi), purpose=purpose)
-    return _solve_own(z, problem, cons).status == "feasible"
+                        rows=(rows[:, order], lo, hi), basis=z._lp_basis, purpose=purpose)
+    return lp_solve(problem).status == "feasible"
 
 
 def support(z, direction):
@@ -418,8 +399,8 @@ def contains_point(z, x, tol=1e-9):
     """LP membership test: is x within tol of the set?
 
     Looks for factors xi with |xi| <= 1 + tol, A xi = b, and
-    |c + G xi - x| <= tol componentwise: on a set with rows, the n rows
-    G xi in [x - c - tol, x - c + tol] added to its own LP.
+    |c + G xi - x| <= tol componentwise: the n rows
+    G xi in [x - c - tol, x - c + tol] added to the set's own LP.
     """
     x = _vector(x)
     if x.size != z.dim:
@@ -681,20 +662,25 @@ def _drop_repeated_vertices(verts):
 # Sampling
 
 
-def project_factors(a, b, xi, passes=100, tol=1e-9):
+_PROJECTION_PASSES = 100
+_PROJECTION_TOL = 1e-9
+
+
+def project_factors(a, b, xi):
     """Alternating projection of factor rows onto {A xi = b} intersect the unit
-    box.  xi is (N, m); returns (projected, converged_mask)."""
+    box, for up to _PROJECTION_PASSES passes.  xi is (N, m); returns
+    (projected, converged_mask), converged meaning every row residual is at
+    most _PROJECTION_TOL."""
     xi = np.array(xi, dtype=float, ndmin=2)
     if a.shape[0] == 0:
         return np.clip(xi, -1.0, 1.0), np.ones(xi.shape[0], dtype=bool)
     a_pinv = svd(a).pinv
-    for _ in range(passes):
+    for _ in range(_PROJECTION_PASSES):
         xi = xi - (xi @ a.T - b) @ a_pinv.T
         xi = np.clip(xi, -1.0, 1.0)
-        eq_res = np.max(np.abs(xi @ a.T - b), axis=1)
-        if np.all(eq_res <= tol):
+        ok = np.max(np.abs(xi @ a.T - b), axis=1) <= _PROJECTION_TOL
+        if ok.all():
             break
-    ok = np.max(np.abs(xi @ a.T - b), axis=1) <= tol
     return xi, ok
 
 

@@ -270,7 +270,7 @@ def test_collect_data_seed_changes_draws():
     cfg = tiny_lti_config()
     system = cfg.true_system()
     _, log_a = collect_data(cfg, system, "random")
-    _, log_b = collect_data(cfg, system, "random", rng_seed=99)
+    _, log_b = collect_data(replace(cfg, rng_seed=99), system, "random")
     assert not np.array_equal(log_a.xi_w, log_b.xi_w)
 
 

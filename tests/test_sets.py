@@ -794,8 +794,12 @@ def _cold_feasible(z, rows, lo, hi, box):
 
 def test_warm_queries_match_cold_lps():
     rng = np.random.default_rng(40)
-    for trial in range(6):
-        cz, inside = random_cz_with_free_factors(rng)
+    for trial in range(8):
+        if trial < 6:
+            cz, inside = random_cz_with_free_factors(rng)
+        else:  # a plain zonotope: the same feasibility LP, with no own rows
+            cz = random_zonotope(rng, 3, 8)
+            inside = cz.c + cz.G @ rng.uniform(-0.7, 0.7, 8)
         dirs = rng.normal(size=(10, 3))
         h = rng.normal(size=3)
         lo, hi = -_cold_support(cz, [-h])[0], _cold_support(cz, [h])[0]
@@ -834,18 +838,29 @@ def test_warm_queries_match_cold_lps():
 
 
 def test_outside_point_leaves_later_supports_unchanged():
+    # only support LPs write the cached basis: no membership or
+    # multi-halfspace emptiness LP, whatever its answer, moves later supports
     rng = np.random.default_rng(41)
     for _ in range(5):
-        cz, _ = random_cz_with_free_factors(rng)
+        cz, inside = random_cz_with_free_factors(rng)
         twin = cz.copy()
         dirs = rng.normal(size=(8, 3))
         first = support(cz, dirs)
         assert np.array_equal(first, support(twin, dirs))
-        kept = cz._lp_basis
+        h = rng.normal(size=3)
+        mid, wide = float(h @ inside), float(abs(h @ cz.c) + np.abs(h @ cz.G).sum() + 1.0)
         far = cz.c + 2.0 * (np.abs(cz.G).sum(axis=1) + 1.0)
-        assert not contains_point(cz, far)
-        assert cz._lp_basis is kept
-        assert np.array_equal(support(cz, dirs[::-1]), support(twin, dirs[::-1]))
+        # the last region cuts nothing, so its LP ends in a basis of the set's
+        # own LP, which it still must not cache
+        for query, expect in ((lambda: contains_point(cz, far), False),
+                              (lambda: contains_point(cz, inside, tol=1e-7), True),
+                              (lambda: is_empty(cz, region=[(h, mid), (-h, -mid + 0.1)]), False),
+                              (lambda: is_empty(cz, region=[(h, wide), (-h, wide)]), False)):
+            kept = cz._lp_basis
+            assert query() is expect
+            assert cz._lp_basis is kept
+            dirs = dirs[::-1]
+            assert np.array_equal(support(cz, dirs), support(twin, dirs))
 
 
 def test_only_the_first_lp_on_a_set_starts_cold():

@@ -15,3 +15,34 @@ def test_library_validates_without_assert_statements():
              for f in files for node in ast.walk(ast.parse(f.read_text(), str(f)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+class _BasisWriters(ast.NodeVisitor):
+    """The scopes (Class.method or function) that store or delete an
+    attribute named _lp_basis."""
+
+    def __init__(self):
+        self.scope, self.found = [], []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
+
+    def visit_Attribute(self, node):
+        if node.attr == "_lp_basis" and not isinstance(node.ctx, ast.Load):
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_lp_basis_has_one_writer():
+    # a set's cached LP basis is reset where the set is made and replaced by
+    # support LPs only; every other LP starts from it and leaves it alone
+    found = []
+    for f in sorted(SRC.glob("*.py")):
+        writers = _BasisWriters()
+        writers.visit(ast.parse(f.read_text(), str(f)))
+        found += [f"{f.name}:{scope}" for scope in writers.found]
+    assert found == ["sets.py:Zonotope.__init__", "sets.py:_support"]

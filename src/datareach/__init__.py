@@ -52,11 +52,11 @@ from .selfcheck import run_selfcheck
 from .sets import (
     ConstrainedMatrixZonotope,
     ConstrainedZonotope,
-    EmptySet,
     MatrixZonotope,
     Zonotope,
     cartesian_product,
     contains_point,
+    empty_set,
     halfspace_intersection,
     interval_hull,
     linear_map,
@@ -72,7 +72,6 @@ __all__ = [
     "ConstrainedZonotope",
     "DataSet",
     "DesignConfig",
-    "EmptySet",
     "ExperimentConfig",
     "Halfspace",
     "HarnessError",
@@ -90,6 +89,7 @@ __all__ = [
     "contains_point",
     "delta_A",
     "design_input",
+    "empty_set",
     "generator_norm_proxy",
     "halfspace_intersection",
     "info_init",

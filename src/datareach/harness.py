@@ -222,19 +222,19 @@ class ExperimentConfig:
             raise HarnessError(f"kind must be 'lti' or 'pwa', got {self.kind!r}")
         if self.x0_sampling not in ("uniform", "vertex"):
             raise HarnessError(f"x0_sampling must be 'uniform' or 'vertex', got {self.x0_sampling!r}")
+        counts = [("k_trajectories", 1), ("t_steps", 1), ("horizon", 0), ("n_check", 1),
+                  ("n_directions", 1), ("n_lp_spot", 0), ("fragment_cap", 1)]
+        if self.volume_step is not None:
+            counts.append(("volume_step", 0))
         try:
-            check_counts(self, (("k_trajectories", 1), ("t_steps", 1), ("horizon", 0),
-                                ("n_check", 1), ("n_directions", 1), ("n_lp_spot", 0),
-                                ("fragment_cap", 1)))
+            check_counts(self, counts)
         except ValueError as e:
             raise HarnessError(str(e)) from e
         if isinstance(self.max_order, bool) or not (isinstance(self.max_order, numbers.Real)
                                                     and 1.0 <= self.max_order < np.inf):
             raise HarnessError(f"max_order must be a finite real >= 1, got {self.max_order!r}")
-        if self.volume_step is not None:
-            self.volume_step = int(self.volume_step)
-            if not 0 <= self.volume_step <= self.horizon:
-                raise HarnessError(f"volume_step {self.volume_step} outside 0..{self.horizon}")
+        if self.volume_step is not None and self.volume_step > self.horizon:
+            raise HarnessError(f"volume_step {self.volume_step} outside 0..{self.horizon}")
         for name in ("x0", "w", "u_data", "u_prop", "x0_data"):
             setattr(self, name, _set_from_config(getattr(self, name)))
         self.input_modes = tuple(self.input_modes)
@@ -249,7 +249,10 @@ class ExperimentConfig:
         for label, name, known in names:
             if name not in known:
                 raise HarnessError(f"{label}: unknown name {name!r}, expected one of {list(known)}")
-        self.projection_dims = tuple(tuple(int(i) for i in p) for p in self.projection_dims)
+        dims = [list(p) for p in self.projection_dims]
+        if any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for p in dims for i in p):
+            raise HarnessError(f"projection_dims entries must hold ints, got {dims}")
+        self.projection_dims = tuple(tuple(int(i) for i in p) for p in dims)
         if isinstance(self.design, dict):
             try:
                 self.design = DesignConfig(**self.design)
@@ -432,12 +435,8 @@ def collect_data(cfg, system, input_mode):
         trajectories.append((np.column_stack(xs), np.column_stack(us)))
         xi0s.append(xi0)
     x_stack = [t[0] for t in trajectories]
-    data = DataSet(
-        np.hstack([s[:, 1:] for s in x_stack]),
-        np.hstack([s[:, :-1] for s in x_stack]),
-        np.hstack([t[1] for t in trajectories]),
-        traj_lengths=(cfg.t_steps,) * cfg.k_trajectories,
-    )
+    data = DataSet(np.hstack([s[:, 1:] for s in x_stack]), np.hstack([s[:, :-1] for s in x_stack]),
+                   np.hstack([t[1] for t in trajectories]))
     factors = svd(data.phi)
     log = CollectLog(trajectories, np.column_stack(xi_w_cols), np.asarray(xi0s), factors.s,
                      float(np.sum(factors.s[: factors.rank] ** -2.0)))

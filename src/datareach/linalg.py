@@ -87,27 +87,27 @@ def svd(m):
 
 @dataclass
 class LpProblem:
-    """maximize c @ x  subject to  A_eq @ x = b_eq,  rows,  lb <= x <= ub.
+    """maximize c @ x  subject to  A_eq @ x = b_eq,  rows,  |x| <= box.
 
     c is one objective (m,) or a stack of k objectives (k, m) over the same
-    feasible region.  A_eq is a dense array, or None (no equalities).
-    lb/ub entries may be -inf/+inf.  rows, when given, is (a, lo, hi):
-    extra rows lo <= a @ x <= hi after the equalities, with -inf/+inf
-    allowed in lo/hi.
+    feasible region.  A_eq is a dense (q, m) array, q possibly 0, and box
+    one finite positive half-width for every variable, so the LP is never
+    unbounded.  rows, when given, is (a, lo, hi): extra rows
+    lo <= a @ x <= hi after the equalities, with -inf/+inf allowed in
+    lo/hi.
 
     basis, when given, is a starting basis (col_status, row_status) as
     returned in LpResult.basis.  It may cover only leading blocks of the
-    columns and rows: the columns past it start nonbasic at a bound and the
+    columns and rows: the columns past it start nonbasic at -box and the
     rows past it start with their slack basic, which keeps a basis of the
     leading block a basis of the whole LP.  purpose names the caller in
     the counters.lp_counts tally.
     """
 
     c: np.ndarray
-    a_eq: object = None
-    b_eq: np.ndarray = None
-    lb: np.ndarray = None
-    ub: np.ndarray = None
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    box: float = 1.0
     rows: tuple = None
     basis: tuple = None
     purpose: str = "lp"
@@ -118,12 +118,12 @@ class LpResult:
     """status "feasible" means an optimum was found; x and objective are set.
 
     basis is the optimal basis the solve ended in, as (col_status,
-    row_status) int8 arrays of BASIC, LOWER, UPPER or ZERO codes.  lp_solve
-    sets it on the last result it returns only, and only when that solve
-    ended optimal.
+    row_status) int8 arrays of HiGHS basis status codes (LOWER, BASIC, or 2
+    for a column at +box).  lp_solve sets it on the last result it returns
+    only, and only when that solve ended optimal.
     """
 
-    status: str  # "feasible" | "infeasible" | "unbounded"
+    status: str  # "feasible" | "infeasible"
     x: np.ndarray = None
     objective: float = None
     basis: tuple = None
@@ -131,30 +131,22 @@ class LpResult:
 
 _OPTIMAL = _highs.HighsModelStatus.kOptimal
 _INFEASIBLE = _highs.HighsModelStatus.kInfeasible
-_UNBOUNDED = _highs.HighsModelStatus.kUnbounded
 
 # basis status codes, as HiGHS numbers them
-LOWER, BASIC, UPPER, ZERO = 0, 1, 2, 3
+LOWER, BASIC = 0, 1
 _STATUS = tuple(_highs.HighsBasisStatus(code) for code in range(5))
 _ROW_WISE = int(_highs.MatrixFormat.kRowwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 
-def _bound(v, n, default, name):
-    out = np.full(n, default) if v is None else np.asarray(v, dtype=float).reshape(-1)
-    if out.size != n:
-        raise ValueError(f"{name} has {out.size} entries, the LP has {n} variables")
-    if np.any(np.isnan(out)):
-        raise ValueError(f"{name} has NaN entries")
-    return out
 
-
-def _highs_model(rows, lo, hi, lb, ub):
-    """A HiGHS instance holding {lo <= A x <= hi, lb <= x <= ub}, zero cost,
-    presolve off (every solve starts from a basis, which presolve would
-    discard).  rows is A in row-wise form (start, index, value); the arrays
-    are handed over as buffers, not element by element."""
+def _highs_model(rows, lo, hi, n, box):
+    """A HiGHS instance holding {lo <= A x <= hi, |x| <= box} over n
+    variables, zero cost, presolve off (every solve starts from a basis,
+    which presolve would discard).  rows is A in row-wise form (start,
+    index, value); the arrays are handed over as buffers, not element by
+    element."""
     start, index, value = rows
-    n = lb.size
+    lb, ub = np.full(n, -box), np.full(n, box)
     highs = _highs._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("presolve", "off")
@@ -165,19 +157,16 @@ def _highs_model(rows, lo, hi, lb, ub):
     return highs
 
 
-def _start_basis(basis, lb, ub, n_rows):
+def _start_basis(basis, n, n_rows):
     """A HighsBasis from a basis of the leading columns and rows (see
     LpProblem.basis)."""
     cols, rows = (np.asarray(s, dtype=np.int8).reshape(-1) for s in basis)
-    n = lb.size
     if cols.size > n or rows.size > n_rows or np.count_nonzero(cols == BASIC) + np.count_nonzero(
             rows == BASIC) != rows.size:
         raise ValueError(f"starting basis with {cols.size} columns and {rows.size} rows "
                          f"does not fit the LP's leading block ({n} columns, {n_rows} rows)")
-    rest = np.where(np.isfinite(lb[cols.size:]), LOWER,
-                    np.where(np.isfinite(ub[cols.size:]), UPPER, ZERO))
     out = _highs.HighsBasis()
-    out.col_status = [_STATUS[s] for s in np.concatenate([cols, rest]).tolist()]
+    out.col_status = [_STATUS[s] for s in cols.tolist()] + [_STATUS[LOWER]] * (n - cols.size)
     out.row_status = [_STATUS[s] for s in rows.tolist()] + [_STATUS[BASIC]] * (n_rows - rows.size)
     out.valid = True
     out.alien = False  # a basis HiGHS returned: no need to factor it before the run
@@ -186,12 +175,12 @@ def _start_basis(basis, lb, ub, n_rows):
 
 def _solve(highs, c, tally):
     """Run HiGHS from its current basis; a run that ends in neither an
-    optimum nor a proof of infeasibility or unboundedness is repeated cold.
-    Adds the simplex iterations to tally (a dict, or None)."""
+    optimum nor a proof of infeasibility is repeated cold.  Adds the
+    simplex iterations to tally (a dict, or None)."""
     highs.run()
     status = highs.getModelStatus()
     iterations = highs.getInfo().simplex_iteration_count
-    if status not in (_OPTIMAL, _INFEASIBLE, _UNBOUNDED):
+    if status not in (_OPTIMAL, _INFEASIBLE):
         highs.clearSolver()
         highs.run()
         status = highs.getModelStatus()
@@ -203,8 +192,6 @@ def _solve(highs, c, tally):
         return LpResult("feasible", x, float(c @ x))
     if status == _INFEASIBLE:
         return LpResult("infeasible")
-    if status == _UNBOUNDED:
-        return LpResult("unbounded")
     raise NumericalError(f"LP solver failed: {highs.modelStatusToString(status)}")
 
 
@@ -226,10 +213,10 @@ def _row_wise(a, n, name):
 def _rows(problem, n):
     """The equalities and the extra rows as one row-wise matrix
     (start, index, value) with row bounds lo, hi."""
-    b_eq = np.zeros(0) if problem.b_eq is None else np.asarray(problem.b_eq, dtype=float).reshape(-1)
+    b_eq = np.asarray(problem.b_eq, dtype=float).reshape(-1)
     if not np.all(np.isfinite(b_eq)):
         raise ValueError("b_eq must be finite")
-    blocks = [_row_wise(np.zeros((0, n)) if problem.a_eq is None else problem.a_eq, n, "A_eq")]
+    blocks = [_row_wise(problem.a_eq, n, "A_eq")]
     if blocks[0][0].size != b_eq.size:
         raise ValueError(f"A_eq has {blocks[0][0].size} rows for {b_eq.size} entries of b_eq")
     lo, hi = b_eq, b_eq
@@ -268,8 +255,9 @@ def lp_solve(problem):
         raise ValueError("the LP has no variables")
     if not np.all(np.isfinite(costs)):
         raise ValueError("c must be finite")
-    lb = _bound(problem.lb, n, -np.inf, "lb")
-    ub = _bound(problem.ub, n, np.inf, "ub")
+    box = float(problem.box)
+    if not 0.0 < box < np.inf:
+        raise ValueError(f"box must be a finite positive half-width, got {problem.box!r}")
     rows, lo, hi = _rows(problem, n)
 
     counts = counters.LP.get()
@@ -281,9 +269,9 @@ def lp_solve(problem):
         tally["objectives"] += costs.shape[0]
         tally["cold_starts"] += problem.basis is None
         start = time.perf_counter()
-    highs = _highs_model(rows, lo, hi, lb, ub)
+    highs = _highs_model(rows, lo, hi, n, box)
     if problem.basis is not None and highs.setBasis(
-            _start_basis(problem.basis, lb, ub, lo.size)) == _highs.HighsStatus.kError:
+            _start_basis(problem.basis, n, lo.size)) == _highs.HighsStatus.kError:
         raise NumericalError("HiGHS rejected the starting basis")
     cols = np.arange(n, dtype=np.int32)
     results = []

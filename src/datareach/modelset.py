@@ -29,14 +29,12 @@ class DataSet:
     """Stacked one-step transition data from one or more trajectories.
 
     x_minus / u_minus hold the state and input at the start of each
-    transition (columns), x_plus the successor state.  traj_lengths gives the
-    number of transitions contributed by each trajectory, in column order.
+    transition (columns), x_plus the successor state.
     """
 
     x_plus: np.ndarray
     x_minus: np.ndarray
     u_minus: np.ndarray
-    traj_lengths: tuple = ()
 
     def __post_init__(self):
         self.x_plus = np.asarray(self.x_plus, dtype=float)
@@ -48,9 +46,6 @@ class DataSet:
                                 f"x_plus {self.x_plus.shape}")
         if self.u_minus.ndim != 2 or self.u_minus.shape[1] != t:
             raise ModelSetError(f"u_minus must be n_u x {t}, got {self.u_minus.shape}")
-        self.traj_lengths = tuple(int(k) for k in self.traj_lengths)
-        if self.traj_lengths and sum(self.traj_lengths) != t:
-            raise ModelSetError(f"trajectory lengths {self.traj_lengths} do not sum to T = {t}")
 
     @property
     def n_x(self):
@@ -72,21 +67,6 @@ class DataSet:
     def phi(self):
         """Regressor [X_minus; U_minus], shape (d, T)."""
         return np.vstack([self.x_minus, self.u_minus])
-
-    def to_dict(self):
-        return {
-            "x_plus": self.x_plus.tolist(),
-            "x_minus": self.x_minus.tolist(),
-            "u_minus": self.u_minus.tolist(),
-            "traj_lengths": list(self.traj_lengths),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            np.asarray(d["x_plus"]), np.asarray(d["x_minus"]),
-            np.asarray(d["u_minus"]), tuple(d.get("traj_lengths", ())),
-        )
 
 
 @dataclass

@@ -24,10 +24,13 @@ without rows has no constrained beta and is drawn afresh at every step.
 propagate_pwa is the one propagation loop: it splits every fragment along
 the mode guards, propagates each nonempty piece through its mode's model
 set, and tracks the fragment lineage, with the columns of each fragment
-that carry each mode's constrained beta.  A linear system is the one-mode
-case LINEAR, whose region has no guard, so its single fragment per step
-passes through uncut.  partition_data_by_mode splits a data set's columns by the
-mode of their start state, for one model set per mode.
+that carry each mode's constrained beta.  A piece is dropped when a guard
+split reports the "empty" event or when is_empty finds it empty; the empty
+set is a Zonotope like any other (sets.empty_set: no factors and the one
+row 0 = 1), so no step here tests a set's type.  A linear system is the
+one-mode case LINEAR, whose region has no guard, so its single fragment per
+step passes through uncut.  partition_data_by_mode splits a data set's
+columns by the mode of their start state, for one model set per mode.
 
 Every fragment records how it was made: the guard-split events applied to
 its parent and the StepPlan of its step.  replay_step and replay_split push
@@ -45,7 +48,6 @@ import numpy as np
 
 from .modelset import DataSet
 from .sets import (
-    EmptySet,
     MatrixZonotope,
     Zonotope,
     cartesian_product,
@@ -425,9 +427,9 @@ def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=2
                 for h in mode.region:
                     piece, ev = halfspace_intersection_with_plan(piece, h.normal, h.offset)
                     events.append(ev)
-                    if isinstance(piece, EmptySet):
+                    if ev[0] == "empty":
                         break
-                if isinstance(piece, EmptySet):
+                if events and events[-1][0] == "empty":
                     continue
                 cuts = [(h.normal, h.offset) for h, ev in zip(mode.region, events)
                         if ev[0] == "cut"]

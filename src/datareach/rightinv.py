@@ -38,16 +38,6 @@ class RightInverseResult:
     feasibility_residual: float
     iterations: int = 0
 
-    def to_dict(self):
-        return {
-            "method": self.method,
-            "row_norm_sum": self.row_norm_sum,
-            "frobenius_norm": self.frobenius_norm,
-            "feasibility_residual": self.feasibility_residual,
-            "iterations": self.iterations,
-            "h": self.h.tolist(),
-        }
-
 
 def _pinv(phi):
     """The pseudoinverse of Phi, from its one SVD; raises unless Phi has full

@@ -7,9 +7,12 @@ some.  A matrix set is a MatrixZonotope <C, {G_l}, A, b>, whose factors beta
 satisfy A beta = b in the same way.  The row count alone decides how a set
 is serialized and which queries have a closed form, so a set never changes
 class: ConstrainedZonotope and ConstrainedMatrixZonotope are other names of
-the same two classes.  EmptySet is the empty vector set.  Operations are
-module-level functions; the classes are thin containers with validation and
-JSON round-tripping.
+the same two classes.  The empty set is a Zonotope too: empty_set builds
+it with no factors and the one row 0 = 1, and every operation carries such
+a row along like any other, so none treats the empty set apart.  A set is
+empty exactly when no factors in the box satisfy its rows, which is_empty
+decides.  Operations are module-level functions; the classes are thin
+containers with validation and JSON round-tripping.
 """
 
 import math
@@ -63,21 +66,6 @@ def _block_diag(a, b):
     out[:a.shape[0], :a.shape[1]] = a
     out[a.shape[0]:, a.shape[1]:] = b
     return out
-
-
-class EmptySet:
-    """The empty subset of R^dim."""
-
-    __slots__ = ("dim",)
-
-    def __init__(self, dim):
-        self.dim = int(dim)
-
-    def __repr__(self):
-        return f"EmptySet(dim={self.dim})"
-
-    def to_dict(self):
-        return {"type": "empty", "dim": self.dim}
 
 
 class Zonotope:
@@ -198,6 +186,11 @@ ConstrainedZonotope = Zonotope
 ConstrainedMatrixZonotope = MatrixZonotope
 
 
+def empty_set(dim):
+    """The empty subset of R^dim: no factors and the one row 0 = 1."""
+    return Zonotope(np.zeros(dim), None, np.zeros((1, 0)), [1.0])
+
+
 # ---------------------------------------------------------------------------
 # JSON round-tripping.  Large sparse matrices are stored in triplet form.
 
@@ -231,8 +224,6 @@ def set_from_dict(d):
     """Inverse of the to_dict methods.  Either spelling of a vector or a
     matrix set loads; its "A" and "b", when present, are its rows."""
     kind = d["type"]
-    if kind == "empty":
-        return EmptySet(d["dim"])
     a = _array_from_json(d["A"]) if "A" in d else None
     if kind in ("zonotope", "constrained_zonotope"):
         return Zonotope(d["c"], _array_from_json(d["G"]), a, d.get("b"))
@@ -257,8 +248,6 @@ def minkowski_sum(a, b):
     """Minkowski sum; the constraint rows of both operands stay on their
     factors."""
     _check_dims(a, b)
-    if isinstance(a, EmptySet) or isinstance(b, EmptySet):
-        return EmptySet(a.dim)
     return Zonotope(a.c + b.c, np.hstack([a.G, b.G]), _block_diag(a.A, b.A),
                     np.concatenate([a.b, b.b]))
 
@@ -268,15 +257,11 @@ def linear_map(m, z):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[1] != z.dim:
         raise ValueError(f"map of shape {m.shape} does not apply to dimension {z.dim}")
-    if isinstance(z, EmptySet):
-        return EmptySet(m.shape[0])
     return Zonotope(m @ z.c, m @ z.G, z.A, z.b)
 
 
 def cartesian_product(a, b):
     """Stacked set {(x, y) : x in a, y in b}."""
-    if isinstance(a, EmptySet) or isinstance(b, EmptySet):
-        return EmptySet(a.dim + b.dim)
     return Zonotope(np.concatenate([a.c, b.c]), _block_diag(a.G, b.G), _block_diag(a.A, b.A),
                     np.concatenate([a.b, b.b]))
 
@@ -302,18 +287,21 @@ def _own_columns(z):
 
 
 def _support(z, dirs, purpose):
-    """Support values of a set that is not an EmptySet for the rows of dirs
-    (k, n): closed form for a set without rows and for separable factors,
-    one batched LP on the own LP for the rest."""
+    """Support values for the rows of dirs (k, n): closed form for a set
+    without rows and for separable factors, one batched LP on the own LP for
+    the rest.  Raises EmptySetError when the set is empty."""
     dg = dirs @ z.G
     vals = dirs @ z.c
     if z.num_constraints == 0:
         vals += np.sum(np.abs(dg), axis=1)
         return vals
+    if z.num_generators == 0:  # A xi = b has no factors and needs b = 0
+        if np.any(z.b):
+            raise EmptySetError("support of an empty zonotope")
+        return vals
     cons = _own_columns(z)
-    m = int(np.count_nonzero(cons))
-    res = lp_solve(LpProblem(dg[:, cons], z.A[:, cons], z.b, -np.ones(m), np.ones(m),
-                             basis=z._lp_basis, purpose=purpose))
+    res = lp_solve(LpProblem(dg[:, cons], z.A[:, cons], z.b, basis=z._lp_basis,
+                             purpose=purpose))
     if any(r.status == "infeasible" for r in res):
         raise EmptySetError("support of an empty zonotope")
     if res:
@@ -329,11 +317,10 @@ def _feasible(z, rows, lo, hi, box, purpose):
     m = z.num_generators
     if m == 0:  # rows @ xi is 0, and A xi = b needs b = 0
         return bool(np.all(lo <= 0.0) and np.all(hi >= 0.0) and not np.any(z.b))
-    bounds = np.full(m, float(box))
     cons = _own_columns(z)
     order = np.concatenate([np.flatnonzero(cons), np.flatnonzero(~cons)])
-    problem = LpProblem(np.zeros(m), z.A[:, order], z.b, -bounds, bounds,
-                        rows=(rows[:, order], lo, hi), basis=z._lp_basis, purpose=purpose)
+    problem = LpProblem(np.zeros(m), z.A[:, order], z.b, box, rows=(rows[:, order], lo, hi),
+                        basis=z._lp_basis, purpose=purpose)
     return lp_solve(problem).status == "feasible"
 
 
@@ -348,8 +335,6 @@ def support(z, direction):
     EmptySetError on empty sets.
     """
     d = np.asarray(direction, dtype=float)
-    if isinstance(z, EmptySet):
-        raise EmptySetError("support of the empty set")
     if d.ndim not in (1, 2) or d.shape[-1] != z.dim:
         raise ValueError(f"direction must be ({z.dim},) or (k, {z.dim}), got shape {d.shape}")
     if not np.all(np.isfinite(d)):
@@ -379,8 +364,6 @@ def is_empty(z, region=()):
     for h, _ in halfspaces:
         if h.size != z.dim:
             raise ValueError(f"normal has {h.size} entries, the set dimension {z.dim}")
-    if isinstance(z, EmptySet):
-        return True
     if len(halfspaces) == 1:
         h, offset = halfspaces[0]
         try:
@@ -405,8 +388,6 @@ def contains_point(z, x, tol=1e-9):
     x = _vector(x)
     if x.size != z.dim:
         raise ValueError(f"point has {x.size} entries, the set dimension {z.dim}")
-    if isinstance(z, EmptySet):
-        return False
     return _feasible(z, z.G, x - z.c - tol, x - z.c + tol, 1.0 + tol, "contains_point")
 
 
@@ -414,14 +395,13 @@ def halfspace_intersection_with_plan(z, normal, offset):
     """halfspace_intersection that also reports what happened.
 
     The second return value is ("pass",) when the halfspace does not cut,
-    ("empty",) when the sets are disjoint, and ("cut", row, w, rhs) when a
-    factor and constraint row [row, w] xi' = rhs were appended.  A member
-    point with factors xi gets the new factor (rhs - row . xi) / w.
+    ("empty",) when the sets are disjoint, which returns empty_set(dim), and
+    ("cut", row, w, rhs) when a factor and constraint row [row, w] xi' = rhs
+    were appended.  A member point with factors xi gets the new factor
+    (rhs - row . xi) / w.
     """
     h = _vector(normal)
     c = float(offset)
-    if isinstance(z, EmptySet):
-        return z, ("empty",)
     if h.size != z.dim:
         raise ValueError(f"normal has {h.size} entries, the set dimension {z.dim}")
     d = float(h @ z.c)
@@ -430,7 +410,7 @@ def halfspace_intersection_with_plan(z, normal, offset):
     if d + r <= c:
         return z, ("pass",)
     if d - r > c:
-        return EmptySet(z.dim), ("empty",)
+        return empty_set(z.dim), ("empty",)
     w = (c - d + r) / 2.0
     rhs = (c - d - r) / 2.0
     g = np.hstack([z.G, np.zeros((z.dim, 1))])
@@ -442,9 +422,11 @@ def halfspace_intersection_with_plan(z, normal, offset):
 def halfspace_intersection(z, normal, offset):
     """Intersection with {x : h . x <= c}.
 
-    Returns the input unchanged when the halfspace does not cut it, EmptySet
-    when they are disjoint, and otherwise the set with one extra factor and
-    one extra constraint row.
+    Returns the input unchanged when the halfspace does not cut it,
+    empty_set(dim) when they are disjoint, and otherwise the set with one
+    extra factor and one extra constraint row.  Disjointness is read from c
+    and G alone, so a set with rows can also be cut into a set that is
+    empty only through its rows; is_empty decides that.
     """
     return halfspace_intersection_with_plan(z, normal, offset)[0]
 
@@ -480,7 +462,7 @@ def reduce_girard(z, max_order):
     """Girard order reduction: box the lowest-scoring generators so that at
     most max_order * dim generators remain.  Returns z itself when it
     already fits.  Only a zonotope without constraint rows is reduced."""
-    if isinstance(z, EmptySet) or z.num_constraints:
+    if z.num_constraints:
         raise ValueError("reduce_girard needs a zonotope without constraint rows")
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
@@ -506,7 +488,7 @@ def volume(z):
     """Exact volume of a zonotope without constraint rows: 2^n * sum over
     n-column subsets S of |det G_S|.  Refuses when there are more than
     _MAX_VOLUME_SUBSETS subsets."""
-    if isinstance(z, EmptySet) or z.num_constraints:
+    if z.num_constraints:
         raise ValueError("volume is defined for zonotopes without constraint rows")
     n, m = z.dim, z.num_generators
     if m < n:
@@ -616,8 +598,6 @@ def project_polygon(z, dims, n_dirs=32):
     u, v = (int(d) for d in dims)
     if not (0 <= u < z.dim and 0 <= v < z.dim and u != v):
         raise ValueError(f"coordinates {dims} are not two distinct indices in 0..{z.dim - 1}")
-    if isinstance(z, EmptySet):
-        raise EmptySetError("projection of the empty set")
     sel = np.zeros((2, z.dim))
     sel[0, u] = 1.0
     sel[1, v] = 1.0
@@ -702,7 +682,5 @@ def sample_factors(z, rng, count, max_tries=50):
 
 def sample_points(z, rng, count):
     """count points from the set, via factors drawn with sample_factors."""
-    if isinstance(z, EmptySet):
-        raise EmptySetError("sampling from the empty set")
     xi = sample_factors(z, rng, count)
     return z.c + xi @ z.G.T

@@ -95,8 +95,10 @@ def test_config_rejects_bad_kind_and_sampling():
         tiny_lti_config(kind="nonlinear")
     with pytest.raises(HarnessError, match="x0_sampling"):
         tiny_lti_config(x0_sampling="corners")
-    with pytest.raises(HarnessError, match="volume_step"):
-        tiny_lti_config(volume_step=7)
+    # volume_step used to be coerced with int(): 2.5 ran step 2, True step 1
+    for bad in (7, -1, 2.5, True, "3"):
+        with pytest.raises(HarnessError, match="volume_step"):
+            tiny_lti_config(volume_step=bad)
     # each count below used to pass the config and fail deep inside a study
     for name, bad in (("k_trajectories", 0), ("t_steps", 0), ("n_check", 0),
                       ("n_directions", 0), ("fragment_cap", 0), ("n_lp_spot", -1),
@@ -175,7 +177,9 @@ def test_true_system_rejects_bad_pwa_shapes():
 def test_true_system_rejects_bad_projection_dims():
     # the 1-based [0, 1] used to pass and write the projection of states 2
     # and 1... as <combo>_0-1.csv
-    for dims in (((0, 1),), ((1, 1),), ((1, 3),), ((1, 2, 2),), ((2,),)):
+    # and a non-int index used to be coerced with int(): 1.5 and True read 1
+    for dims in (((0, 1),), ((1, 1),), ((1, 3),), ((1, 2, 2),), ((2,),), ((1.5, 2),),
+                 ((True, 2),), (("1", 2),)):
         with pytest.raises(HarnessError, match="projection_dims"):
             tiny_lti_config(projection_dims=dims).true_system()
         with pytest.raises(HarnessError, match="projection_dims"):

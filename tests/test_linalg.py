@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from datareach.counters import lp_counts
 from datareach.linalg import BASIC, RANK_RTOL, LpProblem, lp_solve, svd
@@ -98,18 +99,20 @@ def test_is_full_row_rank():
 
 def test_lp_solve_known_solutions():
     # max x1 over the segment x1 + x2 = 0 inside the unit box: x = (1, -1)
-    res = lp_solve(LpProblem(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([0.0]),
-                             -np.ones(2), np.ones(2)))
+    res = lp_solve(LpProblem(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([0.0])))
     assert res.status == "feasible"
     assert np.isclose(res.objective, 1.0)
     assert np.allclose(res.x, [1.0, -1.0])
 
-    res = lp_solve(LpProblem(np.zeros(2), np.array([[1.0, 0.0]]), np.array([5.0]),
-                             -np.ones(2), np.ones(2)))
+    res = lp_solve(LpProblem(np.zeros(2), np.array([[1.0, 0.0]]), np.array([5.0])))
     assert res.status == "infeasible"
 
-    res = lp_solve(LpProblem(np.array([1.0]), None, None, None, None))
-    assert res.status == "unbounded"
+    # a wider box, and no equality rows
+    res = lp_solve(LpProblem(np.array([1.0, -2.0]), np.zeros((0, 2)), np.zeros(0), box=1.5))
+    assert np.isclose(res.objective, 4.5) and np.allclose(res.x, [1.5, -1.5])
+    # a row that reads 0 = 1
+    res = lp_solve(LpProblem(np.ones(2), np.zeros((1, 2)), np.ones(1)))
+    assert res.status == "infeasible"
 
 
 def _brute_force_box_lp(c, a_eq, b_eq):
@@ -143,53 +146,56 @@ def test_lp_solve_matches_vertex_enumeration():
         a_eq = rng.normal(size=(q, n))
         # build a feasible rhs from an interior point
         b_eq = a_eq @ rng.uniform(-0.5, 0.5, size=n)
-        res = lp_solve(LpProblem(c, a_eq, b_eq, -np.ones(n), np.ones(n)))
+        res = lp_solve(LpProblem(c, a_eq, b_eq))
         brute = _brute_force_box_lp(c, a_eq, b_eq)
         assert res.status == "feasible"
         assert brute is not None
         assert np.isclose(res.objective, brute, atol=1e-8)
         # more objectives on the same region, solved as one warm-started batch
         costs = np.vstack([c, rng_batch.normal(size=(5, n))])
-        batch = lp_solve(LpProblem(costs, a_eq, b_eq, -np.ones(n), np.ones(n)))
+        batch = lp_solve(LpProblem(costs, a_eq, b_eq))
         assert len(batch) == costs.shape[0]
         for obj, r in zip(costs, batch):
-            cold = lp_solve(LpProblem(obj, a_eq, b_eq, -np.ones(n), np.ones(n)))
+            cold = lp_solve(LpProblem(obj, a_eq, b_eq))
             assert r.status == cold.status == "feasible"
             assert np.isclose(r.objective, cold.objective, atol=1e-8)
             assert np.isclose(r.objective, _brute_force_box_lp(obj, a_eq, b_eq), atol=1e-8)
 
 
 def test_lp_solve_rejects_bad_shapes():
+    none = (np.zeros((0, 3)), np.zeros(0))
     with pytest.raises(ValueError):
-        lp_solve(LpProblem(np.ones(3), np.ones((2, 2)), np.ones(2), -np.ones(3), np.ones(3)))
+        lp_solve(LpProblem(np.ones(3), np.ones((2, 2)), np.ones(2)))
     with pytest.raises(ValueError):
-        lp_solve(LpProblem(np.ones((2, 2, 3)), None, None, -np.ones(3), np.ones(3)))
+        lp_solve(LpProblem(np.ones((2, 2, 3)), *none))
     with pytest.raises(ValueError):
-        lp_solve(LpProblem(np.ones((2, 3)), None, None, -np.ones(2), np.ones(3)))
+        lp_solve(LpProblem(np.ones(3), np.ones((2, 3)), np.ones(1)))
     with pytest.raises(ValueError):
-        lp_solve(LpProblem(np.ones((2, 0)), None, None, None, None))
+        lp_solve(LpProblem(np.ones((2, 0)), np.zeros((0, 0)), np.zeros(0)))
 
 
 def test_lp_solve_rejects_non_finite_data():
-    box = (-np.ones(2), np.ones(2))
-    for problem in (LpProblem(np.array([1.0, np.inf]), None, None, *box),
-                    LpProblem(np.ones(2), np.array([[1.0, np.nan]]), np.zeros(1), *box),
-                    LpProblem(np.ones(2), np.ones((1, 2)), np.array([np.inf]), *box),
-                    LpProblem(np.ones(2), None, None, np.array([0.0, np.nan]), None)):
+    # and a box that is not a finite positive half-width
+    none = (np.zeros((0, 2)), np.zeros(0))
+    for problem in (LpProblem(np.array([1.0, np.inf]), *none),
+                    LpProblem(np.ones(2), np.array([[1.0, np.nan]]), np.zeros(1)),
+                    LpProblem(np.ones(2), np.ones((1, 2)), np.array([np.inf])),
+                    LpProblem(np.ones(2), *none, box=np.inf),
+                    LpProblem(np.ones(2), *none, box=np.nan),
+                    LpProblem(np.ones(2), *none, box=0.0),
+                    LpProblem(np.ones(2), *none, box=-1.0)):
         with pytest.raises(ValueError):
             lp_solve(problem)
 
 
 def test_lp_solve_batch_statuses():
-    box = (-np.ones(2), np.ones(2))
     # infeasible region: every objective is infeasible
-    res = lp_solve(LpProblem(np.eye(2), np.array([[1.0, 0.0]]), np.array([5.0]), *box))
+    res = lp_solve(LpProblem(np.eye(2), np.array([[1.0, 0.0]]), np.array([5.0])))
     assert [r.status for r in res] == ["infeasible", "infeasible"]
-    # unbounded in some objectives only
-    res = lp_solve(LpProblem(np.array([[1.0], [0.0], [-1.0]]), None, None, None, None))
-    assert [r.status for r in res] == ["unbounded", "feasible", "unbounded"]
-    assert res[1].objective == 0.0
-    assert lp_solve(LpProblem(np.zeros((0, 2)), None, None, *box)) == []
+    res = lp_solve(LpProblem(np.array([[1.0], [0.0], [-1.0]]), np.zeros((0, 1)), np.zeros(0)))
+    assert [r.status for r in res] == ["feasible"] * 3
+    assert [r.objective for r in res] == [1.0, 0.0, 1.0]
+    assert lp_solve(LpProblem(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))) == []
 
 
 def test_lp_solve_extra_rows_and_starting_basis():
@@ -201,61 +207,57 @@ def test_lp_solve_extra_rows_and_starting_basis():
         b_eq = a_eq @ x0
         rows = rng.normal(size=(k, n))
         lo, hi = rows @ x0 - 0.2, np.array([np.inf, rows[1] @ x0 + 0.1])
-        box = (-np.ones(n), np.ones(n))
         c = rng.normal(size=n)
-        # the extra rows as equalities on bounded slack columns
-        ref = lp_solve(LpProblem(np.concatenate([c, np.zeros(k)]),
-                                 np.block([[a_eq, np.zeros((q, k))], [rows, -np.eye(k)]]),
-                                 np.concatenate([b_eq, np.zeros(k)]),
-                                 np.concatenate([box[0], lo]), np.concatenate([box[1], hi])))
-        got = lp_solve(LpProblem(c, a_eq, b_eq, *box, rows=(rows, lo, hi)))
-        assert np.isclose(got.objective, ref.objective, atol=1e-9)
+        # the extra rows as inequalities, solved by scipy's linprog
+        ref = linprog(-c, A_ub=np.vstack([-rows, rows[1:]]), b_ub=np.concatenate([-lo, hi[1:]]),
+                      A_eq=a_eq, b_eq=b_eq, bounds=(-1.0, 1.0))
+        assert ref.status == 0
+        got = lp_solve(LpProblem(c, a_eq, b_eq, rows=(rows, lo, hi)))
+        assert np.isclose(got.objective, -ref.fun, atol=1e-9)
         cols, row_status = got.basis
         assert cols.dtype == row_status.dtype == np.int8
         assert (cols.size, row_status.size) == (n, q + k)
         assert np.count_nonzero(cols == BASIC) + np.count_nonzero(row_status == BASIC) == q + k
         # a basis of the equalities alone starts the LP with the extra rows:
         # the extra rows' slacks start basic
-        plain = lp_solve(LpProblem(c, a_eq, b_eq, *box))
-        warm = lp_solve(LpProblem(c, a_eq, b_eq, *box, rows=(rows, lo, hi), basis=plain.basis))
-        assert np.isclose(warm.objective, ref.objective, atol=1e-9)
+        plain = lp_solve(LpProblem(c, a_eq, b_eq))
+        warm = lp_solve(LpProblem(c, a_eq, b_eq, rows=(rows, lo, hi), basis=plain.basis))
+        assert np.isclose(warm.objective, -ref.fun, atol=1e-9)
         # and a stack of objectives from the final basis matches cold solves
         costs = rng.normal(size=(4, n))
-        again = lp_solve(LpProblem(costs, a_eq, b_eq, *box, basis=plain.basis))
+        again = lp_solve(LpProblem(costs, a_eq, b_eq, basis=plain.basis))
         for obj, r in zip(costs, again):
-            assert np.isclose(r.objective, lp_solve(LpProblem(obj, a_eq, b_eq, *box)).objective,
+            assert np.isclose(r.objective, lp_solve(LpProblem(obj, a_eq, b_eq)).objective,
                               atol=1e-9)
         assert all(r.basis is None for r in again[:-1]) and again[-1].basis is not None
 
 
 def test_lp_solve_rejects_bad_rows_and_bases():
-    box = (-np.ones(3), np.ones(3))
     a_eq, b_eq = np.ones((1, 3)), np.zeros(1)
     with pytest.raises(ValueError):
-        lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box, rows=(np.ones((2, 2)), [0, 0], [1, 1])))
+        lp_solve(LpProblem(np.ones(3), a_eq, b_eq, rows=(np.ones((2, 2)), [0, 0], [1, 1])))
     with pytest.raises(ValueError):
-        lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box, rows=(np.ones((2, 3)), [0], [1, 1])))
+        lp_solve(LpProblem(np.ones(3), a_eq, b_eq, rows=(np.ones((2, 3)), [0], [1, 1])))
     with pytest.raises(ValueError):
-        lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box, rows=(np.ones((1, 3)), [np.nan], [1])))
-    basis = lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box)).basis
+        lp_solve(LpProblem(np.ones(3), a_eq, b_eq, rows=(np.ones((1, 3)), [np.nan], [1])))
+    basis = lp_solve(LpProblem(np.ones(3), a_eq, b_eq)).basis
     for bad in ((basis[0], np.zeros(0, np.int8)),             # basic count off
                 (np.concatenate([basis[0], [0]]), basis[1])):  # more columns than the LP
         with pytest.raises(ValueError, match="basis"):
-            lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box, basis=bad))
-    infeasible = lp_solve(LpProblem(np.ones(3), a_eq, np.array([5.0]), *box))
+            lp_solve(LpProblem(np.ones(3), a_eq, b_eq, basis=bad))
+    infeasible = lp_solve(LpProblem(np.ones(3), a_eq, np.array([5.0])))
     assert infeasible.status == "infeasible" and infeasible.basis is None
 
 
 def test_lp_counts_tally_by_purpose():
-    box = (-np.ones(3), np.ones(3))
     a_eq, b_eq = np.ones((1, 3)), np.zeros(1)
-    lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box))  # nobody counting
+    lp_solve(LpProblem(np.ones(3), a_eq, b_eq))  # nobody counting
     with lp_counts() as counts:
-        first = lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box, purpose="a"))
-        lp_solve(LpProblem(np.eye(3), a_eq, b_eq, *box, basis=first.basis, purpose="a"))
+        first = lp_solve(LpProblem(np.ones(3), a_eq, b_eq, purpose="a"))
+        lp_solve(LpProblem(np.eye(3), a_eq, b_eq, basis=first.basis, purpose="a"))
         with lp_counts() as inner:
-            lp_solve(LpProblem(np.ones(3), a_eq, b_eq, *box, purpose="b"))
-        lp_solve(LpProblem(np.ones(3), None, None, *box))
+            lp_solve(LpProblem(np.ones(3), a_eq, b_eq, purpose="b"))
+        lp_solve(LpProblem(np.ones(3), np.zeros((0, 3)), np.zeros(0)))
     assert set(counts) == {"a", "lp"} and set(inner) == {"b"}
     a = counts["a"]
     assert (a["calls"], a["objectives"], a["cold_starts"]) == (2, 4, 1)

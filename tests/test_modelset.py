@@ -32,7 +32,7 @@ def simulate_transitions(rng, a, b, g_w, t):
     w = g_w @ factors
     x_plus = a @ x_minus + b @ u_minus + w
     beta_star = factors.T.reshape(-1)  # column t contributes entries t*p_w ... t*p_w+p_w-1
-    return DataSet(x_plus, x_minus, u_minus, (t,)), beta_star
+    return DataSet(x_plus, x_minus, u_minus), beta_star
 
 
 def random_system(rng, n_x=3, n_u=2):
@@ -279,13 +279,9 @@ def test_dataset_validation_and_round_trip():
         DataSet(np.zeros((2, 5)), np.zeros((2, 4)), np.zeros((1, 5)))
     with pytest.raises(ValueError):
         DataSet(np.zeros((2, 5)), np.zeros((2, 5)), np.zeros(5))
-    with pytest.raises(ValueError):
-        DataSet(np.zeros((2, 5)), np.zeros((2, 5)), np.zeros((1, 5)), (2, 2))
-    data = DataSet(np.ones((2, 4)), np.zeros((2, 4)), np.ones((1, 4)), (2, 2))
-    back = DataSet.from_dict(data.to_dict())
-    assert np.allclose(back.phi, data.phi)
-    assert back.traj_lengths == (2, 2)
-    assert back.d == 3 and back.T == 4
+    data = DataSet(np.ones((2, 4)), np.zeros((2, 4)), np.ones((1, 4)))
+    assert data.phi.shape == (3, 4)
+    assert data.d == 3 and data.T == 4
 
 
 def test_dataset_validation_survives_python_optimize_flag():

@@ -1,6 +1,8 @@
 """Property tests: soundness of the one propagation loop on random systems,
-and containment of the set operations on operands with and without
-constraint rows."""
+containment of the set operations on operands with and without constraint
+rows, and the empty set staying empty through them."""
+
+import json
 
 import numpy as np
 import pytest
@@ -15,17 +17,27 @@ from datareach.reach import (
     certify_pwa,
     partition_data_by_mode,
     propagate_pwa,
+    propagation_step,
     replay_split,
 )
 from datareach.rightinv import pinv_right_inverse
 from datareach.sets import (
+    EmptySetError,
+    MatrixZonotope,
     Zonotope,
     cartesian_product,
     contains_point,
     halfspace_intersection,
     halfspace_intersection_with_plan,
+    interval_hull,
+    is_empty,
     linear_map,
     minkowski_sum,
+    project_polygon,
+    reduce_girard,
+    set_from_dict,
+    support,
+    volume,
 )
 
 
@@ -194,3 +206,55 @@ def test_pass_and_cut_events_replay_member_factors(rows, dim, lift, seed):
     assert event[0] in ("pass", "cut")
     inside = x @ h <= offset
     assert_members(piece, replay_split([event], xi[inside]), x[inside])
+
+
+def empty_results(rng, dim, rows):
+    """The empty set a disjoint cut returns, and the sets that every
+    operation makes from it with partners that have rows constraint rows."""
+    z, _ = operand(rng, dim, rows)
+    h = rng.normal(size=dim)
+    empty, event = halfspace_intersection_with_plan(
+        z, h, float(h @ z.c) - float(np.abs(h @ z.G).sum()) - 1.0)
+    assert event == ("empty",) and isinstance(empty, Zonotope)
+    partner, _ = operand(rng, dim, rows)
+    u, _ = operand(rng, 1, rows)
+    kappa = rows + 2
+    beta = rng.uniform(-1.0, 1.0, kappa)
+    a_model = rng.normal(size=(rows, kappa))
+    model = MatrixZonotope(rng.normal(size=(dim, dim + 1)),
+                           rng.normal(size=(kappa, dim, dim + 1)), a_model, a_model @ beta)
+    total = minkowski_sum(empty, partner)
+    return [empty, total, minkowski_sum(partner, empty),
+            cartesian_product(empty, partner), cartesian_product(partner, empty),
+            linear_map(rng.normal(size=(dim + 1, dim)), empty),
+            halfspace_intersection(empty, h, 1.0), halfspace_intersection(empty, h, -1.0),
+            halfspace_intersection(total, h, float(h @ total.c)),
+            propagation_step(model, empty, u, Zonotope(np.zeros(dim), np.eye(dim)), 4)[0],
+            propagation_step(model, total, u, Zonotope(np.zeros(dim), np.eye(dim)), 4)[0]]
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(dim=st.integers(1, 3), seed=SEEDS)
+def test_operations_keep_the_empty_set_empty(rows, dim, seed):
+    rng = np.random.default_rng(seed)
+    for s in empty_results(rng, dim, rows):
+        assert is_empty(s)
+        h = rng.normal(size=s.dim)
+        wide = float(np.abs(h @ s.G).sum() + abs(h @ s.c)) + 1.0
+        assert is_empty(s, region=[(h, wide)])
+        assert is_empty(s, region=[(h, wide), (-h, wide)])
+        assert not contains_point(s, s.c)
+        queries = [lambda: support(s, h), lambda: interval_hull(s)]
+        if s.dim >= 2:
+            queries.append(lambda: project_polygon(s, (0, 1)))
+        for query in queries:
+            with pytest.raises(EmptySetError):
+                query()
+        for query in (lambda: volume(s), lambda: reduce_girard(s, 1)):
+            with pytest.raises(ValueError, match="without constraint rows"):
+                query()
+        payload = json.dumps(s.to_dict())
+        back = set_from_dict(json.loads(payload))
+        assert s.to_dict()["type"] == "constrained_zonotope"
+        assert json.dumps(back.to_dict()) == payload and is_empty(back)

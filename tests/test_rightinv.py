@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -97,17 +96,6 @@ def test_iteration_cap_raises_but_keeps_best_feasible_iterate():
     assert best.iterations == 5
     with pytest.raises(ValueError, match="max_iter"):
         row_norm_right_inverse(phi, max_iter=0)
-
-
-def test_result_serializes_to_json():
-    rng = np.random.default_rng(4)
-    phi = rng.normal(size=(3, 15))
-    res = row_norm_right_inverse(phi)
-    payload = json.dumps(res.to_dict())
-    back = json.loads(payload)
-    assert back["method"] == "row_norm"
-    assert back["iterations"] == res.iterations > 0
-    assert np.allclose(np.asarray(back["h"]), res.h)
 
 
 def test_row_norm_sum_helper():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from datareach import linalg, sets
 from datareach.counters import lp_counts
@@ -16,12 +17,12 @@ from datareach.reach import propagation_step, replay_step
 from datareach.sets import (
     ConstrainedMatrixZonotope,
     ConstrainedZonotope,
-    EmptySet,
     EmptySetError,
     MatrixZonotope,
     Zonotope,
     cartesian_product,
     contains_point,
+    empty_set,
     halfspace_intersection,
     interval_hull,
     is_empty,
@@ -105,15 +106,36 @@ def test_zonotope_without_generators_is_a_point():
 
 
 def test_empty_set_behaviour():
-    e = EmptySet(3)
+    e = empty_set(3)
+    assert (e.num_generators, e.num_constraints, e.b.tolist()) == (0, 1, [1.0])
     assert is_empty(e)
     assert not contains_point(e, np.zeros(3))
     with pytest.raises(EmptySetError):
         support(e, np.ones(3))
     with pytest.raises(EmptySetError):
         interval_hull(e)
-    assert isinstance(minkowski_sum(e, Zonotope(np.zeros(3))), EmptySet)
-    assert isinstance(linear_map(np.ones((2, 3)), e), EmptySet)
+    assert is_empty(minkowski_sum(e, Zonotope(np.zeros(3))))
+    assert is_empty(linear_map(np.ones((2, 3)), e))
+
+
+def test_rows_without_factors_are_answered_without_an_lp():
+    # rows 0 = 0 over no factors hold the center; rows 0 = 1 hold nothing.
+    # support used to build an LP with no variables and raise ValueError
+    point = Zonotope([0.5, -1.0], None, a=np.zeros((1, 0)), b=[0.0])
+    assert contains_point(point, [0.5, -1.0]) and not is_empty(point)
+    assert support(point, [1.0, 0.0]) == 0.5
+    assert np.array_equal(support(point, np.eye(2)), [0.5, -1.0])
+    lo, hi = interval_hull(point)
+    assert np.array_equal(lo, [0.5, -1.0]) and np.array_equal(hi, [0.5, -1.0])
+    assert np.allclose(project_polygon(point, (0, 1)), [[0.5, -1.0]])
+    assert not is_empty(point, region=[([1.0, 0.0], 0.5)])
+    assert is_empty(point, region=[([1.0, 0.0], 0.4)])
+    e = empty_set(2)
+    for query in (lambda: support(e, [1.0, 0.0]), lambda: interval_hull(e),
+                  lambda: project_polygon(e, (0, 1))):
+        with pytest.raises(EmptySetError):
+            query()
+    assert is_empty(e, region=[([1.0, 0.0], 10.0)])
 
 
 def test_bad_caller_input_raises_value_error():
@@ -138,7 +160,7 @@ def test_bad_caller_input_raises_value_error():
     with pytest.raises(ValueError):
         project_polygon(Zonotope([0.0, 0.0, 0.0]), (0, 1, 2))
     with pytest.raises(EmptySetError):
-        sample_points(EmptySet(2), np.random.default_rng(0), 3)
+        sample_points(empty_set(2), np.random.default_rng(0), 3)
 
 
 def test_set_validation_survives_python_optimize_flag():
@@ -183,12 +205,11 @@ def test_batched_support_matches_single_directions():
         dirs = rng.normal(size=(12, 3))
         batch = support(cz, dirs)
         assert batch.shape == (12,)
-        m = cz.num_generators
         for d, val in zip(dirs, batch):
             assert isinstance(support(cz, d), float)
             assert np.isclose(val, support(cz, d), atol=1e-9)
             # the whole LP, free columns included
-            full = lp_solve(LpProblem(d @ cz.G, cz.A, cz.b, -np.ones(m), np.ones(m)))
+            full = lp_solve(LpProblem(d @ cz.G, cz.A, cz.b))
             assert np.isclose(val, d @ cz.c + full.objective, atol=1e-9)
         assert support(cz, np.zeros((0, 3))).shape == (0,)
 
@@ -404,7 +425,7 @@ def test_halfspace_intersection_branches():
     assert same is z
     # disjoint
     empty = halfspace_intersection(z, [1.0, 0.0], -1.5)
-    assert isinstance(empty, EmptySet)
+    assert isinstance(empty, Zonotope) and is_empty(empty)
     # proper cut
     cut = halfspace_intersection(z, [1.0, 0.0], 0.0)
     assert cut.num_generators == 3 and cut.num_constraints == 1
@@ -440,7 +461,7 @@ def test_halfspace_intersection_empty_detection_agrees_with_lp():
         h = rng.normal(size=2)
         lo = -support(z, -h)
         cut = halfspace_intersection(z, h, lo - rng.uniform(0.01, 1.0))
-        assert isinstance(cut, EmptySet)
+        assert is_empty(cut)
         hits_empty += 1
         # barely feasible slice stays nonempty
         sliver = halfspace_intersection(z, h, lo + 1e-6)
@@ -599,8 +620,8 @@ def test_volume_refuses_huge_enumerations():
 
 def test_volume_rejects_sets_that_are_not_plain_zonotopes():
     rng = np.random.default_rng(30)
-    for z in (EmptySet(2), random_czonotope(rng, 2, 4)[0]):
-        assert isinstance(z, EmptySet) or z.num_constraints > 0
+    for z in (empty_set(2), random_czonotope(rng, 2, 4)[0]):
+        assert z.num_constraints > 0
         with pytest.raises(ValueError):
             volume(z)
         with pytest.raises(ValueError):
@@ -747,7 +768,7 @@ def test_project_polygon_point():
 def test_projection_and_point_dimensions_are_validated():
     z = random_zonotope(np.random.default_rng(32), 3, 4)
     cz, _ = random_czonotope(np.random.default_rng(33), 3, 5)
-    for s in (z, cz, EmptySet(3)):
+    for s in (z, cz, empty_set(3)):
         # a negative index used to project the last coordinate, a repeated
         # one a diagonal, and one past the dimension raised IndexError
         for dims in ((-1, 0), (1, 1), (1, 7), (0, 3), (0.5, 1)):
@@ -755,7 +776,7 @@ def test_projection_and_point_dimensions_are_validated():
                 project_polygon(s, dims)
     assert project_polygon(cz, (2, 0)).shape[1] == 2
     with pytest.raises(ValueError):
-        contains_point(EmptySet(3), [0.0, 0.0])  # used to return False
+        contains_point(empty_set(3), [0.0, 0.0])
     with pytest.raises(ValueError):
         is_empty(cz, region=[([1.0, 0.0], 0.0)])
 
@@ -776,20 +797,17 @@ def random_cz_with_free_factors(rng, n=3, m=14, q=6, n_free=4):
 
 def _cold_support(z, dirs):
     """Support values from one cold LP per direction over all factors."""
-    m = z.num_generators
-    return np.array([d @ z.c + lp_solve(LpProblem(d @ z.G, z.A, z.b, -np.ones(m),
-                                                  np.ones(m))).objective for d in dirs])
+    return np.array([d @ z.c + lp_solve(LpProblem(d @ z.G, z.A, z.b)).objective for d in dirs])
 
 
 def _cold_feasible(z, rows, lo, hi, box):
     """Cold feasibility of |xi| <= box, A xi = b, lo <= rows xi <= hi, with
-    the rows as equalities on slack variables."""
-    m, k = z.num_generators, rows.shape[0]
-    a_eq = np.block([[z.A, np.zeros((z.num_constraints, k))], [rows, -np.eye(k)]])
-    res = lp_solve(LpProblem(np.zeros(m + k), a_eq, np.concatenate([z.b, np.zeros(k)]),
-                             np.concatenate([-box * np.ones(m), lo]),
-                             np.concatenate([box * np.ones(m), hi])))
-    return res.status == "feasible"
+    the finite row bounds as inequalities, by scipy's linprog."""
+    up, down = np.isfinite(hi), np.isfinite(lo)
+    res = linprog(np.zeros(z.num_generators), A_ub=np.vstack([rows[up], -rows[down]]),
+                  b_ub=np.concatenate([hi[up], -lo[down]]), A_eq=z.A, b_eq=z.b,
+                  bounds=(-box, box))
+    return res.status == 0
 
 
 def test_warm_queries_match_cold_lps():
@@ -966,7 +984,7 @@ def test_serialization_round_trip():
         rng.normal(size=(2, 2)), rng.normal(size=(3, 2, 2)),
         rng.normal(size=(1, 3)), rng.normal(size=1),
     )
-    for s in [z, cz, mz, cmz, EmptySet(4)]:
+    for s in [z, cz, mz, cmz, empty_set(4)]:
         payload = json.dumps(s.to_dict(), sort_keys=True)
         back = set_from_dict(json.loads(payload))
         assert type(back) is type(s)

@@ -633,7 +633,8 @@ def _emit_common(out, cfg, report, runs, fmt, tables, t0, lap, tallies):
     covers all the rest, the phases timed by lap included, and its tallies
     (the study's lp_counts and design_counts, one block each) include the
     polygon LPs.  Its set_sizes block gives, per combination and step, the
-    constraint rows and generator counts of each fragment."""
+    constraint rows, their nonzero coefficients and the generator counts of
+    each fragment."""
     _write_json(out / "report.json", report)
     for combo, run in runs.items():
         _emit_sets(out, combo, run)
@@ -648,6 +649,8 @@ def _emit_common(out, cfg, report, runs, fmt, tables, t0, lap, tallies):
         **tallies,
         "set_sizes": {c: {"constraint_rows": [[f.set.num_constraints for f in s.fragments]
                                               for s in run.steps],
+                          "constraint_nnz": [[int(np.count_nonzero(f.set.A))
+                                              for f in s.fragments] for s in run.steps],
                           "generators": [[f.set.num_generators for f in s.fragments]
                                          for s in run.steps]}
                       for c, run in runs.items()},

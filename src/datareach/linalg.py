@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import counters
 
@@ -46,8 +47,8 @@ class Svd(NamedTuple):
 
     u and v are square orthogonal; s is non-increasing with min(rows, cols)
     entries, of which the first rank lie above the RANK_RTOL cutoff.  The
-    pseudoinverse, the null space and the full-row-rank test are all read
-    from this one factorization.
+    pseudoinverse, the sparse null-space basis and the full-row-rank test
+    are all read from this one factorization.
     """
 
     u: np.ndarray
@@ -64,8 +65,31 @@ class Svd(NamedTuple):
 
     @property
     def null(self):
-        """Orthonormal basis of the right null space, (cols x (cols - rank))."""
-        return self.v[:, self.rank :]
+        """Sparse basis N of the right null space, (cols x (cols - rank)).
+
+        The rows of V_r' (V_r = v[:, :rank]) span the row space of M.  A
+        column-pivoted QR of V_r' picks rank well-conditioned pivot columns
+        B; N is the identity on the other columns (in index order) and
+        -(V_r[B]')^-1 V_r[rest]' on B, so each column of N has at most
+        rank + 1 nonzeros (the fundamental basis of Gilbert and Heath, SIAM
+        J. Alg. Disc. Meth. 1987).  N' is C-contiguous.
+        """
+        cols, rank = self.v.shape[0], self.rank
+        nt = np.zeros((cols - rank, cols))
+        if rank == 0:
+            np.fill_diagonal(nt, 1.0)
+            return nt.T
+        # LAPACK directly: at these sizes the scipy.linalg wrappers cost
+        # more than the factorization and the triangular solve together
+        r, piv, _, _, info = lapack.dgeqp3(self.v[:, :rank].T)
+        piv -= 1  # LAPACK numbers columns from 1
+        rest = np.argsort(piv[rank:])  # the free columns, in index order
+        pivot_rows, info_solve = lapack.dtrtrs(r[:rank, :rank], r[:rank, rank:][:, rest])
+        if info or info_solve:
+            raise NumericalError(f"pivoted QR of the row space failed (info {info}, {info_solve})")
+        nt[np.arange(cols - rank), piv[rank:][rest]] = 1.0
+        nt[:, piv[:rank]] = -pivot_rows.T
+        return nt.T
 
     @property
     def full_row_rank(self):

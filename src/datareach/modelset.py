@@ -4,7 +4,10 @@ Given trajectory data X_plus = M Phi + W_minus with Phi = [X_minus; U_minus]
 and columns of W_minus drawn from a zonotope <0, G_w>, every right inverse H
 of Phi yields a matrix zonotope of models {(X_plus - W) H} guaranteed to
 contain the true M.  Adding the kernel-consistency constraints
-(X_plus - W) Phi_perp = 0 tightens this to a constrained matrix zonotope.
+(X_plus - W) N = 0, for a basis N of the null space of Phi, tightens this to
+a constrained matrix zonotope.  Any basis gives the same set; the sparse one
+that linalg.Svd.null reads from the SVD of Phi gives kernel rows with at
+most rank(Phi) + 1 nonzero coefficients per noise direction.
 """
 
 from dataclasses import dataclass
@@ -85,9 +88,11 @@ def build_model_sets(data, w_generators, h):
     l = t * p_w + j places noise direction g_j in column t (t-major), so its
     generators are the rank-one g_j e_t'.  The model set (X_plus - W) H then
     has center X_plus H and generators -g_j H[t, :].  The kernel constraints
-    (X_plus - W) Phi_perp = 0, in column-major vec form, read
-    A = -kron(Phi_perp', G_w) and b = -vec(X_plus Phi_perp).  Rows of A that
-    are all zero are dropped after checking that their rhs is near zero.
+    (X_plus - W) N = 0, with N the sparse null-space basis of Phi (each
+    column has at most d + 1 nonzeros), in column-major vec form read
+    A = -kron(N', G_w) and b = -vec(X_plus N), so a row of A has at most
+    (d + 1) times as many nonzeros as its row of G_w.  Rows of A that are
+    all zero are dropped after checking that their rhs is near zero.
 
     Requires Phi full row rank and Phi H = I within 1e-8.
     """
@@ -108,11 +113,13 @@ def build_model_sets(data, w_generators, h):
             f"H is not a right inverse of Phi (max residual {np.max(np.abs(residual)):.2e})"
         )
     n_x, p_w = g_w.shape
-    phi_perp = factors.null
-    # "+ 0.0" (here and on the generators) maps the -0.0 products of zero
-    # entries of G_w to 0.0, so emitted set files never print "-0.0"
-    a = -np.kron(phi_perp.T, g_w) + 0.0
-    b = (-(data.x_plus @ phi_perp)).flatten(order="F")
+    null = factors.null
+    # kron(N', -G_w) as one broadcast product; "+= 0.0" (and "+ 0.0" on the
+    # generators) maps the -0.0 products of zero entries to 0.0, so emitted
+    # set files never print "-0.0"
+    a = (null.T[:, None, :, None] * -g_w[None, :, None, :]).reshape(null.shape[1] * n_x, t * p_w)
+    a += 0.0
+    b = (-(data.x_plus @ null)).flatten(order="F")
     zero_rows = ~np.any(a != 0.0, axis=1)
     if np.any(zero_rows):
         scale = max(1.0, float(np.max(np.abs(b))))

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from .inputdesign import delta_A, info_init, info_update
+from .linalg import svd
 from .modelset import DataSet, build_model_sets
 from .rightinv import pinv_right_inverse, row_norm_right_inverse, verify_sandwich
 from .sets import (
@@ -208,7 +209,9 @@ def check_right_inverse(seed, trials=5):
 
 def check_kernel_consistency(seed):
     """The realized noise factors satisfy the model-set constraints and
-    reproduce the generating matrices exactly."""
+    reproduce the generating matrices exactly; the null-space basis N is
+    one (Phi N = 0) and is sparse, so a kernel row has at most
+    (d + 1) nnz(G_w row) nonzeros."""
     rng = _rng(seed, "kernel")
     n_x, n_u, t = 3, 2, 40
     truth = rng.uniform(-0.5, 0.5, (n_x, n_x + n_u))
@@ -218,13 +221,18 @@ def check_kernel_consistency(seed):
     x_plus = truth @ phi + g_w @ xi
     data = DataSet(x_plus, phi[:n_x], phi[n_x:])
     beta = xi.T.reshape(-1)
-    worst = 0.0
+    worst, row_nnz = 0.0, 0
     for solver in (pinv_right_inverse, row_norm_right_inverse):
         cmz = build_model_sets(data, g_w, solver(phi).h).cmz
         worst = max(worst, float(np.max(np.abs(cmz.A @ beta - cmz.b))))
         model = cmz.C + np.einsum("l,lnm->nm", beta, cmz.generators)
         worst = max(worst, float(np.max(np.abs(model - truth))))
-    return {"name": "kernel_consistency", "worst_error": worst, "ok": worst <= 1e-7}
+        row_nnz = max(row_nnz, int(np.max(np.count_nonzero(cmz.A, axis=1))))
+    null_residual = float(np.max(np.abs(phi @ svd(phi).null)))
+    nnz_bound = (n_x + n_u + 1) * int(np.max(np.count_nonzero(g_w, axis=1)))
+    return {"name": "kernel_consistency", "worst_error": worst,
+            "max_row_nonzeros": row_nnz, "null_residual": null_residual,
+            "ok": worst <= 1e-7 and row_nnz <= nnz_bound and null_residual <= 1e-9}
 
 
 _CHECKS = (

@@ -666,17 +666,22 @@ def project_factors(a, b, xi):
 
 def sample_factors(z, rng, count, max_tries=50):
     """count feasible factor rows (count x m) of a zonotope, drawn uniformly
-    then projected onto its constraint rows (if any)."""
+    then projected onto its constraint rows (if any).  When the first round
+    of projections converges for no row, one is_empty LP tells an empty set
+    (EmptySetError at once) from a thin one (more rounds)."""
     m = z.num_generators
     if z.num_constraints == 0:
         return rng.uniform(-1.0, 1.0, size=(count, m))
     out = np.empty((0, m))
-    for _ in range(max_tries):
+    for attempt in range(max_tries):
         raw = rng.uniform(-1.0, 1.0, size=(count, m))
         proj, ok = project_factors(z.A, z.b, raw)
         out = np.vstack([out, proj[ok]])
         if out.shape[0] >= count:
             return out[:count]
+        if attempt == 0 and out.shape[0] == 0 and is_empty(z):
+            raise EmptySetError("cannot sample an empty set: its rows admit no factors "
+                                "in the unit box")
     raise EmptySetError("could not sample feasible factors; set may be empty or thin")
 
 

@@ -519,22 +519,25 @@ def test_metadata_counts_lps_by_purpose(tmp_path):
 
 
 def test_metadata_records_set_sizes_per_step(tmp_path):
-    # per combination and step, each fragment's constraint rows and
-    # generator counts, in metadata.json alone
+    # per combination and step, each fragment's constraint rows, their
+    # nonzero coefficients and generator counts, in metadata.json alone
     for kind, run, cfg in (("lti", run_lti_experiment, tiny_lti_config(horizon=3)),
                            ("pwa", run_pwa_experiment, tiny_pwa_config())):
         report = run(cfg, out_dir=tmp_path / kind)
         sizes = json.loads((tmp_path / kind / "metadata.json").read_text())["set_sizes"]
         assert sorted(sizes) == sorted(report["combos"])
         for combo, block in sizes.items():
-            assert set(block) == {"constraint_rows", "generators"}
-            for k, (rows, gens) in enumerate(zip(block["constraint_rows"], block["generators"])):
+            assert set(block) == {"constraint_rows", "constraint_nnz", "generators"}
+            for k, (rows, nnz, gens) in enumerate(zip(block["constraint_rows"],
+                                                      block["constraint_nnz"],
+                                                      block["generators"])):
                 frags = json.loads((tmp_path / kind / "sets" / combo / f"step{k}.json")
                                    .read_text())["fragments"]
-                assert len(rows) == len(gens) == len(frags)
-                for n_rows, n_gens, frag in zip(rows, gens, frags):
+                assert len(rows) == len(nnz) == len(gens) == len(frags)
+                for n_rows, n_nnz, n_gens, frag in zip(rows, nnz, gens, frags):
                     z = set_from_dict(frag["set"])
-                    assert (n_rows, n_gens) == (z.num_constraints, z.num_generators)
+                    assert (n_rows, n_nnz, n_gens) == (z.num_constraints,
+                                                       np.count_nonzero(z.A), z.num_generators)
             assert len(block["constraint_rows"]) == cfg.horizon + 1
             if combo.startswith("cmz"):
                 # the model's rows enter once: the sets stop growing
@@ -543,6 +546,7 @@ def test_metadata_records_set_sizes_per_step(tmp_path):
                     assert len({r for (r,) in block["constraint_rows"][1:]}) == 1
         assert "set_sizes" not in (tmp_path / kind / "report.json").read_text()
         assert "constraint_rows" not in (tmp_path / kind / "report.json").read_text()
+        assert "constraint_nnz" not in (tmp_path / kind / "report.json").read_text()
 
 
 def test_metadata_counts_designed_inputs(tmp_path):

@@ -77,12 +77,37 @@ def test_nullspace_basis_properties():
         rows, cols = rng.integers(1, 9, size=2)
         rank = int(rng.integers(0, min(rows, cols) + 1))
         m = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols)) if rank else np.zeros((rows, cols))
-        f = svd(m)
-        n = f.null
-        assert f.rank == rank
-        assert n.shape == (cols, cols - rank)
-        assert np.allclose(m @ n, 0.0, atol=1e-9)
-        assert np.allclose(n.T @ n, np.eye(n.shape[1]), atol=1e-10)
+        check_sparse_null_basis(m, rank)
+    for _ in range(25):  # wide regressors like Phi = [X; U]
+        d = int(rng.integers(2, 10))
+        check_sparse_null_basis(rng.normal(size=(d, int(rng.integers(d + 1, 80)))), d)
+
+
+# Largest |entry| of a null basis: measured 1.24 over the 80 regressors of the
+# bundled lti_5d and pwa_2mode configs (rng_seed 0-9, both input modes, whole
+# and per mode), 1.44 over 2,000 Gaussian d x T matrices (2 <= d <= 9,
+# T < 80) and 1.18 over 20,000 low-rank matrices of at most 8 x 8.
+NULL_BASIS_MAX_ENTRY = 2.0
+
+
+def check_sparse_null_basis(m, rank):
+    """M N = 0, N of full column rank, N the identity (in index order) on
+    the cols - rank rows that are not pivots, so each column has at most
+    rank + 1 nonzeros, and no entry above NULL_BASIS_MAX_ENTRY."""
+    f = svd(m)
+    n = f.null
+    cols = m.shape[1]
+    assert f.rank == rank
+    assert n.shape == (cols, cols - rank)
+    assert n.T.flags.c_contiguous
+    assert np.allclose(m @ n, 0.0, atol=1e-9)
+    if n.size:
+        assert np.linalg.matrix_rank(n) == cols - rank
+        assert np.max(np.abs(n)) <= NULL_BASIS_MAX_ENTRY
+    free = [i for i in range(cols) if np.count_nonzero(n[i]) == 1 and n[i].max() == 1.0]
+    assert len(free) == cols - rank
+    assert np.array_equal(n[free], np.eye(cols - rank))
+    assert np.all(np.count_nonzero(n, axis=0) <= rank + 1)
 
 
 def test_is_full_row_rank():

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from datareach.harness import bundled_config, collect_data
 from datareach.linalg import svd
 from datareach.modelset import (
     DataSet,
@@ -64,7 +65,9 @@ def dense_reference(data, g_w, h):
     return den_c @ h, gens, a[keep], b[keep]
 
 
-def test_closed_form_matches_dense_reference():
+def reference_cases():
+    """(data, G_w) pairs: random noise generators, a zero row, a zero column,
+    no noise, and a noise set of zero generators."""
     rng = np.random.default_rng(10)
     cases = []
     for _ in range(6):
@@ -78,6 +81,11 @@ def test_closed_form_matches_dense_reference():
     for n_x, n_u, g_w in cases:
         a_sys, b_sys = random_system(rng, n_x, n_u)
         data, _ = simulate_transitions(rng, a_sys, b_sys, g_w, int(rng.integers(n_x + n_u + 1, 25)))
+        yield data, g_w
+
+
+def test_closed_form_matches_dense_reference():
+    for data, g_w in reference_cases():
         for h in (pinv_right_inverse(data.phi).h, row_norm_right_inverse(data.phi).h):
             bundle = build_model_sets(data, g_w, h)
             c, gens, a, b = dense_reference(data, g_w, h)
@@ -90,6 +98,41 @@ def test_closed_form_matches_dense_reference():
             # files do not change from "0.0" to "-0.0"
             assert np.array_equal(np.signbit(bundle.mz.generators), np.signbit(gens))
             assert np.array_equal(np.signbit(bundle.cmz.A), np.signbit(a))
+
+
+def test_kernel_rows_span_the_orthonormal_basis_rows():
+    # any basis Q of null(Phi) gives the same constraint set: with the
+    # library's basis N = Q S (S invertible), its rows are T = kron(S', I)
+    # times the rows built from Q, restricted to the noise rows kept
+    for data, g_w in reference_cases():
+        cmz = build_model_sets(data, g_w, pinv_right_inverse(data.phi).h).cmz
+        d, t = data.phi.shape
+        q = np.linalg.svd(data.phi)[2][d:].T  # orthonormal, from numpy directly
+        a_ref = -np.kron(q.T, g_w)
+        b_ref = -(data.x_plus @ q).flatten(order="F")
+        s = q.T @ svd(data.phi).null
+        assert np.allclose(q @ s, svd(data.phi).null, atol=1e-10)
+        assert np.linalg.cond(s) < 1e3
+        keep = np.tile(np.any(g_w != 0.0, axis=1), t - d)
+        tr = np.kron(s.T, np.eye(data.n_x))[np.ix_(keep, keep)]
+        assert cmz.A.shape == (np.count_nonzero(keep), t * g_w.shape[1])
+        assert np.allclose(cmz.A, tr @ a_ref[keep], atol=1e-12)
+        assert np.allclose(cmz.b, tr @ b_ref[keep], atol=1e-10)
+
+
+def test_kernel_rows_are_sparse():
+    # a kernel row holds one column of N (at most rank + 1 = d + 1 nonzeros)
+    # times one row of G_w; on lti_5d (d = 8, diagonal G_w) that is 9 of 300
+    for data, g_w in reference_cases():
+        cmz = build_model_sets(data, g_w, pinv_right_inverse(data.phi).h).cmz
+        bound = (data.d + 1) * np.tile(np.count_nonzero(g_w, axis=1), data.T - data.d)
+        kept = bound > 0
+        assert np.all(np.count_nonzero(cmz.A, axis=1) <= bound[kept])
+    cfg = bundled_config("lti_5d")
+    data, _ = collect_data(cfg, cfg.true_system(), "random")
+    cmz = build_model_sets(data, cfg.w.G, pinv_right_inverse(data.phi).h).cmz
+    assert cmz.A.shape == (5 * (data.T - data.d), 5 * data.T)
+    assert np.max(np.count_nonzero(cmz.A, axis=1)) <= 9
 
 
 def test_noise_mz_layout():
@@ -120,12 +163,13 @@ def test_denoised_center_and_generators():
 
 
 def test_kernel_constraints_one_dimensional_oracle():
-    # n_x = 1, T = 2, Phi = [1, 1]: the kernel is spanned by (1, -1)/sqrt(2).
+    # n_x = 1, T = 2, Phi = [1, 1]: the kernel is spanned by (1, -1).
     x_plus = np.array([[2.0, 3.0]])
     data = DataSet(x_plus, np.array([[1.0, 1.0]]), np.zeros((0, 2)))
     g_w = np.array([[0.1]])
     perp = svd(data.phi).null
     assert perp.shape == (2, 1)
+    assert np.allclose(perp * perp[0, 0], [[1.0], [-1.0]])
     cmz = build_model_sets(data, g_w, np.array([[0.5], [0.5]])).cmz
     # column l of A is vec(-0.1 * e_l^T Phi_perp); rhs is -vec(X_plus Phi_perp)
     assert cmz.A.shape == (1, 2)

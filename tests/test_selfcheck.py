@@ -1,6 +1,6 @@
 import numpy as np
 
-from datareach.selfcheck import _facet_normals, run_selfcheck
+from datareach.selfcheck import _facet_normals, check_kernel_consistency, run_selfcheck
 
 
 def test_suite_passes_within_budget():
@@ -9,6 +9,14 @@ def test_suite_passes_within_budget():
     assert report["runtime_s"] < 60.0
     names = [c["name"] for c in report["checks"]]
     assert names == sorted(set(names), key=names.index) and len(names) == 9
+
+
+def test_kernel_check_reports_row_sparsity_and_null_residual():
+    # d = 5 and a diagonal G_w: a kernel row has at most d + 1 = 6 nonzeros
+    check = check_kernel_consistency(0)
+    assert check["ok"]
+    assert 0 < check["max_row_nonzeros"] <= 6
+    assert check["null_residual"] <= 1e-12
 
 
 def test_report_is_deterministic():

@@ -975,6 +975,28 @@ def test_sample_factors_raises_on_infeasible():
         sample_factors(cz, np.random.default_rng(0), 10, max_tries=3)
 
 
+def test_sample_factors_tells_an_empty_set_from_a_thin_one():
+    # the factor rows of an empty summand cannot be met: after one round of
+    # projections one is_empty LP ends the search with the set named empty
+    empty = minkowski_sum(empty_set(3), Zonotope(np.zeros(3), np.eye(3)))
+    with lp_counts() as counts, pytest.raises(EmptySetError, match="cannot sample an empty set"):
+        sample_factors(empty, np.random.default_rng(0), 10)
+    assert counts["is_empty"]["calls"] == 1
+    # xi_1 + 1e-3 xi_2 = 1 + 1e-3 meets the box only at (1, 1), at so small an
+    # angle that no projection converges: nonempty, so the rounds go on
+    thin = ConstrainedZonotope([0.0, 0.0], np.eye(2), np.array([[1.0, 1e-3]]),
+                               np.array([1.0 + 1e-3]))
+    with lp_counts() as counts, pytest.raises(EmptySetError, match="may be empty or thin"):
+        sample_factors(thin, np.random.default_rng(0), 10, max_tries=3)
+    assert counts["is_empty"]["calls"] == 1
+    # a set that samples at once pays no LP
+    rng = np.random.default_rng(34)
+    cz, _ = random_czonotope(rng, 3, 6, n_cuts=2)
+    with lp_counts() as counts:
+        sample_factors(cz, rng, 20)
+    assert counts == {}
+
+
 def test_serialization_round_trip():
     rng = np.random.default_rng(33)
     z = random_zonotope(rng, 3, 4)

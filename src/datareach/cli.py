@@ -19,6 +19,7 @@ from .harness import (
     run_lti_experiment,
     run_pwa_experiment,
 )
+from .linalg import NumericalError
 from .rightinv import RightInverseError
 from .selfcheck import run_selfcheck
 
@@ -102,7 +103,7 @@ def cli_main(argv=None):
         return _run_selftest(args)
     try:
         return _run_experiment(args)
-    except (OSError, ValueError, KeyError, RightInverseError) as err:
+    except (OSError, ValueError, KeyError, RightInverseError, NumericalError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

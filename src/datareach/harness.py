@@ -843,10 +843,14 @@ def _study(cfg, kind, out_dir, fmt):
 
                 table = [{"method": c, "volume": _row_volume(runs[c])}
                          for c in ["model"] + [c for c in combos if c.startswith("mz_")]]
-                for row in table:
-                    row["ratio"] = row["volume"] / table[0]["volume"]
                 report["volume_table"] = table
                 report["volume_step"] = vstep
+                if not table[0]["volume"] > 0.0:
+                    report["status"] = "zero_reference_volume"
+                    raise HarnessError(f"the model-based set has volume 0 at step {vstep}, so the "
+                                       "volume ratios are undefined", report=report)
+                for row in table:
+                    row["ratio"] = row["volume"] / table[0]["volume"]
             lap("volumes")
 
         if out_dir is not None:

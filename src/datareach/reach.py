@@ -9,12 +9,12 @@ where M is a matrix zonotope of models over the lifted vector [x; u], U is
 the propagation input set, and W the disturbance set.  propagation_step is
 the one kernel for this.  The constraint rows of R and U carry over to R',
 and so do the model's rows, but only the first time a set's lineage goes
-through that model: its constrained factors beta then lead R' as columns of
-their own, and every later step through the same model adds its beta
-products into those columns and appends no row.  When none of R, U and M
-has rows, R' has none either.  One mask marks the product columns that rows
-touch, which order reduction never boxes; the rest form the free block that
-it reduces.
+through that model: its constrained factors beta then form a block of
+columns after the constrained state columns, and every later step through
+the same model adds its beta products into that block and appends no row.
+When none of R, U and M has rows, R' has none either.  One mask marks the
+product columns that rows touch, which order reduction never boxes; the
+rest form the free block that it reduces.
 
 Sharing beta makes a constrained set hold the trajectories of every fixed
 member model per mode, the true system being one of them; the certificates
@@ -23,14 +23,17 @@ without rows has no constrained beta and is drawn afresh at every step.
 
 propagate_pwa is the one propagation loop: it splits every fragment along
 the mode guards, propagates each nonempty piece through its mode's model
-set, and tracks the fragment lineage, with the columns of each fragment
-that carry each mode's constrained beta.  A piece is dropped when a guard
-split reports the "empty" event or when is_empty finds it empty; the empty
-set is a Zonotope like any other (sets.empty_set: no factors and the one
-row 0 = 1), so no step here tests a set's type.  A linear system is the
-one-mode case LINEAR, whose region has no guard, so its single fragment per
-step passes through uncut.  partition_data_by_mode splits a data set's
-columns by the mode of their start state, for one model set per mode.
+set, and tracks the fragment lineage.  A mode's beta block keeps the
+columns of its first visit, since a step puts the constrained columns of
+its result first and keeps them constrained and a guard cut only appends a
+column and a row: Fragment.beta_starts records its first column per mode.
+A piece is dropped when a guard split reports the "empty" event or when
+is_empty finds it empty; the empty set is a Zonotope like any other
+(sets.empty_set: no factors and the one row 0 = 1), so no step here tests a
+set's type.  A linear system is the one-mode case LINEAR, whose region has
+no guard, so its single fragment per step passes through uncut.
+partition_data_by_mode splits a data set's columns by the mode of their
+start state, for one model set per mode.
 
 Every fragment records how it was made: the guard-split events applied to
 its parent and the StepPlan of its step.  replay_step and replay_split push
@@ -68,11 +71,10 @@ class StepPlan:
     """Replay data for one propagation step.
 
     cons masks the constrained product columns of [alpha | beta] that lead
-    the result; merged masks the constrained beta columns that were added
-    into the state columns already carrying their factors (all of them on a
-    revisit of the model, none on the first visit); kept holds the product
-    columns of [alpha | beta | gamma | W] that survive the reduction of the
-    free block, in order, with their generator columns kept_cols.
+    the result (no beta column on a revisit of the model, which adds its
+    constrained beta into the state columns that carry it); kept holds the
+    product columns of [alpha | beta | gamma | W] that survive the reduction
+    of the free block, in order, with their generator columns kept_cols.
     box_rows / box_radii give the box columns that cover the rest.
     """
 
@@ -81,7 +83,6 @@ class StepPlan:
     g_lift: np.ndarray
     w_g: np.ndarray
     cons: np.ndarray
-    merged: np.ndarray
     kept: np.ndarray
     kept_cols: np.ndarray
     box_rows: np.ndarray
@@ -98,14 +99,16 @@ class Fragment:
     """One piece of a reachable set: its set, the mode whose model it went
     through (None for the initial set; 0 at every later step of a linear
     system, which has one model), the index of its parent fragment at the
-    previous step, the guard-split events that cut the parent, and the plan
-    of the step that produced the set."""
+    previous step, the guard-split events that cut the parent, the plan of
+    the step that produced the set, and per mode the first column of the
+    mode's beta block (None until the lineage enters the mode)."""
 
     set: object
     mode: object = None
     parent: int = -1
     split: tuple = ()
     plan: StepPlan = None
+    beta_starts: tuple = ()
 
 
 @dataclass
@@ -144,7 +147,7 @@ class ReachResult:
 # the propagation step and its replay
 
 
-def propagation_step(model, r, u_prop, w, max_order, beta_cols=None):
+def propagation_step(model, r, u_prop, w, max_order, beta_start=None):
     """R' = model (R x U) + W with order reduction; returns (set, StepPlan).
 
     For M = <C, {G_l}> (kappa generators) and R x U = <c, g> (p generators)
@@ -167,16 +170,15 @@ def propagation_step(model, r, u_prop, w, max_order, beta_cols=None):
     budget to n once the model constraints alone exceed the cap.  Output
     columns: constrained alpha, constrained beta, reduced free block.
 
-    beta_cols is None on the first step through the model in R's lineage:
-    the constrained beta columns then lead after constrained alpha, and the
-    result has the rows of R and U followed by the model's rows.  On a
-    revisit beta_cols lists the columns of R that carry the model's
-    constrained factors, one per constrained beta column in order; each
-    beta column is added into its alpha column, C g_i + G_l c with
-    xi_i = beta_l, and the result has the rows of R and U alone.  Rows of W
-    are not kept, which only enlarges the result.  Raises ValueError when
-    beta_cols does not name one distinct constrained column of R per
-    constrained beta factor.
+    beta_start is None on the first step through the model in R's lineage:
+    constrained beta then follows constrained alpha, and the result has the
+    rows of R and U followed by the model's.  On a revisit beta_start is the
+    first of the kappa_c columns of R that carry the kappa_c constrained beta;
+    each constrained beta column is added into its alpha column there
+    (C g_i + G_l c with xi_i = beta_l), and the result has the rows of R and
+    U alone.  Rows of W are not kept, which only enlarges the result.  Raises
+    ValueError unless beta_start is an int and that block lies in R's
+    constrained columns.
     """
     lifted = cartesian_product(r, u_prop)
     c_lift, g_lift, a_z, b_z = lifted.c, lifted.G, lifted.A, lifted.b
@@ -189,21 +191,19 @@ def propagation_step(model, r, u_prop, w, max_order, beta_cols=None):
     gamma = gamma.transpose(1, 0, 2).reshape(n, model.num_generators * p)
 
     cons_a, cons_b = np.any(a_z != 0.0, axis=0), np.any(model.A != 0.0, axis=0)
-    merged = np.zeros_like(cons_b)
-    if beta_cols is not None:
-        alpha[:, _check_beta_cols(beta_cols, r, cons_b)] += beta[:, cons_b]
-        merged = cons_b
-    cons = np.concatenate([cons_a, cons_b & ~merged])
+    new_b, a_m, b_m = cons_b, model.A, model.b
+    if beta_start is not None:
+        alpha[:, _beta_block(beta_start, r, cons_b)] += beta[:, cons_b]
+        new_b, a_m, b_m = np.zeros_like(cons_b), model.A[:0], model.b[:0]
+    cons = np.concatenate([cons_a, new_b])
     free = np.hstack([alpha[:, ~cons_a], beta[:, ~cons_b], gamma, w.G])
     kept, box_rows, box_radii, free_out = girard(free, max(n, int(math.floor(max_order * n))))
     # the free block's columns as product columns of [alpha | beta | gamma | W]
     free_cols = np.concatenate([np.flatnonzero(~cons_a), p + np.flatnonzero(~cons_b),
                                 np.arange(cons.size, cons.size + gamma.shape[1] + w.G.shape[1])])
-    plan = StepPlan(model, c_lift, g_lift, w.G, cons, merged, free_cols[kept],
+    plan = StepPlan(model, c_lift, g_lift, w.G, cons, free_cols[kept],
                     free_out[:, : kept.size], box_rows, box_radii)
-    new_b = cons[p:]
     g_out = np.hstack([alpha[:, cons_a], beta[:, new_b], free_out])
-    a_m, b_m = (model.A, model.b) if beta_cols is None else (model.A[:0], model.b[:0])
     q_z, n_a, n_b = a_z.shape[0], np.count_nonzero(cons_a), np.count_nonzero(new_b)
     a_out = np.zeros((q_z + a_m.shape[0], g_out.shape[1]))
     a_out[:q_z, :n_a] = a_z[:, cons_a]
@@ -211,27 +211,19 @@ def propagation_step(model, r, u_prop, w, max_order, beta_cols=None):
     return Zonotope(center, g_out, a_out, np.concatenate([b_z, b_m])), plan
 
 
-def _check_beta_cols(beta_cols, r, cons_b):
-    """beta_cols as an index array into R's columns, or ValueError unless it
-    holds one distinct constrained column of R per constrained beta."""
-    cols = np.asarray(beta_cols)
-    want = np.count_nonzero(cons_b)
-    if cols.ndim != 1 or cols.size != want:
-        raise ValueError(f"beta_cols has shape {cols.shape}, the model has {want} "
-                         f"constrained beta factors")
-    if not cols.size:
-        return np.zeros(0, dtype=int)
-    if not np.issubdtype(cols.dtype, np.integer):
-        raise ValueError(f"beta_cols must hold integer column indices, got {cols.dtype}")
-    m = r.G.shape[1]
-    if np.any((cols < 0) | (cols >= m)):
-        raise ValueError(f"beta_cols {cols.tolist()} out of range for a set with {m} columns")
-    if np.unique(cols).size != cols.size:
-        raise ValueError(f"beta_cols {cols.tolist()} repeats a column")
-    bad = cols[~np.any(r.A[:, cols] != 0.0, axis=0)]
-    if bad.size:
-        raise ValueError(f"beta_cols {bad.tolist()} are not constrained columns of the set")
-    return cols
+def _beta_block(start, r, cons_b):
+    """The slice of R's columns from start that carries the constrained beta;
+    ValueError unless start is an int and the slice lies in R's constrained
+    columns."""
+    if isinstance(start, bool) or not isinstance(start, (int, np.integer)):
+        raise ValueError(f"beta_start must be an int column index, got {start!r}")
+    stop, m = start + np.count_nonzero(cons_b), r.G.shape[1]
+    if start < 0 or stop > m:
+        raise ValueError(f"beta block [{start}, {stop}) out of range for a set with {m} columns")
+    if not np.all(np.any(r.A[:, start:stop] != 0.0, axis=0)):
+        raise ValueError(f"beta block [{start}, {stop}) holds columns that are not "
+                         f"constrained in the set")
+    return slice(start, stop)
 
 
 def _factors(plan, cols, xi_lift, beta_star, xi_w):
@@ -269,7 +261,7 @@ def replay_step(plan, xi_state, xi_u, beta_star, xi_w):
     # the box factors carry what the kept free columns miss of the free
     # block's total contribution, computed in closed form
     gens = plan.model.generators
-    free_a, free_b = ~plan.cons[: plan.p], ~(plan.cons[plan.p :] | plan.merged)
+    free_a, free_b = ~plan.cons[: plan.p], ~np.any(plan.model.A != 0.0, axis=0)
     m_beta = np.einsum("l,lij->ij", beta_star, gens)
     full = (xi_lift @ plan.g_lift.T) @ m_beta.T + xi_w @ plan.w_g.T
     full = full + (xi_lift[:, free_a] @ plan.g_lift[:, free_a].T) @ plan.model.C.T
@@ -403,11 +395,9 @@ def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=2
     parent fragment, which was kept already, so only cut pieces pay an
     emptiness LP, and that LP is asked of the parent with the cutting
     halfspaces as a region: the parent's own LP, warm from its cached
-    basis.  Each mode's constrained beta enters a lineage once: per
-    fragment and mode the loop keeps the set columns that carry it (None
-    before the first step through the mode) and passes them to
-    propagation_step.  Guard cuts only append columns and a step keeps the
-    order of the constrained state columns, so the indices carry through.
+    basis.  Each mode's constrained beta enters a lineage once, as a block
+    of columns whose first column the fragments record in beta_starts and
+    pass to propagation_step on every later step through the mode.
     Raises if the fragment count would exceed fragment_cap.
     """
     if len(models) != pwa.n_modes:
@@ -416,10 +406,9 @@ def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=2
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     # a fresh copy of x0, so that no LP of this result starts from a basis
     # that earlier queries left on the caller's set
-    steps = [StepRecord([Fragment(x0.copy())])]
-    carriers = [(None,) * pwa.n_modes]
+    steps = [StepRecord([Fragment(x0.copy(), beta_starts=(None,) * pwa.n_modes)])]
     for _ in range(horizon):
-        children, child_carriers = [], []
+        children = []
         for fi, frag in enumerate(steps[-1].fragments):
             for q, mode in enumerate(pwa.modes):
                 piece = frag.set
@@ -435,32 +424,18 @@ def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=2
                         if ev[0] == "cut"]
                 if cuts and is_empty(frag.set, region=cuts):
                     continue
-                new_set, plan = propagation_step(models[q], piece, u_prop, w, max_order,
-                                                 carriers[fi][q])
+                starts = frag.beta_starts
+                new_set, plan = propagation_step(models[q], piece, u_prop, w, max_order, starts[q])
+                if starts[q] is None:
+                    starts = starts[:q] + (np.count_nonzero(plan.cons[: plan.p]),) + starts[q + 1 :]
                 children.append(Fragment(new_set, mode=q, parent=fi, split=tuple(events),
-                                         plan=plan))
-                child_carriers.append(_carry(plan, carriers[fi], q))
+                                         plan=plan, beta_starts=starts))
         if not children:
             raise ValueError("all fragments became empty; check the mode regions")
         if len(children) > fragment_cap:
             raise ValueError(f"fragment count {len(children)} exceeds cap {fragment_cap}")
         steps.append(StepRecord(children))
-        carriers = child_carriers
     return ReachResult(steps)
-
-
-def _carry(plan, carriers, q):
-    """The output columns of a step through mode q that carry each mode's
-    constrained beta, from the state columns that carried them: a state
-    column keeps its rank among the constrained alpha columns, and mode q's
-    beta, on its first visit, takes the constrained beta columns after
-    them."""
-    lead = plan.cons[: plan.p]
-    rank = np.cumsum(lead) - 1
-    out = [None if cols is None else rank[cols] for cols in carriers]
-    if out[q] is None:
-        out[q] = np.count_nonzero(lead) + np.arange(np.count_nonzero(plan.cons[plan.p :]))
-    return tuple(out)
 
 
 def propagate_lti(model, x0, u_prop, w, horizon, max_order):

@@ -213,11 +213,23 @@ def _array_to_json(a):
 
 
 def _array_from_json(d):
-    if isinstance(d, dict):
-        a = np.zeros(tuple(d["shape"]))
-        a[np.asarray(d["rows"], dtype=int), np.asarray(d["cols"], dtype=int)] = d["vals"]
-        return a
-    return np.asarray(d, dtype=float)
+    """A nested list, or a {"shape", "rows", "cols", "vals"} triplet, as a
+    float array; ValueError unless the triplet's shape is two nonnegative
+    ints and its lists are flat, of one length and index into that shape."""
+    if not isinstance(d, dict):
+        return np.asarray(d, dtype=float)
+    shape, rows, cols, vals = (np.asarray(d[k]) for k in ("shape", "rows", "cols", "vals"))
+    if shape.shape != (2,) or shape.dtype.kind not in "iu" or np.any(shape < 0):
+        raise ValueError(f"triplet shape must be two nonnegative ints, got {d['shape']!r}")
+    if rows.ndim != 1 or not rows.shape == cols.shape == vals.shape:
+        raise ValueError(f"triplet rows, cols and vals must be flat lists of one length, "
+                         f"got shapes {rows.shape}, {cols.shape} and {vals.shape}")
+    for name, idx, bound in (("rows", rows, shape[0]), ("cols", cols, shape[1])):
+        if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= bound):
+            raise ValueError(f"triplet {name} must be ints in 0..{bound - 1}, got {idx.tolist()}")
+    a = np.zeros(shape)
+    a[rows.astype(int), cols.astype(int)] = vals.astype(float)
+    return a
 
 
 def set_from_dict(d):

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from datareach import sets
 from datareach.cli import cli_main
-from tests.test_harness import tiny_lti_config
+from datareach.harness import bundled_config
+from datareach.linalg import NumericalError
+from tests.test_harness import flat_x0_config, tiny_lti_config
 
 
 @pytest.fixture()
@@ -63,6 +66,36 @@ def test_row_norm_solver_failure_exits_cleanly(capsys):
     assert cli_main(["lti", "--seed", "1746"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ADMM did not reach tolerance")
+
+
+def test_lp_solver_failure_exits_cleanly(tiny_config_file, monkeypatch, capsys):
+    def fail(problem):
+        raise NumericalError("LP solver failed: Solve error")
+
+    monkeypatch.setattr(sets, "lp_solve", fail)
+    assert cli_main(["lti", "--config", tiny_config_file]) == 1
+    assert capsys.readouterr().err == "error: LP solver failed: Solve error\n"
+
+
+def test_bad_triplet_in_config_exits_cleanly(tmp_path, capsys):
+    cfg = bundled_config("pwa_2mode").to_dict()
+    cfg["x0"]["G"] = {"shape": [2, 2], "rows": [0, 5], "cols": [0, 1], "vals": [0.3, 0.3]}
+    path = tmp_path / "bad_triplet.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["pwa", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: triplet rows must be ints in 0..1")
+
+
+def test_zero_reference_volume_writes_the_partial_report(tmp_path, capsys):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(flat_x0_config().to_dict()))
+    out_dir = tmp_path / "flat"
+    assert cli_main(["lti", "--config", str(path), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the model-based set has volume 0 at step 0")
+    assert "partial report written" in err
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["status"] == "zero_reference_volume" and report["volume_step"] == 0
 
 
 def test_unknown_subcommand_is_rejected():

@@ -591,6 +591,23 @@ def test_volume_step_selects_the_tabulated_step():
     assert v_early < v_full
 
 
+def flat_x0_config(**over):
+    """tiny_lti_config with an x0 of zero volume (one generator in 2-D), its
+    data still drawn from the full box, and the volume table at step 0."""
+    return tiny_lti_config(x0={"center": [1.0, -1.0], "generators": [[0.1], [0.0]]},
+                           x0_data=tiny_lti_config().x0, volume_step=0, **over)
+
+
+def test_zero_reference_volume_raises_with_the_partial_report():
+    with pytest.raises(HarnessError, match="volume 0 at step 0") as err:
+        run_lti_experiment(flat_x0_config(compute_supports=False))
+    report = err.value.report
+    assert report["status"] == "zero_reference_volume" and report["volume_step"] == 0
+    assert [row["volume"] for row in report["volume_table"]] == [0.0] * 5
+    assert all("ratio" not in row for row in report["volume_table"])
+    json.dumps(report)
+
+
 def test_lti_rejects_pwa_config():
     cfg = bundled_config("pwa_2mode")
     with pytest.raises(HarnessError, match="kind"):

@@ -91,10 +91,10 @@ def simulate(pwa, x0, u_prop, w, horizon, n_traj, rng):
     return states, xi0, xi_u, xi_w
 
 
-@settings(derandomize=True, max_examples=20, deadline=None)
-@given(n_x=st.integers(1, 3), n_u=st.integers(1, 2), n_modes=st.integers(1, 2),
-       horizon=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
-def test_certificates_hold_for_data_consistent_cmz_models(n_x, n_u, n_modes, horizon, seed):
+def cmz_run(n_x, n_u, n_modes, horizon, seed):
+    """A random system with one data-consistent cmz model per mode,
+    propagated over horizon steps; returns (pwa, models, betas, result,
+    trajectory draws), betas holding the true model's factors per mode."""
     rng = np.random.default_rng(seed)
     pwa = random_pwa(rng, n_x, n_u, n_modes)
     w = Zonotope(np.zeros(n_x), 0.02 * np.eye(n_x))
@@ -109,7 +109,43 @@ def test_certificates_hold_for_data_consistent_cmz_models(n_x, n_u, n_modes, hor
     x0 = Zonotope(rng.uniform(-0.5, 0.5, n_x), 0.3 * rng.normal(size=(n_x, n_x)))
     u_prop = Zonotope(np.zeros(n_u), 0.2 * np.eye(n_u))
     res = propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order=5)
-    draws = simulate(pwa, x0, u_prop, w, horizon, 40, rng)
+    return pwa, models, betas, res, simulate(pwa, x0, u_prop, w, horizon, 40, rng)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n_x=st.integers(1, 3), n_u=st.integers(1, 2), n_modes=st.integers(1, 2),
+       horizon=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_certificates_hold_for_data_consistent_cmz_models(n_x, n_u, n_modes, horizon, seed):
+    pwa, _, betas, res, draws = cmz_run(n_x, n_u, n_modes, horizon, seed)
+    assert certify_pwa(res, betas, pwa, *draws).ok()
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(n_x=st.integers(1, 3), n_u=st.integers(1, 2), n_modes=st.integers(1, 2),
+       horizon=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_each_mode_keeps_one_beta_block_along_a_lineage(n_x, n_u, n_modes, horizon, seed):
+    # a mode's constrained beta takes a block of constrained columns on its
+    # first visit, right after the constrained state columns and under the
+    # model's rows, and every later fragment of the lineage keeps that block
+    pwa, models, betas, res, draws = cmz_run(n_x, n_u, n_modes, horizon, seed)
+    cons_b = [np.any(m.A != 0.0, axis=0) for m in models]
+    for k in range(1, horizon + 1):
+        for f in res.steps[k].fragments:
+            parent = res.steps[k - 1].fragments[f.parent].beta_starts
+            assert len(f.beta_starts) == pwa.n_modes and f.beta_starts[f.mode] is not None
+            for q, start in enumerate(f.beta_starts):
+                if start is None:
+                    assert parent[q] is None
+                    continue
+                stop = start + np.count_nonzero(cons_b[q])
+                assert 0 <= start and stop <= f.set.num_generators
+                assert np.all(np.any(f.set.A[:, start:stop] != 0.0, axis=0))
+                if parent[q] is not None:
+                    assert start == parent[q]
+                else:
+                    assert q == f.mode and start == np.count_nonzero(f.plan.cons[: f.plan.p])
+                    rows = f.set.A[f.set.num_constraints - models[q].num_constraints :]
+                    assert np.array_equal(rows[:, start:stop], models[q].A[:, cons_b[q]])
     assert certify_pwa(res, betas, pwa, *draws).ok()
 
 

@@ -279,17 +279,19 @@ def test_zero_constraint_column_puts_its_beta_in_the_reduced_block():
             if f.mode not in {g.mode for g in _lineage(res, k, fi)[:-1]}:
                 firsts += 1
                 assert f.plan.cons[p:].tolist() == [True, True, False]
-                assert not f.plan.merged.any()
                 assert f.set.num_constraints == rows_in + 1
-                # the model's row lands on the two constrained beta columns only
-                head = np.count_nonzero(f.plan.cons)
-                assert np.array_equal(f.set.A[-1, head - 2 : head], [1.0, 1.0])
-                assert not f.set.A[-1, head:].any()
+                # the model's row lands on the two constrained beta columns
+                # only, which follow the constrained state columns
+                start = f.beta_starts[f.mode]
+                assert start == np.count_nonzero(f.plan.cons[:p])
+                assert np.array_equal(f.set.A[-1, start : start + 2], [1.0, 1.0])
+                assert not f.set.A[-1, start + 2 :].any()
             else:
                 revisits += 1
                 assert not f.plan.cons[p:].any()
-                assert f.plan.merged.tolist() == [True, True, False]
                 assert f.set.num_constraints == rows_in
+                # the beta block keeps the columns it took on the first visit
+                assert f.beta_starts == res.steps[k - 1].fragments[f.parent].beta_starts
     assert firsts and revisits
     assert all(f.plan.box_rows.size for f in frags)
     draws = simulate_pwa_recorded(pwa, x0, u_prop, w, horizon, 40, rng)
@@ -370,11 +372,14 @@ def test_propagation_step_shares_beta_on_a_revisit():
     u_prop = Zonotope([0.2], np.array([[0.3]]))
     w = Zonotope(np.zeros(2), 0.02 * np.eye(2))
     r1, plan1 = propagation_step(model, r0, u_prop, w, max_order=3)
+    assert plan1.cons[plan1.p :].tolist() == [True, True, False, False]
     n_a = np.count_nonzero(plan1.cons[: plan1.p])
     cols = n_a + np.arange(2)
-    r2, plan2 = propagation_step(model, r1, u_prop, w, 3, beta_cols=cols)
-    assert plan2.merged.tolist() == [True, True, False, False]
+    r2, plan2 = propagation_step(model, r1, u_prop, w, 3, beta_start=n_a)
     assert not plan2.cons[plan2.p :].any()
+    # the beta block keeps its columns and no beta column is added
+    assert np.count_nonzero(plan2.cons) == np.count_nonzero(plan1.cons) == n_a + 2
+    assert np.array_equal(r2.A[:, cols], r1.A[:, cols])
     assert r2.num_constraints == r1.num_constraints == model.num_constraints
     assert np.array_equal(r2.b, r1.b)
     xi_r0 = rng.uniform(-1, 1, size=(20, 2))
@@ -392,35 +397,40 @@ def test_propagation_step_shares_beta_on_a_revisit():
     assert np.allclose(xi[:, cols], beta[:2])
 
 
-def test_propagation_step_rejects_bad_beta_cols():
+def test_propagation_step_rejects_bad_beta_start():
     rng = np.random.default_rng(20)
     model = make_constrained_model(rng, 2, 1, 4)
     u_prop = Zonotope([0.2], np.array([[0.3]]))
     w = Zonotope(np.zeros(2), 0.02 * np.eye(2))
     r1, plan1 = propagation_step(model, Zonotope([0.5, -0.5], 0.2 * np.eye(2)), u_prop, w, 3)
-    n_a = np.count_nonzero(plan1.cons[: plan1.p])
-    free = r1.num_generators - 1  # a reduced free column, in no row
+    n_a, m = np.count_nonzero(plan1.cons[: plan1.p]), r1.num_generators
+    free = n_a + 2  # the first reduced free column, in no row
     assert not r1.A[:, free].any()
     bad = (
-        ([n_a], "2 constrained beta"),                  # one index for two factors
-        ([n_a, n_a, n_a], "2 constrained beta"),        # three
-        ([[n_a, n_a + 1]], "2 constrained beta"),       # not a flat list
-        ([n_a, r1.num_generators], "out of range"),
-        ([-1, n_a], "out of range"),
-        ([n_a, n_a], "repeats"),
-        ([n_a, free], "not constrained"),
-        ([float(n_a), n_a + 1.0], "integer"),
+        (True, "must be an int"),
+        (np.True_, "must be an int"),
+        (float(n_a), "must be an int"),
+        ([n_a], "must be an int"),
+        (-1, "out of range"),
+        (m - 1, "out of range"),        # the block of two runs past the end
+        (m, "out of range"),
+        (n_a + 1, "not constrained"),   # the block's second column is free
+        (free, "not constrained"),
     )
-    for cols, match in bad:
+    for start, match in bad:
         with pytest.raises(ValueError, match=match):
-            propagation_step(model, r1, u_prop, w, 3, beta_cols=cols)
+            propagation_step(model, r1, u_prop, w, 3, beta_start=start)
     # a set without rows has no column that can carry a constrained beta
     with pytest.raises(ValueError, match="not constrained"):
-        propagation_step(model, Zonotope([0.0, 0.0], np.eye(2)), u_prop, w, 3, beta_cols=[0, 1])
-    # a model without constrained beta takes an empty list
+        propagation_step(model, Zonotope([0.0, 0.0], np.eye(2)), u_prop, w, 3, beta_start=0)
+    # numpy ints are ints, and a model without constrained beta has an
+    # empty block, which may start anywhere up to the last column
+    out, _ = propagation_step(model, r1, u_prop, w, 3, beta_start=np.int64(n_a))
+    assert out.num_constraints == r1.num_constraints
     mz = make_uncertain_model(rng, 2, 1, 3)
-    out, plan = propagation_step(mz, r1, u_prop, w, 3, beta_cols=[])
-    assert not plan.merged.any() and out.num_constraints == r1.num_constraints
+    for start in (0, free, m):
+        out, plan = propagation_step(mz, r1, u_prop, w, 3, beta_start=start)
+        assert not plan.cons[plan.p :].any() and out.num_constraints == r1.num_constraints
 
 
 def _factor_of_column(plan, col, xi_lift, beta, xi_w):

@@ -1054,3 +1054,33 @@ def test_serialization_uses_sparse_blocks_for_large_sparse_matrices():
     back = set_from_dict(json.loads(json.dumps(d)))
     assert np.allclose(back.A, a)
     assert np.allclose(back.G, cz.G)
+
+
+def test_triplet_arrays_load_only_when_well_formed():
+    good = {"type": "zonotope", "c": [0.0, 0.0],
+            "G": {"shape": [2, 3], "rows": [0, 1], "cols": [2, 0], "vals": [0.3, -0.5]}}
+    z = set_from_dict(json.loads(json.dumps(good)))
+    assert np.array_equal(z.G, [[0.0, 0.0, 0.3], [-0.5, 0.0, 0.0]])
+    empty = dict(good, G={"shape": [2, 0], "rows": [], "cols": [], "vals": []})
+    assert set_from_dict(empty).G.shape == (2, 0)
+    bad = (
+        ({"shape": [2], "rows": [0], "cols": [0], "vals": [1.0]}, "shape"),
+        ({"shape": [2, 2, 1], "rows": [0], "cols": [0], "vals": [1.0]}, "shape"),
+        ({"shape": [2, -1], "rows": [], "cols": [], "vals": []}, "shape"),
+        ({"shape": [2, 2.0], "rows": [0], "cols": [0], "vals": [1.0]}, "shape"),
+        ({"shape": [True, True], "rows": [0], "cols": [0], "vals": [1.0]}, "shape"),
+        ({"shape": 4, "rows": [0], "cols": [0], "vals": [1.0]}, "shape"),
+        ({"shape": [2, 2], "rows": [0, 1], "cols": [0], "vals": [1.0, 1.0]}, "one length"),
+        ({"shape": [2, 2], "rows": [0, 1], "cols": [0, 1], "vals": [1.0]}, "one length"),
+        ({"shape": [2, 2], "rows": [[0, 1]], "cols": [[0, 1]], "vals": [[1.0, 1.0]]},
+         "one length"),
+        ({"shape": [2, 2], "rows": [0, 5], "cols": [0, 1], "vals": [0.3, 0.3]}, "rows must"),
+        ({"shape": [2, 2], "rows": [0, -1], "cols": [0, 1], "vals": [0.3, 0.3]}, "rows must"),
+        ({"shape": [2, 2], "rows": [0, 1], "cols": [0, 2], "vals": [0.3, 0.3]}, "cols must"),
+        ({"shape": [2, 2], "rows": [0, 1.5], "cols": [0, 1], "vals": [0.3, 0.3]}, "rows must"),
+        ({"shape": [2, 2], "rows": [0, 1], "cols": [False, True], "vals": [0.3, 0.3]},
+         "cols must"),
+    )
+    for triplet, match in bad:
+        with pytest.raises(ValueError, match=match):
+            set_from_dict(json.loads(json.dumps(dict(good, G=triplet))))

@@ -54,7 +54,7 @@ from .inputdesign import (
     info_update,
     sample_input,
 )
-from .linalg import svd
+from .linalg import NumericalError, svd
 from .modelset import DataSet, build_model_sets, generator_norm_proxy
 from .reach import (
     Halfspace,
@@ -723,11 +723,24 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
 
 
 def _study(cfg, kind, out_dir, fmt):
-    """Both studies; a linear system is the one-mode case.  Only the
-    summaries that exist for one kind alone branch on kind: the linear study
-    reports singular values, the sandwich bound, generator counts, the
-    cmz-within-mz ordering and the volume table; the piecewise-affine study
-    reports per-mode data, fragment counts and interval hulls."""
+    """Both studies; a linear system is the one-mode case.  An LP the
+    solver cannot finish (linalg.NumericalError) ends the study in a
+    HarnessError that carries the report of the phases done so far, with
+    status "lp_failed"."""
+    report = {}
+    try:
+        return _study_phases(cfg, kind, out_dir, fmt, report)
+    except NumericalError as err:
+        report["status"] = "lp_failed"
+        raise HarnessError(str(err), report=report) from err
+
+
+def _study_phases(cfg, kind, out_dir, fmt, report):
+    """The phases of _study, filling report as they go.  Only the summaries
+    that exist for one kind alone branch on kind: the linear study reports
+    singular values, the sandwich bound, generator counts, the cmz-within-mz
+    ordering and the volume table; the piecewise-affine study reports
+    per-mode data, fragment counts and interval hulls."""
     with lp_counts() as lp, design_counts() as design:
         t0 = time.perf_counter()
         lti = kind == "lti"
@@ -739,12 +752,8 @@ def _study(cfg, kind, out_dir, fmt):
         pwa = system.pwa
         if np.any(cfg.w.c != 0.0):
             raise HarnessError("model-set construction assumes zero-centered noise")
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": kind,
-            "name": cfg.name,
-            "config": cfg.to_dict(),
-        }
+        report.update(schema_version=SCHEMA_VERSION, kind=kind, name=cfg.name,
+                      config=cfg.to_dict())
 
         variants = product(cfg.input_modes, cfg.right_inverses) if lti else cfg.pwa_variants
         fits = _fit_variants(cfg, system, variants)

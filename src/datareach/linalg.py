@@ -124,8 +124,11 @@ class LpProblem:
     returned in LpResult.basis.  It may cover only leading blocks of the
     columns and rows: the columns past it start nonbasic at -box and the
     rows past it start with their slack basic, which keeps a basis of the
-    leading block a basis of the whole LP.  purpose names the caller in
-    the counters.lp_counts tally.
+    leading block a basis of the whole LP.  keep_basis asks for the final
+    basis on the last result (LpResult.basis); reading it back from the
+    solver costs about as much as setting up a small LP, so only callers
+    that keep it ask.  purpose names the caller in the counters.lp_counts
+    tally.
     """
 
     c: np.ndarray
@@ -134,6 +137,7 @@ class LpProblem:
     box: float = 1.0
     rows: tuple = None
     basis: tuple = None
+    keep_basis: bool = False
     purpose: str = "lp"
 
 
@@ -144,7 +148,8 @@ class LpResult:
     basis is the optimal basis the solve ended in, as (col_status,
     row_status) int8 arrays of HiGHS basis status codes (LOWER, BASIC, or 2
     for a column at +box).  lp_solve sets it on the last result it returns
-    only, and only when that solve ended optimal.
+    only, and only when the problem asked for it (keep_basis) and that
+    solve ended optimal.
     """
 
     status: str  # "feasible" | "infeasible"
@@ -268,7 +273,7 @@ def lp_solve(problem):
     in order, the first from problem.basis (or cold) and each later one
     from the previous optimal basis (only the costs change in between).
     No HiGHS object outlives the call: what carries over to a later LP is
-    the final basis, returned on the last result.
+    the final basis, returned on the last result when keep_basis is set.
     """
     c = np.asarray(problem.c, dtype=float)
     if c.ndim not in (1, 2):
@@ -302,7 +307,7 @@ def lp_solve(problem):
     for row in costs:
         highs.changeColsCost(n, cols, -row)
         results.append(_solve(highs, row, tally))
-    if results and results[-1].status == "feasible":
+    if problem.keep_basis and results and results[-1].status == "feasible":
         final = highs.getBasis()
         results[-1].basis = (np.fromiter(map(int, final.col_status), np.int8, n),
                              np.fromiter(map(int, final.row_status), np.int8, lo.size))

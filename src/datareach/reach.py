@@ -56,6 +56,7 @@ from .sets import (
     cartesian_product,
     girard,
     halfspace_intersection_with_plan,
+    inherit_lp_basis,
     interval_hull,
     is_empty,
     support,
@@ -182,13 +183,11 @@ def propagation_step(model, r, u_prop, w, max_order, beta_start=None):
     """
     lifted = cartesian_product(r, u_prop)
     c_lift, g_lift, a_z, b_z = lifted.c, lifted.G, lifted.A, lifted.b
-    n, p = model.shape[0], g_lift.shape[1]
+    n, p, kappa = model.shape[0], g_lift.shape[1], model.num_generators
 
     center = model.C @ c_lift + w.c
     alpha = model.C @ g_lift
     beta = np.einsum("lij,j->il", model.generators, c_lift)
-    gamma = np.einsum("lij,jp->lip", model.generators, g_lift)
-    gamma = gamma.transpose(1, 0, 2).reshape(n, model.num_generators * p)
 
     cons_a, cons_b = np.any(a_z != 0.0, axis=0), np.any(model.A != 0.0, axis=0)
     new_b, a_m, b_m = cons_b, model.A, model.b
@@ -196,11 +195,18 @@ def propagation_step(model, r, u_prop, w, max_order, beta_start=None):
         alpha[:, _beta_block(beta_start, r, cons_b)] += beta[:, cons_b]
         new_b, a_m, b_m = np.zeros_like(cons_b), model.A[:0], model.b[:0]
     cons = np.concatenate([cons_a, new_b])
-    free = np.hstack([alpha[:, ~cons_a], beta[:, ~cons_b], gamma, w.G])
-    kept, box_rows, box_radii, free_out = girard(free, max(n, int(math.floor(max_order * n))))
     # the free block's columns as product columns of [alpha | beta | gamma | W]
     free_cols = np.concatenate([np.flatnonzero(~cons_a), p + np.flatnonzero(~cons_b),
-                                np.arange(cons.size, cons.size + gamma.shape[1] + w.G.shape[1])])
+                                np.arange(cons.size, cons.size + kappa * p + w.G.shape[1])])
+    free = np.empty((n, free_cols.size))
+    n_ab = free_cols.size - kappa * p - w.G.shape[1]
+    free[:, : n_ab] = np.hstack([alpha[:, ~cons_a], beta[:, ~cons_b]])
+    # gamma in place: the (n, kappa, p) reshape of its contiguous column
+    # range is a view of free
+    gamma = free[:, n_ab : n_ab + kappa * p].reshape(n, kappa, p)
+    np.matmul(model.generators, g_lift, out=gamma.transpose(1, 0, 2))
+    free[:, n_ab + kappa * p :] = w.G
+    kept, box_rows, box_radii, free_out = girard(free, max(n, int(math.floor(max_order * n))))
     plan = StepPlan(model, c_lift, g_lift, w.G, cons, free_cols[kept],
                     free_out[:, : kept.size], box_rows, box_radii)
     g_out = np.hstack([alpha[:, cons_a], beta[:, new_b], free_out])
@@ -393,12 +399,16 @@ def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=2
     Every fragment is split along each mode region; nonempty pieces are
     propagated through that mode's model.  A piece that no guard cut is its
     parent fragment, which was kept already, so only cut pieces pay an
-    emptiness LP, and that LP is asked of the parent with the cutting
-    halfspaces as a region: the parent's own LP, warm from its cached
-    basis.  Each mode's constrained beta enters a lineage once, as a block
-    of columns whose first column the fragments record in beta_starts and
-    pass to propagation_step on every later step through the mode.
-    Raises if the fragment count would exceed fragment_cap.
+    emptiness LP, asked of the parent with the cutting halfspaces: the
+    parent's own LP, warm from its cached basis.  The pieces that one
+    halfspace cut share one batched LP per fragment; a piece that several
+    cut takes a region query of its own.  A child starts from its parent's
+    basis (sets.inherit_lp_basis), since the parent's own LP is the leading
+    block of the child's, so only the first LP of a lineage starts cold.
+    Each mode's constrained beta enters a lineage once, as a block of
+    columns whose first column the fragments record in beta_starts and pass
+    to propagation_step on every later step through the mode.  Raises if
+    the fragment count would exceed fragment_cap.
     """
     if len(models) != pwa.n_modes:
         raise ValueError(f"{len(models)} models for {pwa.n_modes} modes")
@@ -410,24 +420,32 @@ def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=2
     for _ in range(horizon):
         children = []
         for fi, frag in enumerate(steps[-1].fragments):
+            splits = {}  # mode -> (piece, events, cutting halfspaces), for pieces not empty
             for q, mode in enumerate(pwa.modes):
-                piece = frag.set
-                events = []
+                piece, events = frag.set, []
                 for h in mode.region:
                     piece, ev = halfspace_intersection_with_plan(piece, h.normal, h.offset)
                     events.append(ev)
                     if ev[0] == "empty":
                         break
-                if events and events[-1][0] == "empty":
-                    continue
-                cuts = [(h.normal, h.offset) for h, ev in zip(mode.region, events)
-                        if ev[0] == "cut"]
-                if cuts and is_empty(frag.set, region=cuts):
+                else:
+                    splits[q] = (piece, events, [(h.normal, h.offset) for h, ev
+                                                 in zip(mode.region, events) if ev[0] == "cut"])
+            # a cut piece is empty when the parent is empty on the cutting
+            # halfspaces: the pieces that one halfspace cut share one LP
+            single = [q for q, (_, _, cuts) in splits.items() if len(cuts) == 1]
+            found = is_empty(frag.set, [splits[q][2][0] for q in single], each=True) if single else ()
+            empty = {q for q, e in zip(single, found) if e}
+            empty.update(q for q, (_, _, cuts) in splits.items()
+                         if len(cuts) > 1 and is_empty(frag.set, region=cuts))
+            for q, (piece, events, _) in splits.items():
+                if q in empty:
                     continue
                 starts = frag.beta_starts
                 new_set, plan = propagation_step(models[q], piece, u_prop, w, max_order, starts[q])
                 if starts[q] is None:
                     starts = starts[:q] + (np.count_nonzero(plan.cons[: plan.p]),) + starts[q + 1 :]
+                inherit_lp_basis(new_set, frag.set)
                 children.append(Fragment(new_set, mode=q, parent=fi, split=tuple(events),
                                          plan=plan, beta_starts=starts))
         if not children:

@@ -76,7 +76,9 @@ class Zonotope:
     the set's own feasible region (see _own_columns) as the two status
     arrays (columns, rows) that lp_solve returns, never a solver instance;
     every later LP on the set starts from it, and only support LPs replace
-    it.  Copies and derived sets start without one.
+    it.  Copies and derived sets start without one; the one exception is
+    a propagated fragment, which inherit_lp_basis hands its parent's basis
+    when the parent's own LP is the leading block of the fragment's.
     """
 
     __slots__ = ("c", "G", "A", "b", "_lp_basis")
@@ -313,13 +315,35 @@ def _support(z, dirs, purpose):
         return vals
     cons = _own_columns(z)
     res = lp_solve(LpProblem(dg[:, cons], z.A[:, cons], z.b, basis=z._lp_basis,
-                             purpose=purpose))
+                             keep_basis=True, purpose=purpose))
     if any(r.status == "infeasible" for r in res):
         raise EmptySetError("support of an empty zonotope")
     if res:
         z._lp_basis = res[-1].basis
     vals += np.sum(np.abs(dg[:, ~cons]), axis=1) + [r.objective for r in res]
     return vals
+
+
+def inherit_lp_basis(child, parent):
+    """Start child's LPs from parent's cached basis when parent's own LP is
+    the leading block of child's: parent's own columns are its first k, and
+    its q rows are child's first q, with the same coefficients on child's
+    first k columns and zeros on the rest.  A basis of a leading block of
+    parent's own LP (the one it inherited counts), padded as
+    LpProblem.basis describes, is then a basis of a leading block of
+    child's own LP.  A propagation step keeps this, since it puts the
+    constrained columns first and appends its rows, and so does a guard
+    cut, which appends one column and one row.  Otherwise child keeps the
+    basis it has."""
+    if parent._lp_basis is None:
+        return
+    own = np.any(parent.A != 0.0, axis=0)
+    k, q = np.count_nonzero(own), parent.num_constraints
+    # k = 0 (an A without a nonzero column) fails: _own_columns then takes
+    # every column
+    if (k and own[:k].all() and np.array_equal(child.A[:q, :k], parent.A[:, :k])
+            and not np.any(child.A[:q, k:])):
+        child._lp_basis = parent._lp_basis
 
 
 def _feasible(z, rows, lo, hi, box, purpose):
@@ -362,30 +386,36 @@ def interval_hull(z):
     return -vals[n:], vals[:n]
 
 
-def is_empty(z, region=()):
+def is_empty(z, region=(), each=False):
     """Whether z, or z intersected with a region, is empty.
 
     region is a sequence of (normal, offset) pairs, the halfspaces
     normal . x <= offset.  One halfspace is decided by whether min normal . x
     over z (its support in -normal) exceeds the offset; otherwise by the
     feasibility of z's own LP with the rows normal . G xi <= offset -
-    normal . c added.  The result equals is_empty of the set that halfspace_intersection
-    cuts from z, without building that set.
+    normal . c added.  The result equals is_empty of the set that
+    halfspace_intersection cuts from z, without building that set.
+
+    With each=True every halfspace of region is taken alone: the result is
+    a bool array whose entry i tells whether z cut by halfspace i is empty,
+    and one support LP with an objective per halfspace decides them all.
     """
     halfspaces = [(_vector(h), float(o)) for h, o in region]
     for h, _ in halfspaces:
         if h.size != z.dim:
             raise ValueError(f"normal has {h.size} entries, the set dimension {z.dim}")
-    if len(halfspaces) == 1:
-        h, offset = halfspaces[0]
-        try:
-            return float(-_support(z, -h[None, :], "is_empty")[0]) > offset
-        except EmptySetError:
-            return True
-    if not halfspaces and z.num_constraints == 0:
-        return False
     normals = np.array([h for h, _ in halfspaces]).reshape(-1, z.dim)
     offsets = np.array([o for _, o in halfspaces])
+    if each or offsets.size == 1:
+        empty = np.zeros(offsets.size, dtype=bool)
+        if offsets.size:
+            try:
+                empty = -_support(z, -normals, "is_empty") > offsets
+            except EmptySetError:
+                empty[:] = True
+        return empty if each else bool(empty[0])
+    if not halfspaces and z.num_constraints == 0:
+        return False
     return not _feasible(z, normals @ z.G, np.full(offsets.size, -np.inf),
                          offsets - normals @ z.c, 1.0, "is_empty")
 
@@ -450,24 +480,28 @@ def halfspace_intersection(z, normal, offset):
 def girard(g, budget):
     """Girard reduction of the generator columns g to at most budget columns.
 
-    Keeps the budget - dim columns with the largest l1-minus-linf score and
-    covers the rest with an axis-aligned box, one column per nonzero row.
-    Returns (kept, box_rows, box_radii, g_out): kept indexes the surviving
-    columns of g (sorted), and g_out is g[:, kept] followed by the box
-    columns.  When g already fits, every column is kept and g is returned.
+    Keeps the budget - dim columns with the largest l1-minus-linf score
+    (of equal scores, the later columns) and covers the rest with an
+    axis-aligned box, one column per nonzero row.  Returns (kept, box_rows,
+    box_radii, g_out): kept indexes the surviving columns of g (sorted), and
+    g_out is g[:, kept] followed by the box columns.  When g already fits,
+    every column is kept and g is returned.
     """
     n, m = g.shape
     if m <= budget:
         return np.arange(m), np.zeros(0, dtype=int), np.zeros(0), g
-    score = np.sum(np.abs(g), axis=0) - np.max(np.abs(g), axis=0)
-    order = np.argsort(score, kind="stable")
-    n_box = m - (budget - n)
-    boxed, kept = np.sort(order[:n_box]), np.sort(order[n_box:])
-    radii = np.sum(np.abs(g[:, boxed]), axis=1)
-    rows = np.nonzero(radii > 0.0)[0]
-    box = np.zeros((n, rows.size))
-    box[rows, np.arange(rows.size)] = radii[rows]
-    return kept, rows, radii[rows], np.hstack([g[:, kept], box])
+    a = np.abs(g)
+    order = np.argsort(a.sum(axis=0) - a.max(axis=0), kind="stable")
+    kept = np.sort(order[m - (budget - n):])
+    # the boxed columns' row sums, without gathering them: zero the kept
+    # columns of |g| and sum whole rows
+    a[:, kept] = 0.0
+    radii = a.sum(axis=1)
+    rows = np.flatnonzero(radii > 0.0)
+    g_out = np.zeros((n, kept.size + rows.size))
+    g_out[:, : kept.size] = g[:, kept]
+    g_out[rows, kept.size + np.arange(rows.size)] = radii[rows]
+    return kept, rows, radii[rows], g_out
 
 
 def reduce_girard(z, max_order):

@@ -77,6 +77,23 @@ def test_lp_solver_failure_exits_cleanly(tiny_config_file, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: LP solver failed: Solve error\n"
 
 
+def test_lp_solver_failure_writes_the_partial_report(tiny_config_file, tmp_path, monkeypatch,
+                                                     capsys):
+    def fail(problem):
+        raise NumericalError("LP solver failed: Solve error")
+
+    monkeypatch.setattr(sets, "lp_solve", fail)
+    out_dir = tmp_path / "failed"
+    assert cli_main(["lti", "--config", tiny_config_file, "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: LP solver failed: Solve error\n")
+    assert "partial report written" in err
+    report = json.loads((out_dir / "report.json").read_text())
+    # propagation asks no LP in a linear study: the first one is a support
+    assert report["status"] == "lp_failed"
+    assert "generator_counts" in report and "supports" not in report
+
+
 def test_bad_triplet_in_config_exits_cleanly(tmp_path, capsys):
     cfg = bundled_config("pwa_2mode").to_dict()
     cfg["x0"]["G"] = {"shape": [2, 2], "rows": [0, 5], "cols": [0, 1], "vals": [0.3, 0.3]}

@@ -23,7 +23,7 @@ from datareach.harness import (
 from datareach.modelset import build_model_sets, generator_norm_proxy
 from datareach.reach import partition_data_by_mode
 from datareach.rightinv import pinv_right_inverse, row_norm_right_inverse
-from datareach.sets import contains_point, set_from_dict
+from datareach.sets import contains_point, halfspace_intersection_with_plan, set_from_dict
 
 
 def tiny_lti_config(**over):
@@ -499,7 +499,8 @@ def test_metadata_times_each_study_phase(tmp_path, monkeypatch):
 
 
 def test_metadata_counts_lps_by_purpose(tmp_path):
-    run_pwa_experiment(replace(tiny_pwa_config(), horizon=4), out_dir=tmp_path)
+    cfg = replace(tiny_pwa_config(), horizon=4)
+    run_pwa_experiment(cfg, out_dir=tmp_path)
     lp = json.loads((tmp_path / "metadata.json").read_text())["lp"]
     assert set(lp) == {"support", "is_empty", "contains_point"}
     for tally in lp.values():
@@ -508,14 +509,29 @@ def test_metadata_counts_lps_by_purpose(tmp_path):
         assert 0 <= tally["cold_starts"] <= tally["calls"] <= tally["objectives"]
     assert lp["support"]["simplex_iterations"] > 0
     assert "cold_starts" not in (tmp_path / "report.json").read_text()
-    # every constrained fragment gets a hull, so each pays exactly one cold
-    # start: at its first guard-cut emptiness query or at its hull
-    constrained = 0
-    for path in (tmp_path / "sets").rglob("step*.json"):
-        for frag in json.loads(path.read_text())["fragments"]:
-            constrained += frag["set"]["type"] == "constrained_zonotope" and bool(frag["set"]["b"])
-    assert constrained > 0
-    assert lp["support"]["cold_starts"] + lp["is_empty"]["cold_starts"] == constrained
+    # every constrained fragment gets a hull, and a child starts from the
+    # basis its parent holds when the child is built: the parent's own once
+    # a guard-cut emptiness LP ran on it (each mode's region is one
+    # halfspace here), else the one the parent inherited.  So a constrained
+    # fragment pays one cold start, at its first guard-cut emptiness query
+    # or at its hull, exactly when its parent held no basis
+    modes = cfg.true_system().pwa.modes
+    cold = constrained = 0
+    for combo in (tmp_path / "sets").iterdir():
+        held = []  # per fragment of the previous step
+        for k in range(cfg.horizon + 1):
+            now = []
+            for frag in json.loads((combo / f"step{k}.json").read_text())["fragments"]:
+                z = set_from_dict(frag["set"])
+                inherited = k > 0 and held[frag["parent"]]
+                cut = any(halfspace_intersection_with_plan(z, h.normal, h.offset)[1][0] == "cut"
+                          for mode in modes for h in mode.region)
+                constrained += z.num_constraints > 0
+                cold += z.num_constraints > 0 and not inherited
+                now.append(z.num_constraints > 0 and (inherited or cut))
+            held = now
+    assert constrained > cold > 0
+    assert lp["support"]["cold_starts"] + lp["is_empty"]["cold_starts"] == cold
 
 
 def test_metadata_records_set_sizes_per_step(tmp_path):

@@ -237,7 +237,7 @@ def test_lp_solve_extra_rows_and_starting_basis():
         ref = linprog(-c, A_ub=np.vstack([-rows, rows[1:]]), b_ub=np.concatenate([-lo, hi[1:]]),
                       A_eq=a_eq, b_eq=b_eq, bounds=(-1.0, 1.0))
         assert ref.status == 0
-        got = lp_solve(LpProblem(c, a_eq, b_eq, rows=(rows, lo, hi)))
+        got = lp_solve(LpProblem(c, a_eq, b_eq, rows=(rows, lo, hi), keep_basis=True))
         assert np.isclose(got.objective, -ref.fun, atol=1e-9)
         cols, row_status = got.basis
         assert cols.dtype == row_status.dtype == np.int8
@@ -245,16 +245,18 @@ def test_lp_solve_extra_rows_and_starting_basis():
         assert np.count_nonzero(cols == BASIC) + np.count_nonzero(row_status == BASIC) == q + k
         # a basis of the equalities alone starts the LP with the extra rows:
         # the extra rows' slacks start basic
-        plain = lp_solve(LpProblem(c, a_eq, b_eq))
+        plain = lp_solve(LpProblem(c, a_eq, b_eq, keep_basis=True))
         warm = lp_solve(LpProblem(c, a_eq, b_eq, rows=(rows, lo, hi), basis=plain.basis))
         assert np.isclose(warm.objective, -ref.fun, atol=1e-9)
         # and a stack of objectives from the final basis matches cold solves
         costs = rng.normal(size=(4, n))
-        again = lp_solve(LpProblem(costs, a_eq, b_eq, basis=plain.basis))
+        again = lp_solve(LpProblem(costs, a_eq, b_eq, basis=plain.basis, keep_basis=True))
         for obj, r in zip(costs, again):
             assert np.isclose(r.objective, lp_solve(LpProblem(obj, a_eq, b_eq)).objective,
                               atol=1e-9)
         assert all(r.basis is None for r in again[:-1]) and again[-1].basis is not None
+        # a caller that does not keep the basis is not handed one
+        assert lp_solve(LpProblem(costs, a_eq, b_eq, basis=plain.basis))[-1].basis is None
 
 
 def test_lp_solve_rejects_bad_rows_and_bases():
@@ -265,12 +267,12 @@ def test_lp_solve_rejects_bad_rows_and_bases():
         lp_solve(LpProblem(np.ones(3), a_eq, b_eq, rows=(np.ones((2, 3)), [0], [1, 1])))
     with pytest.raises(ValueError):
         lp_solve(LpProblem(np.ones(3), a_eq, b_eq, rows=(np.ones((1, 3)), [np.nan], [1])))
-    basis = lp_solve(LpProblem(np.ones(3), a_eq, b_eq)).basis
+    basis = lp_solve(LpProblem(np.ones(3), a_eq, b_eq, keep_basis=True)).basis
     for bad in ((basis[0], np.zeros(0, np.int8)),             # basic count off
                 (np.concatenate([basis[0], [0]]), basis[1])):  # more columns than the LP
         with pytest.raises(ValueError, match="basis"):
             lp_solve(LpProblem(np.ones(3), a_eq, b_eq, basis=bad))
-    infeasible = lp_solve(LpProblem(np.ones(3), a_eq, np.array([5.0])))
+    infeasible = lp_solve(LpProblem(np.ones(3), a_eq, np.array([5.0]), keep_basis=True))
     assert infeasible.status == "infeasible" and infeasible.basis is None
 
 
@@ -278,7 +280,7 @@ def test_lp_counts_tally_by_purpose():
     a_eq, b_eq = np.ones((1, 3)), np.zeros(1)
     lp_solve(LpProblem(np.ones(3), a_eq, b_eq))  # nobody counting
     with lp_counts() as counts:
-        first = lp_solve(LpProblem(np.ones(3), a_eq, b_eq, purpose="a"))
+        first = lp_solve(LpProblem(np.ones(3), a_eq, b_eq, keep_basis=True, purpose="a"))
         lp_solve(LpProblem(np.eye(3), a_eq, b_eq, basis=first.basis, purpose="a"))
         with lp_counts() as inner:
             lp_solve(LpProblem(np.ones(3), a_eq, b_eq, purpose="b"))

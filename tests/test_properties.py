@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from datareach.counters import lp_counts
 from datareach.modelset import DataSet, build_model_sets
 from datareach.reach import (
     Halfspace,
@@ -29,6 +30,7 @@ from datareach.sets import (
     contains_point,
     halfspace_intersection,
     halfspace_intersection_with_plan,
+    inherit_lp_basis,
     interval_hull,
     is_empty,
     linear_map,
@@ -147,6 +149,40 @@ def test_each_mode_keeps_one_beta_block_along_a_lineage(n_x, n_u, n_modes, horiz
                     rows = f.set.A[f.set.num_constraints - models[q].num_constraints :]
                     assert np.array_equal(rows[:, start:stop], models[q].A[:, cons_b[q]])
     assert certify_pwa(res, betas, pwa, *draws).ok()
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(n_x=st.integers(1, 3), n_u=st.integers(1, 2), n_modes=st.integers(1, 2),
+       horizon=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_a_child_starts_from_its_parents_basis(n_x, n_u, n_modes, horizon, seed):
+    # a parent's own LP (its constrained columns, which lead, and all its
+    # rows) is the leading block of its child's own LP, so the parent's
+    # basis starts the child's LPs, and they end where cold ones do
+    _, _, _, res, _ = cmz_run(n_x, n_u, n_modes, horizon, seed)
+    dirs = np.random.default_rng(seed % 997).normal(size=(6, n_x))
+    handed = 0
+    for k in range(1, horizon + 1):
+        for f in res.steps[k].fragments:
+            parent = res.steps[k - 1].fragments[f.parent].set
+            own = np.any(parent.A != 0.0, axis=0)
+            n_own, q = np.count_nonzero(own), parent.num_constraints
+            if not n_own:
+                continue  # no rows (the initial set here): nothing to hand over
+            assert own[:n_own].all()
+            assert np.all(np.any(f.set.A != 0.0, axis=0)[:n_own])
+            assert np.array_equal(f.set.A[:q, :n_own], parent.A[:, :n_own])
+            assert not np.any(f.set.A[:q, n_own:])
+            if parent._lp_basis is None:
+                support(parent, dirs)  # a root: give it a basis of its own LP
+            child = f.set.copy()
+            inherit_lp_basis(child, parent)
+            assert child._lp_basis is parent._lp_basis
+            with lp_counts() as counts:
+                warm = support(child, dirs)
+            assert counts["support"]["cold_starts"] == 0
+            assert np.max(np.abs(warm - support(f.set.copy(), dirs))) <= 1e-9
+            handed += 1
+    assert handed > 0
 
 
 # ---------------------------------------------------------------------------

@@ -529,14 +529,16 @@ def test_uncut_pieces_skip_the_emptiness_lp(monkeypatch):
 
 
 def test_guard_cut_emptiness_is_asked_of_the_parent(monkeypatch):
-    # three guarded modes, one with a two-halfspace region, and constrained
-    # models: every emptiness LP is a region query on a parent fragment, and
-    # the kept children are exactly the pieces whose cut set is nonempty
+    # three guarded modes, two with a two-halfspace region, and constrained
+    # models: every emptiness LP is asked of a parent fragment, the pieces
+    # that one halfspace cut in one batched LP per fragment and the pieces
+    # that two cut in one region query each, and the kept children are
+    # exactly the pieces whose cut set is nonempty
     rng = np.random.default_rng(15)
     pwa = PwaSpec([
         PwaMode(region=[Halfspace([1.0, 0.0], 0.0)]),
-        PwaMode(region=[Halfspace([-1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.3)]),
-        PwaMode(region=[Halfspace([-1.0, 0.0], 0.0), Halfspace([0.0, -1.0], -0.3)]),
+        PwaMode(region=[Halfspace([-1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.5)]),
+        PwaMode(region=[Halfspace([-1.0, 0.0], 0.0), Halfspace([0.0, -1.0], -0.5)]),
     ])
     models = [make_constrained_model(rng, 2, 1, 4) for _ in range(3)]
     x0 = halfspace_intersection(Zonotope([0.05, 0.2], 0.3 * np.eye(2)), [1.0, 1.0], 0.4)
@@ -545,20 +547,23 @@ def test_guard_cut_emptiness_is_asked_of_the_parent(monkeypatch):
     w = Zonotope(np.zeros(2), 0.01 * np.eye(2))
     asked = []
 
-    def recording(z, region=()):
-        asked.append((z, len(region)))
-        return is_empty(z, region=region)
+    def recording(z, region=(), each=False):
+        asked.append((z, len(region), each))
+        return is_empty(z, region=region, each=each)
 
     monkeypatch.setattr(reach, "is_empty", recording)
     with lp_counts() as counts:
         res = propagate_pwa(models, pwa, x0, u_prop, w, 3, 8)
     assert res.steps[0].fragments[0].set is not x0  # a fresh copy: no basis carried in
     assert counts["is_empty"]["calls"] == len(asked) > 0
-    assert {n for _, n in asked} == {1, 2}
+    batched = [id(z) for z, _, each in asked if each]
+    assert len(set(batched)) == len(batched)  # one batched guard LP per fragment
+    assert {n for _, n, each in asked if each} == {1, 2}  # one mode's guard, or two
+    assert {n for _, n, each in asked if not each} == {2}
     for k in range(1, 4):
         parents = res.steps[k - 1].fragments
         kept = {(f.parent, f.mode) for f in res.steps[k].fragments}
-        for z, _ in asked:
+        for z, _, _ in asked:
             assert any(z is p.set for step in res.steps for p in step.fragments)
         for fi, frag in enumerate(parents):
             for q, mode in enumerate(pwa.modes):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from datareach import linalg, sets
@@ -23,7 +25,9 @@ from datareach.sets import (
     cartesian_product,
     contains_point,
     empty_set,
+    girard,
     halfspace_intersection,
+    inherit_lp_basis,
     interval_hull,
     is_empty,
     linear_map,
@@ -492,6 +496,41 @@ def test_reduce_girard_cap_and_containment():
             assert support(red, d) >= support(z, d) - 1e-9
 
 
+def girard_by_sort_and_gather(g, budget):
+    """Girard's reduction spelled out: sort the columns by score (ties in
+    index order), box the lowest m - (budget - n) and sum them gathered."""
+    n, m = g.shape
+    order = np.argsort(np.abs(g).sum(axis=0) - np.abs(g).max(axis=0), kind="stable")
+    n_box = m - (budget - n)
+    boxed, kept = np.sort(order[:n_box]), np.sort(order[n_box:])
+    radii = np.abs(g[:, boxed]).sum(axis=1)
+    rows = np.flatnonzero(radii > 0.0)
+    return kept, rows, radii[rows]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 40), extra=st.integers(0, 45), data=st.data())
+def test_girard_matches_sort_and_gather(n, m, extra, data):
+    # entries from a few values give tied scores and zero columns; the
+    # budget runs from n up past the column count
+    values = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, -2.0, 1e-3, 3.0])
+    g = np.array(data.draw(st.lists(values, min_size=n * m, max_size=n * m))).reshape(n, m)
+    g[:, data.draw(st.lists(st.integers(0, m - 1), max_size=3))] = 0.0
+    budget = n + extra
+    kept, rows, radii, g_out = girard(g, budget)
+    if m <= budget:
+        assert np.array_equal(kept, np.arange(m)) and rows.size == 0 and g_out is g
+        return
+    ref_kept, ref_rows, ref_radii = girard_by_sort_and_gather(g, budget)
+    assert np.array_equal(kept, ref_kept) and np.array_equal(rows, ref_rows)
+    assert np.all(radii >= 0.0)
+    assert np.all(np.abs(radii - ref_radii) <= 1e-12 * ref_radii)
+    assert np.array_equal(g_out[:, : kept.size], g[:, kept])
+    box = np.zeros((n, rows.size))
+    box[rows, np.arange(rows.size)] = radii
+    assert np.array_equal(g_out[:, kept.size :], box)
+
+
 def test_reduce_girard_noop_below_cap():
     rng = np.random.default_rng(23)
     z = random_zonotope(rng, 3, 6)
@@ -904,6 +943,74 @@ def test_only_the_first_lp_on_a_set_starts_cold():
     with lp_counts() as counts:
         is_empty(cz.copy(), region=[(h, mid)])
     assert counts["is_empty"]["cold_starts"] == 1
+
+
+def test_each_halfspace_alone_in_one_lp():
+    # each=True decides every halfspace of the region alone, as the
+    # one-halfspace query does, with one LP whose objectives are the
+    # halfspaces
+    rng = np.random.default_rng(44)
+    for trial in range(8):
+        z = random_zonotope(rng, 3, 5) if trial % 4 == 0 else random_cz_with_free_factors(rng)[0]
+        normals = rng.normal(size=(4, 3))
+        lo = -support(z, -normals)
+        offsets = lo + np.array([-0.1, 0.2, -1e-3, 1.0])
+        region = list(zip(normals, offsets))
+        with lp_counts() as counts:
+            got = is_empty(z, region, each=True)
+        assert got.dtype == bool and got.tolist() == [True, False, True, False]
+        assert got.tolist() == [is_empty(z, [h]) for h in region]
+        if z.num_constraints:
+            assert (counts["is_empty"]["calls"], counts["is_empty"]["objectives"]) == (1, 4)
+        else:
+            assert counts == {}
+        with lp_counts() as counts:
+            assert is_empty(z, [], each=True).tolist() == []
+        assert counts == {}
+    assert is_empty(empty_set(3), region, each=True).tolist() == [True] * 4
+
+
+def test_a_basis_is_inherited_only_across_a_leading_block():
+    # the hand-off needs the parent's own columns to lead its columns and
+    # its rows to lead the child's, with the same coefficients on those
+    # columns and zeros past them
+    rng = np.random.default_rng(45)
+    a = rng.normal(size=(2, 4))
+    parent = Zonotope(np.zeros(2), rng.normal(size=(2, 6)), np.hstack([a, np.zeros((2, 2))]),
+                      a @ rng.uniform(-0.5, 0.5, 4))
+    support(parent, np.eye(2))
+    assert parent._lp_basis[0].size == 4
+
+    def child(rows):
+        # three more columns, rows appended below the parent's
+        g = np.hstack([parent.G, rng.normal(size=(2, 3))])
+        return Zonotope(np.zeros(2), g, rows, np.zeros(rows.shape[0]))
+
+    extended = np.vstack([np.hstack([parent.A, np.zeros((2, 3))]), rng.normal(size=(3, 9))])
+    moved, beyond = extended.copy(), extended.copy()
+    moved[0, 1] += 1.0  # a coefficient of the leading block differs
+    beyond[1, 7] = 1.0  # a parent row reaches a later column
+    for rows, inherits in ((extended, True), (moved, False), (beyond, False),
+                           (extended[:1], False)):
+        z = child(rows)
+        inherit_lp_basis(z, parent)
+        assert (z._lp_basis is parent._lp_basis) is inherits
+        if inherits:
+            with lp_counts() as counts:
+                warm = support(z, np.eye(2))
+            assert counts["support"]["cold_starts"] == 0
+            assert np.allclose(warm, _cold_support(z, np.eye(2)), atol=1e-9)
+    # own columns that do not lead, or no nonzero column at all (the own LP
+    # then takes every column): no hand-off, even to a child whose rows
+    # match the parent's on as many leading columns as it has own ones
+    for a_parent in (np.hstack([np.zeros((2, 2)), a]), np.zeros((1, 6))):
+        odd = Zonotope(np.zeros(2), parent.G, a_parent, np.zeros(a_parent.shape[0]))
+        support(odd, np.eye(2))
+        q, k = a_parent.shape[0], np.count_nonzero(np.any(a_parent != 0.0, axis=0))
+        z = child(np.vstack([np.hstack([a_parent[:, :k], np.zeros((q, 9 - k))]),
+                             rng.normal(size=(1, 9))]))
+        inherit_lp_basis(z, odd)
+        assert z._lp_basis is None
 
 
 def test_region_emptiness_agrees_with_halfspace_intersection():

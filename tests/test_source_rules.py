@@ -39,10 +39,11 @@ class _BasisWriters(ast.NodeVisitor):
 
 def test_lp_basis_has_one_writer():
     # a set's cached LP basis is reset where the set is made and replaced by
-    # support LPs only; every other LP starts from it and leaves it alone
+    # support LPs only; every other LP starts from it and leaves it alone.
+    # The one hand-off: a propagated fragment inherits its parent's basis
     found = []
     for f in sorted(SRC.glob("*.py")):
         writers = _BasisWriters()
         writers.visit(ast.parse(f.read_text(), str(f)))
         found += [f"{f.name}:{scope}" for scope in writers.found]
-    assert found == ["sets.py:Zonotope.__init__", "sets.py:_support"]
+    assert found == ["sets.py:Zonotope.__init__", "sets.py:_support", "sets.py:inherit_lp_basis"]

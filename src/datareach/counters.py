@@ -36,7 +36,9 @@ def design_counts():
     """Count the inputdesign.design_input calls inside the block.
 
     Yields {"calls", "refine_iterations" (accepted ascent steps),
-    "capped_calls" (calls that took all refine_iters steps), "seconds"}.
+    "capped_calls" (calls that took all refine_iters steps), "evaluations"
+    (gains the ascent evaluated: one at its start, one per trial point that
+    differs from the current point), "seconds"}.
     """
     return _counting(DESIGN, dict.fromkeys(
-        ("calls", "refine_iterations", "capped_calls", "seconds"), 0))
+        ("calls", "refine_iterations", "capped_calls", "evaluations", "seconds"), 0))

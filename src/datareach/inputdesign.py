@@ -7,12 +7,19 @@ factors xi: with u = c + G xi, s = L z for z = [1; xi], and with P = S^{-1}
 the gain is z'Nz / z'Dz, N = (PL)'(PL), D = e0 e0' + L'PL.  It is attacked
 with random candidates plus projected gradient ascent.  The ratio is known
 to about 1e-9 relative only: the forms inherit the conditioning of S^{-1}.
+
+The ascent runs in a straight-line Python function generated per factor
+count and kind of input set (box or constrained), compiled on first use and
+cached: its state is scalar locals, since for a few factors numpy's per-call
+overhead, and even Python lists, outweigh the work.  It adds floats with +,
+left to right, never with the builtin sum, which CPython 3.12 made
+compensated: the designed inputs are the same on every interpreter.
 """
 
+import functools
 import numbers
 import time
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -111,14 +118,92 @@ def sample_input(u_set, rng):
     return u_set.c + u_set.G @ xi
 
 
-def _gain_at(forms, xi):
-    """The gain z'Nz / z'Dz at z = [1; xi] and its gradient in xi, in Python
-    floats: for a few factors, numpy's per-call overhead outweighs the work."""
-    z = [1.0, *xi]
-    nz, dz = ([sum(map(mul, row, z)) for row in form] for form in forms)
-    num, den = sum(map(mul, nz, z)), sum(map(mul, dz, z))
-    scale = 2.0 / (den * den)
-    return num / den, [scale * (a * den - num * b) for a, b in zip(nz[1:], dz[1:])]
+# The ascent over m factors; each {name} alone on a line stands for a block of
+# lines at that indent, and every other {name} for an expression.
+_ASCENT = """\
+def ascent(f, xi, refine_step, refine_iters, project):
+    {unpack} = f
+    {rows} = {rows_from_zero}
+    [{xs}] = xi
+    {gain_at_x}
+    val, evaluations, steps = num / den, 1, 0
+    {grad}
+    while steps < refine_iters:
+        step = refine_step
+        while step > 1e-12:
+            {trial}
+            if {moved}:
+                {gain_at_t}
+                t_val, evaluations = num / den, evaluations + 1
+                if t_val >= val + 1e-4 * ({gap}) and t_val > val:
+                    [{xs}], val, steps = [{ts}], t_val, steps + 1
+                    {grad}
+                    break
+            step *= 0.5
+        else:  # no step length was accepted
+            break
+    return [{xs}], val, steps, evaluations
+"""
+
+
+def _ascent_source(m, box):
+    """Source of the projected gradient ascent from the point xi over m input
+    factors, in scalar locals: x1..xm the point, g1..gm its gradient, t1..tm
+    the trial.  It returns (point, gain, accepted steps, gain evaluations).
+
+    f lists the 2m + 2 rows of the stacked [N; D].  The floating-point
+    operations and their order are those of summing each dot product left to
+    right from 0.0: at z = [1; t], p_i = (0.0 + f[i][0]) + f[i][1]*t1 + ...,
+    num = p_0 + p_1*t1 + ... and den = p_{m+1} + p_{m+2}*t1 + ...  A box set
+    clips the trial as min(max(t, -1.0), 1.0) does; otherwise project(trial)
+    returns it projected, or None when the projection did not converge.  A
+    trial equal to the point has the point's gain, which the ascent never
+    accepts, so it is not evaluated.
+    """
+    js = range(1, m + 1)
+    xs, gs, ts = ([f"{v}{j}" for j in js] for v in "xgt")
+    rows = [f"c{i}" for i in range(2 * m + 2)]
+    d0 = m + 1  # the index of D's first row
+
+    def gain_at(pt):
+        return [f"p{i} = {c}" + "".join(f" + f{i}_{j}*{v}" for j, v in zip(js, pt))
+                for i, c in enumerate(rows)] + [
+            "num = p0" + "".join(f" + p{j}*{v}" for j, v in zip(js, pt)),
+            f"den = p{d0}" + "".join(f" + p{d0 + j}*{v}" for j, v in zip(js, pt))]
+
+    if box:
+        trial = [line for t, x, g in zip(ts, xs, gs) for line in (
+            f"{t} = {x} + step * {g}", f"{t} = 1.0 if {t} > 1.0 else -1.0 if {t} < -1.0 else {t}")]
+    else:
+        trial = [f"q = project([{', '.join(f'{x} + step * {g}' for x, g in zip(xs, gs))}])",
+                 f"[{', '.join(ts)}] = [{', '.join(xs)}] if q is None else q"]
+    blocks = {
+        "gain_at_x": gain_at(xs), "gain_at_t": gain_at(ts), "trial": trial,
+        "grad": ["scale = 2.0 / (den * den)"] + [
+            f"{g} = scale * (p{j} * den - num * p{d0 + j})" for j, g in zip(js, gs)]}
+    fills = {
+        "unpack": "[" + ", ".join("[" + ", ".join([c, *(f"f{i}_{j}" for j in js)]) + "]"
+                                  for i, c in enumerate(rows)) + "]",
+        "rows": ", ".join(rows), "rows_from_zero": ", ".join(f"0.0 + {c}" for c in rows),
+        "xs": ", ".join(xs), "ts": ", ".join(ts),
+        "moved": " or ".join(f"{t} != {x}" for t, x in zip(ts, xs)) or "False",
+        "gap": " + ".join(f"{g} * ({t} - {x})" for g, t, x in zip(gs, ts, xs)) or "0.0"}
+    out = []
+    for line in _ASCENT.splitlines():
+        body = line.lstrip()
+        if body.startswith("{") and body[1:-1] in blocks:
+            out += [line[:-len(body)] + b for b in blocks[body[1:-1]]]
+        else:
+            out.append(line.format(**fills))
+    return "\n".join(out) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _ascent_kernel(m, box):
+    """The compiled ascent of _ascent_source(m, box)."""
+    namespace = {}
+    exec(compile(_ascent_source(m, box), f"<ascent m={m} box={box}>", "exec"), namespace)
+    return namespace["ascent"]
 
 
 def design_input(state, x, u_set, config=None, rng=None):
@@ -131,6 +216,9 @@ def design_input(state, x, u_set, config=None, rng=None):
     config = config or DesignConfig()
     x = np.asarray(x, dtype=float).reshape(-1)
     n_x = state.dim - u_set.dim
+    if n_x < 0:
+        raise ValueError(f"the information state has dimension {state.dim}, fewer than "
+                         f"the input set's {u_set.dim}")
     if x.size != n_x or not np.all(np.isfinite(x)):
         raise ValueError(f"x must have {n_x} finite entries, got {x}")
     rng = np.random.default_rng(config.rng_seed) if rng is None else rng
@@ -143,31 +231,20 @@ def design_input(state, x, u_set, config=None, rng=None):
     cands = sample_factors(u_set, rng, config.n_candidates)
     zs = np.hstack([np.ones((len(cands), 1)), cands])
     num, den = np.einsum("ni,kij,nj->kn", zs, forms, zs)
-    forms, xi = forms.tolist(), cands[int(np.argmax(num / den))].tolist()
-    val, grad = _gain_at(forms, xi)
-    box = u_set.num_constraints == 0
-    steps = 0
-    while steps < config.refine_iters:
-        step = config.refine_step
-        while step > 1e-12:
-            trial = [a + step * g for a, g in zip(xi, grad)]
-            if box:
-                trial, feasible = [min(max(t, -1.0), 1.0) for t in trial], True
-            else:
-                proj, ok = project_factors(u_set.A, u_set.b, np.array([trial]))
-                trial, feasible = proj[0].tolist(), bool(ok[0])
-            if feasible:
-                t_val, t_grad = _gain_at(forms, trial)
-                gap = sum([g * (t - a) for g, t, a in zip(grad, trial, xi)])
-                if t_val >= val + 1e-4 * gap and t_val > val:
-                    xi, val, grad, steps = trial, t_val, t_grad, steps + 1
-                    break
-            step *= 0.5
-        else:  # no step length was accepted
-            break
+    xi = cands[int(np.argmax(num / den))].tolist()
+
+    def project(trial):
+        proj, ok = project_factors(u_set.A, u_set.b, np.array([trial]))
+        return proj[0].tolist() if ok[0] else None
+
+    m = u_set.num_generators
+    ascent = _ascent_kernel(m, u_set.num_constraints == 0)
+    xi, val, steps, evaluations = ascent(forms.reshape(-1, m + 1).tolist(), xi,
+                                         config.refine_step, config.refine_iters, project)
     if counts is not None:
         counts["calls"] += 1
         counts["refine_iterations"] += steps
         counts["capped_calls"] += steps == config.refine_iters
+        counts["evaluations"] += evaluations
         counts["seconds"] += time.perf_counter() - start
     return u_set.c + u_set.G @ np.array(xi), val

@@ -572,11 +572,14 @@ def test_metadata_counts_designed_inputs(tmp_path):
     assert design["calls"] == cfg.k_trajectories * cfg.t_steps
     assert 0 <= design["capped_calls"] <= design["calls"]
     assert 0 < design["refine_iterations"] <= design["calls"] * cfg.design.refine_iters
+    assert design["evaluations"] >= design["calls"] + design["refine_iterations"]
     assert design["seconds"] > 0.0
     assert "refine_iterations" not in (tmp_path / "both" / "report.json").read_text()
+    assert "evaluations" not in (tmp_path / "both" / "report.json").read_text()
     run_lti_experiment(replace(cfg, input_modes=("random",)), out_dir=tmp_path / "random")
     design = json.loads((tmp_path / "random" / "metadata.json").read_text())["design"]
-    assert design == {"calls": 0, "refine_iterations": 0, "capped_calls": 0, "seconds": 0}
+    assert design == {"calls": 0, "refine_iterations": 0, "capped_calls": 0, "evaluations": 0,
+                      "seconds": 0}
 
 
 def test_lti_seed_changes_report():

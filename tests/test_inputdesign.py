@@ -11,7 +11,13 @@ from datareach.inputdesign import (
     info_update,
     sample_input,
 )
-from datareach.sets import Zonotope, contains_point, halfspace_intersection, sample_factors
+from datareach.sets import (
+    Zonotope,
+    contains_point,
+    halfspace_intersection,
+    project_factors,
+    sample_factors,
+)
 
 
 def test_info_init():
@@ -187,6 +193,79 @@ def test_design_kernel_matches_reference_objective_and_delta_a():
         assert contains_point(u_set, u, tol=1e-7), seed
 
 
+def _dot(a, b):
+    """sum(map(mul, a, b)) as CPython 3.11 adds floats: left to right from 0."""
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
+
+
+def _reference_design(state, x, u_set, config):
+    """design_input as it was before the generated ascent kernel: the gain and
+    its gradient from lists, and the ascent loop over lists.  The dot products
+    add left to right explicitly, so the arithmetic does not depend on the
+    interpreter's builtin sum.  Returns (u, gain, accepted steps)."""
+    n_x = state.dim - u_set.dim
+    lift = np.zeros((state.dim, u_set.num_generators + 1))
+    lift[:n_x, 0], lift[n_x:, 0], lift[n_x:, 1:] = x, u_set.c, u_set.G
+    pl = state.s_inv @ lift
+    forms = np.stack([pl.T @ pl, lift.T @ pl])
+    forms[1, 0, 0] += 1.0
+    forms = 0.5 * (forms + forms.transpose(0, 2, 1))
+    cands = sample_factors(u_set, np.random.default_rng(config.rng_seed), config.n_candidates)
+    zs = np.hstack([np.ones((len(cands), 1)), cands])
+    num, den = np.einsum("ni,kij,nj->kn", zs, forms, zs)
+    forms, xi = forms.tolist(), cands[int(np.argmax(num / den))].tolist()
+
+    def gain_at(xi):
+        z = [1.0, *xi]
+        nz, dz = ([_dot(row, z) for row in form] for form in forms)
+        num, den = _dot(nz, z), _dot(dz, z)
+        scale = 2.0 / (den * den)
+        return num / den, [scale * (a * den - num * b) for a, b in zip(nz[1:], dz[1:])]
+
+    val, grad = gain_at(xi)
+    box = u_set.num_constraints == 0
+    steps = 0
+    while steps < config.refine_iters:
+        step = config.refine_step
+        while step > 1e-12:
+            trial = [a + step * g for a, g in zip(xi, grad)]
+            if box:
+                trial, feasible = [min(max(t, -1.0), 1.0) for t in trial], True
+            else:
+                proj, ok = project_factors(u_set.A, u_set.b, np.array([trial]))
+                trial, feasible = proj[0].tolist(), bool(ok[0])
+            if feasible:
+                t_val, t_grad = gain_at(trial)
+                gap = _dot(grad, [t - a for t, a in zip(trial, xi)])
+                if t_val >= val + 1e-4 * gap and t_val > val:
+                    xi, val, grad, steps = trial, t_val, t_grad, steps + 1
+                    break
+            step *= 0.5
+        else:
+            break
+    return u_set.c + u_set.G @ np.array(xi), val, steps
+
+
+def test_ascent_kernel_is_bit_identical_to_the_reference():
+    point = Zonotope([0.4, -1.1], np.zeros((2, 0)))  # no factors: nothing to ascend
+    point_state = info_init(5)
+    for s in np.random.default_rng(8).normal(size=(3, 5)):
+        point_state = info_update(point_state, s)
+    cases = [*_design_cases(), (40, point_state, np.array([0.3, -0.2, 1.5]), point)]
+    for seed, st, x, u_set in cases:
+        for iters in (0, 1, 3, 50):
+            cfg = DesignConfig(rng_seed=seed, refine_iters=iters)
+            ref_u, ref_gain, ref_steps = _reference_design(st, x, u_set, cfg)
+            with design_counts() as counts:
+                u, gain = design_input(st, x, u_set, cfg)
+            assert u.tobytes() == ref_u.tobytes(), (seed, iters)
+            assert np.float64(gain).tobytes() == np.float64(ref_gain).tobytes(), (seed, iters)
+            assert counts["refine_iterations"] == ref_steps, (seed, iters)
+
+
 def test_design_config_is_validated():
     for bad in ({"n_candidates": 0}, {"n_candidates": 2.5}, {"n_candidates": True},
                 {"refine_iters": -3}, {"refine_iters": 1.0}, {"refine_step": -1.0},
@@ -203,6 +282,8 @@ def test_design_input_rejects_bad_state_vector():
     for x in (np.ones(3), np.ones(1), np.array([0.0, np.nan]), np.array([np.inf, 0.0])):
         with pytest.raises(ValueError, match="finite entries"):
             design_input(st, x, u_set)
+    with pytest.raises(ValueError, match="dimension 1, fewer than the input set's 2"):
+        design_input(info_init(1), [], u_set)
 
 
 def test_design_counts_tally_calls_and_steps():
@@ -218,7 +299,15 @@ def test_design_counts_tally_calls_and_steps():
     assert counts["calls"] == 2 and inner["calls"] == 1
     assert counts["capped_calls"] >= 1  # refine_iters=0 always stops at its cap
     assert counts["refine_iterations"] <= 3 and inner["refine_iterations"] <= 50
+    # one evaluation at each start, at least one more per accepted step
+    assert counts["evaluations"] >= counts["calls"] + counts["refine_iterations"]
+    assert inner["evaluations"] >= inner["calls"] + inner["refine_iterations"]
     assert counts["seconds"] > 0.0
+    with design_counts() as counts:
+        design_input(st, x, u_set, DesignConfig(refine_iters=0))
+        design_input(st, x, Zonotope([0.3], np.zeros((1, 0))), DesignConfig(refine_iters=5))
+    # no ascent step, and every trial over no factors equals its point
+    assert (counts["calls"], counts["refine_iterations"], counts["evaluations"]) == (2, 0, 2)
 
 
 def test_sample_input_stays_inside():

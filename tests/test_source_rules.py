@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from datareach.inputdesign import _ascent_source
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "datareach"
 
 
@@ -47,3 +49,22 @@ def test_lp_basis_has_one_writer():
         writers.visit(ast.parse(f.read_text(), str(f)))
         found += [f"{f.name}:{scope}" for scope in writers.found]
     assert found == ["sets.py:Zonotope.__init__", "sets.py:_support", "sets.py:inherit_lp_basis"]
+
+
+def _builtin_sum_calls(source, name):
+    return [f"{name}:{node.lineno}" for node in ast.walk(ast.parse(source, name))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"]
+
+
+def test_input_design_adds_floats_without_builtin_sum():
+    # CPython >= 3.12 compensates the builtin sum of floats (Neumaier), so an
+    # ascent that adds with it designs different inputs on different
+    # interpreters; inputdesign adds left to right with +, in its source and
+    # in the ascent kernels it generates
+    path = SRC / "inputdesign.py"
+    found = _builtin_sum_calls(path.read_text(), path.name)
+    for m in range(5):
+        for box in (True, False):
+            found += _builtin_sum_calls(_ascent_source(m, box), f"ascent m={m} box={box}")
+    assert found == []

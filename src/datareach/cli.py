@@ -19,8 +19,6 @@ from .harness import (
     run_lti_experiment,
     run_pwa_experiment,
 )
-from .linalg import NumericalError
-from .rightinv import RightInverseError
 from .selfcheck import run_selfcheck
 
 _DEFAULT_CONFIGS = {"lti": "lti_5d", "pwa": "pwa_2mode", "volume-table": "lti_5d"}
@@ -45,7 +43,7 @@ def _run_experiment(args):
         if args.command == "volume-table":
             cfg = replace(cfg, model_sets=("mz",), compute_supports=False)
         runner = run_pwa_experiment if cfg.kind == "pwa" else run_lti_experiment
-        report = runner(cfg, out_dir=args.out, fmt=args.format)
+        report = runner(cfg, out_dir=args.out)
     except HarnessError as err:
         print(f"error: {err}", file=sys.stderr)
         if err.report is not None and args.out:
@@ -89,11 +87,10 @@ def build_parser():
         ("selftest", "run the library invariant suite"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="experiment config JSON (default: bundled)")
+        if name != "selftest":
+            p.add_argument("--config", help="experiment config JSON (default: bundled)")
         p.add_argument("--seed", type=int, help="override the config rng seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--format", choices=("json", "csv"), default="csv",
-                       help="table emission format (default csv)")
     return parser
 
 
@@ -103,7 +100,7 @@ def cli_main(argv=None):
         return _run_selftest(args)
     try:
         return _run_experiment(args)
-    except (OSError, ValueError, KeyError, RightInverseError, NumericalError) as err:
+    except (OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -65,7 +65,12 @@ from .reach import (
     partition_data_by_mode,
     propagate_pwa,
 )
-from .rightinv import pinv_right_inverse, row_norm_right_inverse, verify_sandwich
+from .rightinv import (
+    RightInverseError,
+    pinv_right_inverse,
+    row_norm_right_inverse,
+    verify_sandwich,
+)
 from .sets import (
     Zonotope,
     contains_point,
@@ -540,11 +545,8 @@ def _write_json(path, obj):
         f.write("\n")
 
 
-def _write_table(path, header, rows, fmt):
+def _write_table(path, header, rows):
     path = Path(path)
-    if fmt == "json":
-        _write_json(path.with_suffix(".json"), [dict(zip(header, row)) for row in rows])
-        return
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -558,13 +560,7 @@ def _unit_directions(rng, count, dim):
 
 
 def _rinv_summary(res):
-    return {
-        "method": res.method,
-        "row_norm_sum": res.row_norm_sum,
-        "frobenius_norm": res.frobenius_norm,
-        "feasibility_residual": res.feasibility_residual,
-        "iterations": res.iterations,
-    }
+    return {f.name: getattr(res, f.name) for f in fields(res) if f.name != "h"}
 
 
 def _lp_spot_check(result, states, rng, n_spot, tol=1e-6):
@@ -602,15 +598,15 @@ def _emit_sets(out, combo, result):
         _write_json(out / "sets" / combo / f"step{k}.json", payload)
 
 
-def _emit_polygons(out, combo, result, dims_pairs, fmt, n_dirs=32):
+def _emit_polygons(out, combo, result, dims_pairs):
     for i, j in dims_pairs:
         rows = []
         for k, step in enumerate(result.steps):
             for fi, frag in enumerate(step.fragments):
-                poly = project_polygon(frag.set, (i - 1, j - 1), n_dirs=n_dirs)
+                poly = project_polygon(frag.set, (i - 1, j - 1))
                 rows.extend([k, fi, float(x), float(y)] for x, y in poly)
         _write_table(out / "polygons" / f"{combo}_{i}-{j}.csv",
-                     ["step", "fragment", "x", "y"], rows, fmt)
+                     ["step", "fragment", "x", "y"], rows)
 
 
 class _Laps:
@@ -627,7 +623,7 @@ class _Laps:
         self._mark = now
 
 
-def _emit_common(out, cfg, report, runs, fmt, tables, t0, lap, tallies):
+def _emit_common(out, cfg, report, runs, tables, t0, lap, tallies):
     """Write the full output layout; metadata.json comes last so that its
     runtime_seconds (counted from perf_counter t0, before lap started)
     covers all the rest, the phases timed by lap included, and its tallies
@@ -638,9 +634,9 @@ def _emit_common(out, cfg, report, runs, fmt, tables, t0, lap, tallies):
     _write_json(out / "report.json", report)
     for combo, run in runs.items():
         _emit_sets(out, combo, run)
-        _emit_polygons(out, combo, run, cfg.projection_dims, fmt)
+        _emit_polygons(out, combo, run, cfg.projection_dims)
     for name, header, rows in tables:
-        _write_table(out / name, header, rows, fmt)
+        _write_table(out / name, header, rows)
     lap("emit")
     _write_json(out / "metadata.json", {
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -700,7 +696,7 @@ def _self_check(cfg, system, runs, report, betas):
     report["status"] = "ok"
 
 
-def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
+def run_lti_experiment(cfg, out_dir=None):
     """The linear study: data collection, model sets, propagation, checks.
 
     Runs every requested (model set x right inverse x input mode) combination
@@ -708,10 +704,10 @@ def run_lti_experiment(cfg, out_dir=None, fmt="csv"):
     trajectories, and (optionally) compares supports and final volumes.
     Returns the report dict; with out_dir the full file layout is written.
     """
-    return _study(cfg, "lti", out_dir, fmt)
+    return _study(cfg, "lti", out_dir)
 
 
-def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
+def run_pwa_experiment(cfg, out_dir=None):
     """The piecewise-affine study: per-mode data, guard-split propagation.
 
     Runs the exact-matrix reference plus one constrained model set per
@@ -719,23 +715,24 @@ def run_pwa_experiment(cfg, out_dir=None, fmt="csv"):
     with per-mode trajectory certificates, and reports fragment counts,
     interval hulls, and (optionally) union supports.
     """
-    return _study(cfg, "pwa", out_dir, fmt)
+    return _study(cfg, "pwa", out_dir)
 
 
-def _study(cfg, kind, out_dir, fmt):
+def _study(cfg, kind, out_dir):
     """Both studies; a linear system is the one-mode case.  An LP the
-    solver cannot finish (linalg.NumericalError) ends the study in a
+    solver cannot finish (linalg.NumericalError) or a right inverse that
+    cannot be found (rightinv.RightInverseError) ends the study in a
     HarnessError that carries the report of the phases done so far, with
-    status "lp_failed"."""
+    status "lp_failed" or "right_inverse_failed"."""
     report = {}
     try:
-        return _study_phases(cfg, kind, out_dir, fmt, report)
-    except NumericalError as err:
-        report["status"] = "lp_failed"
+        return _study_phases(cfg, kind, out_dir, report)
+    except (NumericalError, RightInverseError) as err:
+        report["status"] = "lp_failed" if isinstance(err, NumericalError) else "right_inverse_failed"
         raise HarnessError(str(err), report=report) from err
 
 
-def _study_phases(cfg, kind, out_dir, fmt, report):
+def _study_phases(cfg, kind, out_dir, report):
     """The phases of _study, filling report as they go.  Only the summaries
     that exist for one kind alone branch on kind: the linear study reports
     singular values, the sandwich bound, generator counts, the cmz-within-mz
@@ -873,6 +870,6 @@ def _study_phases(cfg, kind, out_dir, fmt, report):
                                [[c, k, dim + 1, h["low"][dim], h["high"][dim], h["width"][dim]]
                                 for c in combos for k, h in enumerate(hulls[c])
                                 for dim in range(system.n_x)]))
-            _emit_common(Path(out_dir), cfg, report, runs, fmt, tables, t0, lap,
+            _emit_common(Path(out_dir), cfg, report, runs, tables, t0, lap,
                          {"lp": lp, "design": design})
         return report

@@ -113,8 +113,8 @@ def svd(m):
 class LpProblem:
     """maximize c @ x  subject to  A_eq @ x = b_eq,  rows,  |x| <= box.
 
-    c is one objective (m,) or a stack of k objectives (k, m) over the same
-    feasible region.  A_eq is a dense (q, m) array, q possibly 0, and box
+    c is a stack of k objectives (k, m) over the same feasible region, k
+    possibly 0.  A_eq is a dense (q, m) array, q possibly 0, and box
     one finite positive half-width for every variable, so the LP is never
     unbounded.  rows, when given, is (a, lo, hi): extra rows
     lo <= a @ x <= hi after the equalities, with -inf/+inf allowed in
@@ -125,10 +125,9 @@ class LpProblem:
     columns and rows: the columns past it start nonbasic at -box and the
     rows past it start with their slack basic, which keeps a basis of the
     leading block a basis of the whole LP.  keep_basis asks for the final
-    basis on the last result (LpResult.basis); reading it back from the
-    solver costs about as much as setting up a small LP, so only callers
-    that keep it ask.  purpose names the caller in the counters.lp_counts
-    tally.
+    basis (LpResult.basis); reading it back from the solver costs about as
+    much as setting up a small LP, so only callers that keep it ask.
+    purpose names the caller in the counters.lp_counts tally.
     """
 
     c: np.ndarray
@@ -143,18 +142,20 @@ class LpProblem:
 
 @dataclass
 class LpResult:
-    """status "feasible" means an optimum was found; x and objective are set.
+    """The answer to a stack of k objectives over one feasible region.
 
-    basis is the optimal basis the solve ended in, as (col_status,
-    row_status) int8 arrays of HiGHS basis status codes (LOWER, BASIC, or 2
-    for a column at +box).  lp_solve sets it on the last result it returns
-    only, and only when the problem asked for it (keep_basis) and that
-    solve ended optimal.
+    status "infeasible" means a solve proved the region empty, and x and
+    objectives are None.  Otherwise status is "feasible" (an empty stack
+    solves nothing and gets it too), x (k, m) holds each objective's
+    optimum and objectives (k,) its value.  basis is the optimal basis the
+    last solve ended in, as (col_status, row_status) int8 arrays of HiGHS
+    basis status codes (LOWER, BASIC, or 2 for a column at +box), set only
+    when the problem asked for it (keep_basis) and k > 0.
     """
 
     status: str  # "feasible" | "infeasible"
     x: np.ndarray = None
-    objective: float = None
+    objectives: np.ndarray = None
     basis: tuple = None
 
 
@@ -202,10 +203,11 @@ def _start_basis(basis, n, n_rows):
     return out
 
 
-def _solve(highs, c, tally):
+def _solve(highs, tally):
     """Run HiGHS from its current basis; a run that ends in neither an
     optimum nor a proof of infeasibility is repeated cold.  Adds the
-    simplex iterations to tally (a dict, or None)."""
+    simplex iterations to tally (a dict, or None).  Returns the optimal
+    solution, or None when the LP is infeasible."""
     highs.run()
     status = highs.getModelStatus()
     iterations = highs.getInfo().simplex_iteration_count
@@ -217,10 +219,9 @@ def _solve(highs, c, tally):
     if tally is not None:
         tally["simplex_iterations"] += iterations
     if status == _OPTIMAL:
-        x = np.asarray(highs.getSolution().col_value)
-        return LpResult("feasible", x, float(c @ x))
+        return np.asarray(highs.getSolution().col_value)
     if status == _INFEASIBLE:
-        return LpResult("infeasible")
+        return None
     raise NumericalError(f"LP solver failed: {highs.modelStatusToString(status)}")
 
 
@@ -266,20 +267,20 @@ def _rows(problem, n):
 
 
 def lp_solve(problem):
-    """Solve an LpProblem with HiGHS.
+    """Solve an LpProblem with HiGHS: one LpResult for its stack of
+    objectives.
 
-    Returns one LpResult for c of shape (m,) and a list of k LpResults for
-    c of shape (k, m).  The model is built once; the objectives are solved
-    in order, the first from problem.basis (or cold) and each later one
-    from the previous optimal basis (only the costs change in between).
-    No HiGHS object outlives the call: what carries over to a later LP is
-    the final basis, returned on the last result when keep_basis is set.
+    The model is built once; the objectives are solved in order, the first
+    from problem.basis (or cold) and each later one from the previous
+    optimal basis (only the costs change in between).  The first objective
+    that proves the region infeasible ends the stack.  No HiGHS object
+    outlives the call: what carries over to a later LP is the final basis,
+    returned when keep_basis is set.
     """
-    c = np.asarray(problem.c, dtype=float)
-    if c.ndim not in (1, 2):
-        raise ValueError(f"c must be (m,) or (k, m), got shape {c.shape}")
-    costs = c if c.ndim == 2 else c[None, :]
-    n = costs.shape[1]
+    costs = np.asarray(problem.c, dtype=float)
+    if costs.ndim != 2:
+        raise ValueError(f"c must be a stack of objectives (k, m), got shape {costs.shape}")
+    k, n = costs.shape
     if n == 0:
         raise ValueError("the LP has no variables")
     if not np.all(np.isfinite(costs)):
@@ -295,7 +296,7 @@ def lp_solve(problem):
         tally = counts.setdefault(problem.purpose, dict.fromkeys(
             ("calls", "objectives", "cold_starts", "simplex_iterations", "seconds"), 0))
         tally["calls"] += 1
-        tally["objectives"] += costs.shape[0]
+        tally["objectives"] += k
         tally["cold_starts"] += problem.basis is None
         start = time.perf_counter()
     highs = _highs_model(rows, lo, hi, n, box)
@@ -303,14 +304,19 @@ def lp_solve(problem):
             _start_basis(problem.basis, n, lo.size)) == _highs.HighsStatus.kError:
         raise NumericalError("HiGHS rejected the starting basis")
     cols = np.arange(n, dtype=np.int32)
-    results = []
-    for row in costs:
+    result = LpResult("feasible", np.empty((k, n)), np.empty(k))
+    for i, row in enumerate(costs):
         highs.changeColsCost(n, cols, -row)
-        results.append(_solve(highs, row, tally))
-    if problem.keep_basis and results and results[-1].status == "feasible":
+        x = _solve(highs, tally)
+        if x is None:
+            result = LpResult("infeasible")
+            break
+        result.x[i] = x
+        result.objectives[i] = float(row @ x)
+    if problem.keep_basis and k and result.status == "feasible":
         final = highs.getBasis()
-        results[-1].basis = (np.fromiter(map(int, final.col_status), np.int8, n),
-                             np.fromiter(map(int, final.row_status), np.int8, lo.size))
+        result.basis = (np.fromiter(map(int, final.col_status), np.int8, n),
+                        np.fromiter(map(int, final.row_status), np.int8, lo.size))
     if tally is not None:
         tally["seconds"] += time.perf_counter() - start
-    return results if c.ndim == 2 else results[0]
+    return result

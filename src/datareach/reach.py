@@ -35,11 +35,12 @@ no guard, so its single fragment per step passes through uncut.
 partition_data_by_mode splits a data set's columns by the mode of their
 start state, for one model set per mode.
 
-Every fragment records how it was made: the guard-split events applied to
-its parent and the StepPlan of its step.  replay_step and replay_split push
-explicit factor certificates for sampled trajectories through those records,
-so certify_pwa checks the very sets a study emitted, one constructive
-containment proof per trajectory and much cheaper than one LP per point.
+Every fragment records how it was made: the "cut" events of the guard
+split of its parent and the StepPlan of its step.  replay_step and
+replay_split push explicit factor certificates for sampled trajectories
+through those records, so certify_pwa checks the very sets a study
+emitted, one constructive containment proof per trajectory and much
+cheaper than one LP per point.
 propagate_lti and certify_lti are the LINEAR entries to the same two loops.
 """
 
@@ -100,9 +101,9 @@ class Fragment:
     """One piece of a reachable set: its set, the mode whose model it went
     through (None for the initial set; 0 at every later step of a linear
     system, which has one model), the index of its parent fragment at the
-    previous step, the guard-split events that cut the parent, the plan of
-    the step that produced the set, and per mode the first column of the
-    mode's beta block (None until the lineage enters the mode)."""
+    previous step, the "cut" events of the guard split of the parent, the
+    plan of the step that produced the set, and per mode the first column
+    of the mode's beta block (None until the lineage enters the mode)."""
 
     set: object
     mode: object = None
@@ -114,8 +115,8 @@ class Fragment:
 
 @dataclass
 class StepRecord:
-    """The fragments of one step; each carries the guard-split events and
-    the StepPlan that produced it, which is what the certificates replay."""
+    """The fragments of one step; each carries the guard cuts and the
+    StepPlan that produced it, which is what the certificates replay."""
 
     fragments: list
 
@@ -279,18 +280,11 @@ def replay_step(plan, xi_state, xi_u, beta_star, xi_w):
 _FACE_W = 1e-12
 
 
-def replay_split(events, xi):
-    """Push factors through a recorded guard split (list of halfspace events).
-
-    Only "pass" and "cut" events occur in a fragment's split: an "empty"
-    event ends the piece.  Raises ValueError on any other event.
-    """
-    for ev in events:
-        if ev[0] == "pass":
-            continue
-        if ev[0] != "cut":
-            raise ValueError(f"cannot replay a {ev[0]!r} event; only 'pass' and 'cut' carry factors")
-        _, row, w, rhs = ev
+def replay_split(cuts, xi):
+    """Push factors through a recorded guard split: the ("cut", row, w, rhs)
+    events of halfspace_intersection_with_plan, in order, each appending one
+    factor."""
+    for _, row, w, rhs in cuts:
         # |w| <= _FACE_W: the slice is a face, and the new factor is then arbitrary
         sigma = (rhs - xi @ row) / w if abs(w) > _FACE_W else np.zeros(xi.shape[0])
         xi = np.hstack([xi, sigma[:, None]])
@@ -420,17 +414,18 @@ def propagate_pwa(models, pwa, x0, u_prop, w, horizon, max_order, fragment_cap=2
     for _ in range(horizon):
         children = []
         for fi, frag in enumerate(steps[-1].fragments):
-            splits = {}  # mode -> (piece, events, cutting halfspaces), for pieces not empty
+            splits = {}  # mode -> (piece, cut events, cutting halfspaces), for pieces not empty
             for q, mode in enumerate(pwa.modes):
-                piece, events = frag.set, []
+                piece, events, cuts = frag.set, [], []
                 for h in mode.region:
                     piece, ev = halfspace_intersection_with_plan(piece, h.normal, h.offset)
-                    events.append(ev)
                     if ev[0] == "empty":
                         break
+                    if ev[0] == "cut":
+                        events.append(ev)
+                        cuts.append((h.normal, h.offset))
                 else:
-                    splits[q] = (piece, events, [(h.normal, h.offset) for h, ev
-                                                 in zip(mode.region, events) if ev[0] == "cut"])
+                    splits[q] = (piece, events, cuts)
             # a cut piece is empty when the parent is empty on the cutting
             # halfspaces: the pieces that one halfspace cut share one LP
             single = [q for q, (_, _, cuts) in splits.items() if len(cuts) == 1]
@@ -530,7 +525,7 @@ def certify_pwa(result, beta_stars, pwa, states, xi0, xi_u, xi_w):
     model-set factor vector per mode, recovered from the data noise (empty
     for singleton models).  Each trajectory follows its own fragment
     lineage: at step k its state's mode selects the child fragment, the
-    guard-split events append the slice factors, and the recorded step plan
+    guard cuts append the slice factors, and the recorded step plan
     pushes the rest.  Raises ValueError when a trajectory enters a piece
     that propagation pruned as empty.
     """

@@ -316,11 +316,11 @@ def _support(z, dirs, purpose):
     cons = _own_columns(z)
     res = lp_solve(LpProblem(dg[:, cons], z.A[:, cons], z.b, basis=z._lp_basis,
                              keep_basis=True, purpose=purpose))
-    if any(r.status == "infeasible" for r in res):
+    if res.status == "infeasible":
         raise EmptySetError("support of an empty zonotope")
-    if res:
-        z._lp_basis = res[-1].basis
-    vals += np.sum(np.abs(dg[:, ~cons]), axis=1) + [r.objective for r in res]
+    if res.basis is not None:
+        z._lp_basis = res.basis
+    vals += np.sum(np.abs(dg[:, ~cons]), axis=1) + res.objectives
     return vals
 
 
@@ -355,7 +355,7 @@ def _feasible(z, rows, lo, hi, box, purpose):
         return bool(np.all(lo <= 0.0) and np.all(hi >= 0.0) and not np.any(z.b))
     cons = _own_columns(z)
     order = np.concatenate([np.flatnonzero(cons), np.flatnonzero(~cons)])
-    problem = LpProblem(np.zeros(m), z.A[:, order], z.b, box, rows=(rows[:, order], lo, hi),
+    problem = LpProblem(np.zeros((1, m)), z.A[:, order], z.b, box, rows=(rows[:, order], lo, hi),
                         basis=z._lp_basis, purpose=purpose)
     return lp_solve(problem).status == "feasible"
 
@@ -652,15 +652,10 @@ def project_polygon(z, dims, n_dirs=32):
     angles = np.linspace(0.0, 2.0 * np.pi, n_dirs, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     vals = support(z, dirs @ sel)
-    verts = []
-    for i in range(n_dirs):
-        j = (i + 1) % n_dirs
-        a = np.stack([dirs[i], dirs[j]])
-        det = np.linalg.det(a)
-        if abs(det) < 1e-12:
-            continue
-        verts.append(np.linalg.solve(a, np.array([vals[i], vals[j]])))
-    return _drop_repeated_vertices(np.asarray(verts))
+    # vertex i is where the support lines of directions i and i + 1 meet
+    pairs = np.stack([dirs, np.roll(dirs, -1, axis=0)], axis=1)
+    verts = np.linalg.solve(pairs, np.stack([vals, np.roll(vals, -1)], axis=1)[:, :, None])
+    return _drop_repeated_vertices(verts[:, :, 0])
 
 
 # Where several support lines meet in one point, neighbouring line pairs give

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from datareach import sets
+from datareach import harness, sets
 from datareach.cli import cli_main
 from datareach.harness import bundled_config
 from datareach.linalg import NumericalError
+from datareach.rightinv import RightInverseError
 from tests.test_harness import flat_x0_config, tiny_lti_config
 
 
@@ -22,6 +23,15 @@ def test_selftest_subcommand(capsys):
     assert "all passed" in out
 
 
+@pytest.mark.parametrize("argv", [["selftest", "--config", "cfg.json"], ["lti", "--format", "csv"]])
+def test_options_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    # the self-test runs no config, and tables are always CSV
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_lti_run_writes_layout(tiny_config_file, tmp_path, capsys):
     out_dir = tmp_path / "run"
     code = cli_main(["lti", "--config", tiny_config_file, "--out", str(out_dir)])
@@ -33,11 +43,12 @@ def test_lti_run_writes_layout(tiny_config_file, tmp_path, capsys):
 
 def test_volume_table_trims_combinations(tiny_config_file, tmp_path):
     out_dir = tmp_path / "vt"
-    assert cli_main(["volume-table", "--config", tiny_config_file,
-                     "--out", str(out_dir), "--format", "json"]) == 0
+    assert cli_main(["volume-table", "--config", tiny_config_file, "--out", str(out_dir)]) == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert all(c.startswith("mz_") or c == "model" for c in report["combos"])
-    assert (out_dir / "volume_table.json").is_file()
+    rows = (out_dir / "volume_table.csv").read_text().splitlines()
+    assert rows[0] == "method,volume,ratio"
+    assert [row.split(",")[0] for row in rows[1:]] == [r["method"] for r in report["volume_table"]]
 
 
 def test_seed_override_lands_in_report(tiny_config_file, tmp_path):
@@ -92,6 +103,23 @@ def test_lp_solver_failure_writes_the_partial_report(tiny_config_file, tmp_path,
     # propagation asks no LP in a linear study: the first one is a support
     assert report["status"] == "lp_failed"
     assert "generator_counts" in report and "supports" not in report
+
+
+def test_right_inverse_failure_writes_the_partial_report(tiny_config_file, tmp_path,
+                                                         monkeypatch, capsys):
+    def fail(phi):
+        raise RightInverseError("ADMM did not reach tolerance")
+
+    monkeypatch.setitem(harness._RIGHT_INVERSES, "row_norm", fail)
+    out_dir = tmp_path / "failed"
+    assert cli_main(["lti", "--config", tiny_config_file, "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ADMM did not reach tolerance\n")
+    assert "partial report written" in err
+    report = json.loads((out_dir / "report.json").read_text())
+    # the right inverses are fitted first: no data summary is in yet
+    assert report["status"] == "right_inverse_failed"
+    assert report["kind"] == "lti" and "data" not in report
 
 
 def test_bad_triplet_in_config_exits_cleanly(tmp_path, capsys):

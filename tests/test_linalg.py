@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from datareach import linalg
 from datareach.counters import lp_counts
 from datareach.linalg import BASIC, RANK_RTOL, LpProblem, lp_solve, svd
 
@@ -124,19 +125,20 @@ def test_is_full_row_rank():
 
 def test_lp_solve_known_solutions():
     # max x1 over the segment x1 + x2 = 0 inside the unit box: x = (1, -1)
-    res = lp_solve(LpProblem(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([0.0])))
+    res = lp_solve(LpProblem(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]]), np.array([0.0])))
     assert res.status == "feasible"
-    assert np.isclose(res.objective, 1.0)
-    assert np.allclose(res.x, [1.0, -1.0])
+    assert res.x.shape == (1, 2) and res.objectives.shape == (1,)
+    assert np.isclose(res.objectives[0], 1.0)
+    assert np.allclose(res.x[0], [1.0, -1.0])
 
-    res = lp_solve(LpProblem(np.zeros(2), np.array([[1.0, 0.0]]), np.array([5.0])))
+    res = lp_solve(LpProblem(np.zeros((1, 2)), np.array([[1.0, 0.0]]), np.array([5.0])))
     assert res.status == "infeasible"
 
     # a wider box, and no equality rows
-    res = lp_solve(LpProblem(np.array([1.0, -2.0]), np.zeros((0, 2)), np.zeros(0), box=1.5))
-    assert np.isclose(res.objective, 4.5) and np.allclose(res.x, [1.5, -1.5])
+    res = lp_solve(LpProblem(np.array([[1.0, -2.0]]), np.zeros((0, 2)), np.zeros(0), box=1.5))
+    assert np.isclose(res.objectives[0], 4.5) and np.allclose(res.x[0], [1.5, -1.5])
     # a row that reads 0 = 1
-    res = lp_solve(LpProblem(np.ones(2), np.zeros((1, 2)), np.ones(1)))
+    res = lp_solve(LpProblem(np.ones((1, 2)), np.zeros((1, 2)), np.ones(1)))
     assert res.status == "infeasible"
 
 
@@ -171,30 +173,32 @@ def test_lp_solve_matches_vertex_enumeration():
         a_eq = rng.normal(size=(q, n))
         # build a feasible rhs from an interior point
         b_eq = a_eq @ rng.uniform(-0.5, 0.5, size=n)
-        res = lp_solve(LpProblem(c, a_eq, b_eq))
+        res = lp_solve(LpProblem(c[None, :], a_eq, b_eq))
         brute = _brute_force_box_lp(c, a_eq, b_eq)
         assert res.status == "feasible"
         assert brute is not None
-        assert np.isclose(res.objective, brute, atol=1e-8)
+        assert np.isclose(res.objectives[0], brute, atol=1e-8)
         # more objectives on the same region, solved as one warm-started batch
         costs = np.vstack([c, rng_batch.normal(size=(5, n))])
         batch = lp_solve(LpProblem(costs, a_eq, b_eq))
-        assert len(batch) == costs.shape[0]
-        for obj, r in zip(costs, batch):
-            cold = lp_solve(LpProblem(obj, a_eq, b_eq))
-            assert r.status == cold.status == "feasible"
-            assert np.isclose(r.objective, cold.objective, atol=1e-8)
-            assert np.isclose(r.objective, _brute_force_box_lp(obj, a_eq, b_eq), atol=1e-8)
+        assert batch.status == "feasible"
+        assert batch.x.shape == costs.shape and batch.objectives.shape == (costs.shape[0],)
+        for obj, x, val in zip(costs, batch.x, batch.objectives):
+            cold = lp_solve(LpProblem(obj[None, :], a_eq, b_eq))
+            assert cold.status == "feasible"
+            assert val == float(obj @ x)
+            assert np.isclose(val, cold.objectives[0], atol=1e-8)
+            assert np.isclose(val, _brute_force_box_lp(obj, a_eq, b_eq), atol=1e-8)
 
 
 def test_lp_solve_rejects_bad_shapes():
     none = (np.zeros((0, 3)), np.zeros(0))
-    with pytest.raises(ValueError):
-        lp_solve(LpProblem(np.ones(3), np.ones((2, 2)), np.ones(2)))
+    with pytest.raises(ValueError, match="A_eq"):
+        lp_solve(LpProblem(np.ones((1, 3)), np.ones((2, 2)), np.ones(2)))
     with pytest.raises(ValueError):
         lp_solve(LpProblem(np.ones((2, 2, 3)), *none))
-    with pytest.raises(ValueError):
-        lp_solve(LpProblem(np.ones(3), np.ones((2, 3)), np.ones(1)))
+    with pytest.raises(ValueError, match="b_eq"):
+        lp_solve(LpProblem(np.ones((1, 3)), np.ones((2, 3)), np.ones(1)))
     with pytest.raises(ValueError):
         lp_solve(LpProblem(np.ones((2, 0)), np.zeros((0, 0)), np.zeros(0)))
 
@@ -202,25 +206,54 @@ def test_lp_solve_rejects_bad_shapes():
 def test_lp_solve_rejects_non_finite_data():
     # and a box that is not a finite positive half-width
     none = (np.zeros((0, 2)), np.zeros(0))
-    for problem in (LpProblem(np.array([1.0, np.inf]), *none),
-                    LpProblem(np.ones(2), np.array([[1.0, np.nan]]), np.zeros(1)),
-                    LpProblem(np.ones(2), np.ones((1, 2)), np.array([np.inf])),
-                    LpProblem(np.ones(2), *none, box=np.inf),
-                    LpProblem(np.ones(2), *none, box=np.nan),
-                    LpProblem(np.ones(2), *none, box=0.0),
-                    LpProblem(np.ones(2), *none, box=-1.0)):
-        with pytest.raises(ValueError):
+    for problem, message in ((LpProblem(np.array([[1.0, np.inf]]), *none), "c must"),
+                             (LpProblem(np.ones((1, 2)), np.array([[1.0, np.nan]]), np.zeros(1)),
+                              "A_eq"),
+                             (LpProblem(np.ones((1, 2)), np.ones((1, 2)), np.array([np.inf])),
+                              "b_eq"),
+                             (LpProblem(np.ones((1, 2)), *none, box=np.inf), "box"),
+                             (LpProblem(np.ones((1, 2)), *none, box=np.nan), "box"),
+                             (LpProblem(np.ones((1, 2)), *none, box=0.0), "box"),
+                             (LpProblem(np.ones((1, 2)), *none, box=-1.0), "box")):
+        with pytest.raises(ValueError, match=message):
             lp_solve(problem)
 
 
+def test_lp_solve_rejects_a_single_objective_vector():
+    with pytest.raises(ValueError, match="stack"):
+        lp_solve(LpProblem(np.ones(2), np.zeros((0, 2)), np.zeros(0)))
+
+
 def test_lp_solve_batch_statuses():
-    # infeasible region: every objective is infeasible
-    res = lp_solve(LpProblem(np.eye(2), np.array([[1.0, 0.0]]), np.array([5.0])))
-    assert [r.status for r in res] == ["infeasible", "infeasible"]
+    # infeasible region: the stack has one status, and no solution
+    res = lp_solve(LpProblem(np.eye(2), np.array([[1.0, 0.0]]), np.array([5.0]), keep_basis=True))
+    assert res.status == "infeasible"
+    assert res.x is None and res.objectives is None and res.basis is None
     res = lp_solve(LpProblem(np.array([[1.0], [0.0], [-1.0]]), np.zeros((0, 1)), np.zeros(0)))
-    assert [r.status for r in res] == ["feasible"] * 3
-    assert [r.objective for r in res] == [1.0, 0.0, 1.0]
-    assert lp_solve(LpProblem(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))) == []
+    assert res.status == "feasible"
+    assert res.objectives.tolist() == [1.0, 0.0, 1.0]
+    # an empty stack solves nothing
+    with lp_counts() as counts:
+        res = lp_solve(LpProblem(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), keep_basis=True))
+    assert res.status == "feasible" and res.basis is None
+    assert res.x.shape == (0, 2) and res.objectives.shape == (0,)
+    assert (counts["lp"]["objectives"], counts["lp"]["simplex_iterations"]) == (0, 0)
+
+
+def test_an_infeasible_stack_stops_at_its_first_objective(monkeypatch):
+    solves = []
+
+    def counting_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    solve = linalg._solve
+    monkeypatch.setattr(linalg, "_solve", counting_solve)
+    res = lp_solve(LpProblem(np.eye(3), np.array([[1.0, 0.0, 0.0]]), np.array([5.0])))
+    assert res.status == "infeasible" and len(solves) == 1
+    # a feasible stack solves every objective
+    assert lp_solve(LpProblem(np.eye(3), np.ones((1, 3)), np.zeros(1))).status == "feasible"
+    assert len(solves) == 4
 
 
 def test_lp_solve_extra_rows_and_starting_basis():
@@ -237,54 +270,59 @@ def test_lp_solve_extra_rows_and_starting_basis():
         ref = linprog(-c, A_ub=np.vstack([-rows, rows[1:]]), b_ub=np.concatenate([-lo, hi[1:]]),
                       A_eq=a_eq, b_eq=b_eq, bounds=(-1.0, 1.0))
         assert ref.status == 0
-        got = lp_solve(LpProblem(c, a_eq, b_eq, rows=(rows, lo, hi), keep_basis=True))
-        assert np.isclose(got.objective, -ref.fun, atol=1e-9)
+        got = lp_solve(LpProblem(c[None, :], a_eq, b_eq, rows=(rows, lo, hi), keep_basis=True))
+        assert np.isclose(got.objectives[0], -ref.fun, atol=1e-9)
         cols, row_status = got.basis
         assert cols.dtype == row_status.dtype == np.int8
         assert (cols.size, row_status.size) == (n, q + k)
         assert np.count_nonzero(cols == BASIC) + np.count_nonzero(row_status == BASIC) == q + k
         # a basis of the equalities alone starts the LP with the extra rows:
         # the extra rows' slacks start basic
-        plain = lp_solve(LpProblem(c, a_eq, b_eq, keep_basis=True))
-        warm = lp_solve(LpProblem(c, a_eq, b_eq, rows=(rows, lo, hi), basis=plain.basis))
-        assert np.isclose(warm.objective, -ref.fun, atol=1e-9)
+        plain = lp_solve(LpProblem(c[None, :], a_eq, b_eq, keep_basis=True))
+        warm = lp_solve(LpProblem(c[None, :], a_eq, b_eq, rows=(rows, lo, hi), basis=plain.basis))
+        assert np.isclose(warm.objectives[0], -ref.fun, atol=1e-9)
         # and a stack of objectives from the final basis matches cold solves
         costs = rng.normal(size=(4, n))
         again = lp_solve(LpProblem(costs, a_eq, b_eq, basis=plain.basis, keep_basis=True))
-        for obj, r in zip(costs, again):
-            assert np.isclose(r.objective, lp_solve(LpProblem(obj, a_eq, b_eq)).objective,
+        for obj, val in zip(costs, again.objectives):
+            assert np.isclose(val, lp_solve(LpProblem(obj[None, :], a_eq, b_eq)).objectives[0],
                               atol=1e-9)
-        assert all(r.basis is None for r in again[:-1]) and again[-1].basis is not None
+        assert again.basis is not None
+        # the final basis is the last objective's optimal basis
+        with lp_counts() as counts:
+            last = lp_solve(LpProblem(costs[-1:], a_eq, b_eq, basis=again.basis))
+        assert counts["lp"]["simplex_iterations"] == 0
+        assert np.isclose(last.objectives[0], again.objectives[-1], atol=1e-12)
         # a caller that does not keep the basis is not handed one
-        assert lp_solve(LpProblem(costs, a_eq, b_eq, basis=plain.basis))[-1].basis is None
+        assert lp_solve(LpProblem(costs, a_eq, b_eq, basis=plain.basis)).basis is None
 
 
 def test_lp_solve_rejects_bad_rows_and_bases():
-    a_eq, b_eq = np.ones((1, 3)), np.zeros(1)
+    c, a_eq, b_eq = np.ones((1, 3)), np.ones((1, 3)), np.zeros(1)
     with pytest.raises(ValueError):
-        lp_solve(LpProblem(np.ones(3), a_eq, b_eq, rows=(np.ones((2, 2)), [0, 0], [1, 1])))
+        lp_solve(LpProblem(c, a_eq, b_eq, rows=(np.ones((2, 2)), [0, 0], [1, 1])))
     with pytest.raises(ValueError):
-        lp_solve(LpProblem(np.ones(3), a_eq, b_eq, rows=(np.ones((2, 3)), [0], [1, 1])))
+        lp_solve(LpProblem(c, a_eq, b_eq, rows=(np.ones((2, 3)), [0], [1, 1])))
     with pytest.raises(ValueError):
-        lp_solve(LpProblem(np.ones(3), a_eq, b_eq, rows=(np.ones((1, 3)), [np.nan], [1])))
-    basis = lp_solve(LpProblem(np.ones(3), a_eq, b_eq, keep_basis=True)).basis
+        lp_solve(LpProblem(c, a_eq, b_eq, rows=(np.ones((1, 3)), [np.nan], [1])))
+    basis = lp_solve(LpProblem(c, a_eq, b_eq, keep_basis=True)).basis
     for bad in ((basis[0], np.zeros(0, np.int8)),             # basic count off
                 (np.concatenate([basis[0], [0]]), basis[1])):  # more columns than the LP
         with pytest.raises(ValueError, match="basis"):
-            lp_solve(LpProblem(np.ones(3), a_eq, b_eq, basis=bad))
-    infeasible = lp_solve(LpProblem(np.ones(3), a_eq, np.array([5.0]), keep_basis=True))
+            lp_solve(LpProblem(c, a_eq, b_eq, basis=bad))
+    infeasible = lp_solve(LpProblem(c, a_eq, np.array([5.0]), keep_basis=True))
     assert infeasible.status == "infeasible" and infeasible.basis is None
 
 
 def test_lp_counts_tally_by_purpose():
-    a_eq, b_eq = np.ones((1, 3)), np.zeros(1)
-    lp_solve(LpProblem(np.ones(3), a_eq, b_eq))  # nobody counting
+    c, a_eq, b_eq = np.ones((1, 3)), np.ones((1, 3)), np.zeros(1)
+    lp_solve(LpProblem(c, a_eq, b_eq))  # nobody counting
     with lp_counts() as counts:
-        first = lp_solve(LpProblem(np.ones(3), a_eq, b_eq, keep_basis=True, purpose="a"))
+        first = lp_solve(LpProblem(c, a_eq, b_eq, keep_basis=True, purpose="a"))
         lp_solve(LpProblem(np.eye(3), a_eq, b_eq, basis=first.basis, purpose="a"))
         with lp_counts() as inner:
-            lp_solve(LpProblem(np.ones(3), a_eq, b_eq, purpose="b"))
-        lp_solve(LpProblem(np.ones(3), np.zeros((0, 3)), np.zeros(0)))
+            lp_solve(LpProblem(c, a_eq, b_eq, purpose="b"))
+        lp_solve(LpProblem(c, np.zeros((0, 3)), np.zeros(0)))
     assert set(counts) == {"a", "lp"} and set(inner) == {"b"}
     a = counts["a"]
     assert (a["calls"], a["objectives"], a["cold_starts"]) == (2, 4, 1)

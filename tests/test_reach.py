@@ -523,7 +523,7 @@ def test_uncut_pieces_skip_the_emptiness_lp(monkeypatch):
     lti = propagate_lti(model, x0, u_prop, w, 4, 6)
     for k in range(1, 5):
         (frag,), (ref,) = res.steps[k].fragments, lti.steps[k].fragments
-        assert frag.mode == ref.mode == 0 and frag.parent == 0 and frag.split == (("pass",),)
+        assert frag.mode == ref.mode == 0 and frag.parent == 0 and frag.split == ()
         assert frag.set.num_constraints > 0
         assert np.array_equal(frag.set.G, ref.set.G) and np.array_equal(frag.set.A, ref.set.A)
 
@@ -600,15 +600,6 @@ def test_replay_split_factor_is_valid():
     assert np.allclose(xi_in @ cut.A.T, cut.b[None, :], atol=1e-9)
     rec = cut.c[None, :] + xi_in @ cut.G.T
     assert np.allclose(rec, pts[inside], atol=1e-9)
-
-
-def test_replay_split_rejects_events_without_factors():
-    # an "empty" event ends a piece, so no fragment's split carries one
-    z = Zonotope([0.0, 0.0], np.eye(2))
-    _, ev = halfspace_intersection_with_plan(z, [1.0, 0.0], -1.5)
-    assert ev == ("empty",)
-    with pytest.raises(ValueError, match="'empty'"):
-        replay_split([("pass",), ev], np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------

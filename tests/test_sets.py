@@ -213,8 +213,8 @@ def test_batched_support_matches_single_directions():
             assert isinstance(support(cz, d), float)
             assert np.isclose(val, support(cz, d), atol=1e-9)
             # the whole LP, free columns included
-            full = lp_solve(LpProblem(d @ cz.G, cz.A, cz.b))
-            assert np.isclose(val, d @ cz.c + full.objective, atol=1e-9)
+            full = lp_solve(LpProblem((d @ cz.G)[None, :], cz.A, cz.b))
+            assert np.isclose(val, d @ cz.c + full.objectives[0], atol=1e-9)
         assert support(cz, np.zeros((0, 3))).shape == (0,)
 
 
@@ -836,7 +836,8 @@ def random_cz_with_free_factors(rng, n=3, m=14, q=6, n_free=4):
 
 def _cold_support(z, dirs):
     """Support values from one cold LP per direction over all factors."""
-    return np.array([d @ z.c + lp_solve(LpProblem(d @ z.G, z.A, z.b)).objective for d in dirs])
+    return np.array([d @ z.c + lp_solve(LpProblem((d @ z.G)[None, :], z.A, z.b)).objectives[0]
+                     for d in dirs])
 
 
 def _cold_feasible(z, rows, lo, hi, box):

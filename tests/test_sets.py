@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -720,13 +721,125 @@ def test_volume_is_invariant_under_column_order_and_homogeneous(n):
         assert scaled == pytest.approx(abs(s) ** n * base, rel=1e-12)
 
 
-def test_volume_in_small_blocks_matches_one_block(monkeypatch):
-    rng = np.random.default_rng(47)
-    g = rng.normal(size=(4, 11))
-    whole = volume(Zonotope(np.zeros(4), g))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_volume_in_small_blocks_matches_one_block(monkeypatch, n):
+    # a block of one entry splits every level down to single rows, the
+    # cross-product level included
+    rng = np.random.default_rng(43 + n)
+    g = rng.normal(size=(n, n + 7))
+    whole = volume(Zonotope(np.zeros(n), g))
+    leaf_rows, inner = [], sets._abs_det_sum
+
+    def spy(g, basis, vol, last):
+        if basis.shape[1] == 2:
+            leaf_rows.append(last.size)
+        return inner(g, basis, vol, last)
+
     monkeypatch.setattr(sets, "_VOLUME_BLOCK", 1)
-    assert volume(Zonotope(np.zeros(4), g)) == pytest.approx(whole, rel=1e-13)
+    monkeypatch.setattr(sets, "_abs_det_sum", spy)
+    assert volume(Zonotope(np.zeros(n), g)) == pytest.approx(whole, rel=1e-13)
+    # every (n - 2)-subset with room for two more of the n + 7 columns
+    # reaches the cross products alone
+    assert leaf_rows.count(1) == math.comb(n + 5, n - 2)
     assert_volume_matches_brute_force(g)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_volume_matches_brute_force_on_drawn_columns(n, data):
+    # k random columns, then zero, duplicate and parallel copies of them in
+    # a shuffled order; rank < n (k < n) makes the set flat.  A draw either
+    # scales its columns by 1e-6 to 1e3 or has duplicate and parallel
+    # copies, not both: a singular subset of large parallel columns leaves
+    # a rounding residue that can exceed the volume of small columns in
+    # any float determinant sum, the brute-force one too
+    m = data.draw(st.integers(0, n + 8))
+    k = data.draw(st.integers(0, m))
+    scaled = data.draw(st.booleans())
+    kinds = ["zero"] if scaled or k == 0 else ["zero", "duplicate", "parallel"]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(n, k))
+    copies = []
+    for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=m - k, max_size=m - k)):
+        src = g[:, rng.integers(k)] if k else np.zeros(n)
+        copies.append({"zero": 0.0, "duplicate": 1.0,
+                       "parallel": rng.choice([-2.5, -1.0, 0.5, 3.0])}[kind] * src)
+    g = np.column_stack([g, *copies]) if copies else g
+    g = g[:, rng.permutation(m)]
+    if scaled:
+        g = g * 10.0 ** rng.uniform(-6.0, 3.0, m)
+    assert_volume_matches_brute_force(g, flat=k < n)
+
+
+def outline_by_loop(c, g):
+    """The exact outline walked one generator per step, in the sorted order
+    of _zonotope_polygon, keeping every vertex: the reference the library's
+    cumulative-sum walk must match bit for bit."""
+    g = g[:, np.linalg.norm(g, axis=0) > 0.0]
+    m = g.shape[1]
+    if m == 0:
+        return c.reshape(1, 2)
+    flip = (g[1] < 0.0) | ((g[1] == 0.0) & (g[0] < 0.0))
+    g = np.where(flip, -g, g)
+    g = g[:, np.argsort(np.arctan2(g[1], g[0]), kind="stable")]
+    verts = np.empty((2 * m, 2))
+    v = c - g.sum(axis=1)
+    for i in range(m):
+        verts[i] = v
+        v = v + 2.0 * g[:, i]
+    for i in range(m):
+        verts[m + i] = v
+        v = v - 2.0 * g[:, i]
+    return verts
+
+
+def generators_with_ties(rng, m, k, decades=0.0):
+    """m random 2-D generators scaled by 10^-decades to 10^decades, and k
+    zero, duplicate or parallel (of either sign) copies of them."""
+    g = rng.normal(size=(2, m)) * 10.0 ** rng.uniform(-decades, decades, m)
+    src = rng.integers(0, m, k)
+    g = np.hstack([g, g[:, src] * rng.choice([0.0, 1.0, -1.0, 2.5, -0.5, 3.0], k)])
+    return g[:, rng.permutation(m + k)]
+
+
+def test_outline_walk_matches_the_loop_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        c = rng.normal(size=2)
+        g = generators_with_ties(rng, int(rng.integers(1, 25)), int(rng.integers(0, 25)), 3.0)
+        want = outline_by_loop(c, g)
+        kept = sets._zonotope_polygon(c, g)
+        # the kept vertices are the loop's, bit for bit and in order
+        rows = [r.tobytes() for r in want]
+        idx = [rows.index(r.tobytes()) for r in kept]
+        assert idx == sorted(set(idx))
+        with monkeypatch.context() as mp:
+            # every comparison with a NaN tolerance is false: no vertex drops
+            mp.setattr(sets, "_REPEATED_VERTEX_RTOL", float("nan"))
+            assert sets._zonotope_polygon(c, g).tobytes() == want.tobytes()
+
+
+def test_outline_has_no_collinear_middle_vertices():
+    rng = np.random.default_rng(54)
+    for _ in range(100):
+        # unscaled, so that the shoelace area keeps 1e-12
+        m, k = int(rng.integers(2, 20)), int(rng.integers(0, 30))
+        g = generators_with_ties(rng, m, k)
+        poly = project_polygon(Zonotope(rng.normal(size=2), g), (0, 1))
+        edges = np.roll(poly, -1, axis=0) - poly
+        into = np.roll(edges, 1, axis=0)
+        cross = into[:, 0] * edges[:, 1] - into[:, 1] * edges[:, 0]
+        size = np.linalg.norm(into, axis=1) * np.linalg.norm(edges, axis=1)
+        assert np.all(cross > 1e-9 * size)  # every vertex turns left
+        pairs = itertools.combinations(g.T, 2)
+        area = 4.0 * np.sum([abs(a[0] * b[1] - a[1] * b[0]) for a, b in pairs])
+        assert polygon_area(poly) == pytest.approx(area, rel=1e-12)
+        for _ in range(3):
+            perm = project_polygon(Zonotope(np.zeros(2), g[:, rng.permutation(m + k)]), (0, 1))
+            assert perm.shape == poly.shape
+    # parallel generators make a segment: its two ends, where it turns back
+    seg = project_polygon(Zonotope([1.0, 0.0], [[1.0, -2.0, 0.5], [2.0, -4.0, 1.0]]), (0, 1))
+    assert np.array_equal(seg, [[-2.5, -7.0], [4.5, 7.0]])
 
 
 def test_project_polygon_square():

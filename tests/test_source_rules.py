@@ -68,3 +68,10 @@ def test_input_design_adds_floats_without_builtin_sum():
         for box in (True, False):
             found += _builtin_sum_calls(_ascent_source(m, box), f"ascent m={m} box={box}")
     assert found == []
+
+
+def test_sets_adds_floats_without_builtin_sum():
+    # the same rule for the set operations: an exact volume or an outline
+    # that added with the builtin sum would differ between interpreters
+    path = SRC / "sets.py"
+    assert _builtin_sum_calls(path.read_text(), path.name) == []

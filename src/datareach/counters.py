@@ -11,6 +11,7 @@ from contextlib import contextmanager
 
 LP = contextvars.ContextVar("datareach_lp_counts", default=None)
 DESIGN = contextvars.ContextVar("datareach_design_counts", default=None)
+VOLUME = contextvars.ContextVar("datareach_volume_counts", default=None)
 
 
 @contextmanager
@@ -42,3 +43,16 @@ def design_counts():
     """
     return _counting(DESIGN, dict.fromkeys(
         ("calls", "refine_iterations", "capped_calls", "evaluations", "seconds"), 0))
+
+
+def volume_counts():
+    """Count the sets.volume calls inside the block.
+
+    Yields {"calls", "columns" (generators of the sets measured),
+    "directions" (columns left after zero columns are dropped and parallel
+    ones merged; a 1-D set keeps its columns), "subsets" (the C(directions,
+    n) terms its sum enumerated), "seconds"}.  Calls that refuse are not
+    counted.
+    """
+    return _counting(VOLUME, dict.fromkeys(
+        ("calls", "columns", "directions", "subsets", "seconds"), 0))

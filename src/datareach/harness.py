@@ -24,9 +24,9 @@ streams.
 Output layout (when an output directory is given):
 
     report.json                     all numeric results, deterministic
-    metadata.json                   timestamps, runtime, phase times, LP and design counts,
-                                    per-step set sizes, versions
-    sets/<combo>/step<k>.json       reachable fragments per step
+    metadata.json                   timestamps, runtime, phase times, LP, design and
+                                    volume counts, per-step set sizes, versions
+    sets/<combo>/step<k>.json       reachable fragments per step, compact JSON
     polygons/<combo>_<i>-<j>.csv    2-D projection outlines per step
     volume_table.csv                tabulated-step volumes and ratios (lti)
     hull_widths.csv                 per-step interval hulls (pwa)
@@ -45,7 +45,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import __version__
-from .counters import design_counts, lp_counts
+from .counters import design_counts, lp_counts, volume_counts
 from .inputdesign import (
     DesignConfig,
     check_counts,
@@ -537,12 +537,13 @@ def _json_default(o):
     raise TypeError(f"not JSON-serializable: {type(o)!r}")
 
 
-def _write_json(path, obj):
+def _write_json(path, obj, indent=1):
+    """obj as JSON with sorted keys and a final newline.  Without an indent
+    json.dumps runs the C encoder; json.dump, or any indent, runs the
+    pure-Python one, so the large set files are written compact."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True, indent=1, default=_json_default)
-        f.write("\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=indent, default=_json_default) + "\n")
 
 
 def _write_table(path, header, rows):
@@ -595,7 +596,7 @@ def _emit_sets(out, combo, result):
                 for f in step.fragments
             ],
         }
-        _write_json(out / "sets" / combo / f"step{k}.json", payload)
+        _write_json(out / "sets" / combo / f"step{k}.json", payload, indent=None)
 
 
 def _emit_polygons(out, combo, result, dims_pairs):
@@ -604,7 +605,7 @@ def _emit_polygons(out, combo, result, dims_pairs):
         for k, step in enumerate(result.steps):
             for fi, frag in enumerate(step.fragments):
                 poly = project_polygon(frag.set, (i - 1, j - 1))
-                rows.extend([k, fi, float(x), float(y)] for x, y in poly)
+                rows.extend([k, fi, x, y] for x, y in poly.tolist())
         _write_table(out / "polygons" / f"{combo}_{i}-{j}.csv",
                      ["step", "fragment", "x", "y"], rows)
 
@@ -627,10 +628,10 @@ def _emit_common(out, cfg, report, runs, tables, t0, lap, tallies):
     """Write the full output layout; metadata.json comes last so that its
     runtime_seconds (counted from perf_counter t0, before lap started)
     covers all the rest, the phases timed by lap included, and its tallies
-    (the study's lp_counts and design_counts, one block each) include the
-    polygon LPs.  Its set_sizes block gives, per combination and step, the
-    constraint rows, their nonzero coefficients and the generator counts of
-    each fragment."""
+    (the study's lp_counts, design_counts and volume_counts, one block
+    each) include the polygon LPs.  Its set_sizes block gives, per
+    combination and step, the constraint rows, their nonzero coefficients
+    and the generator counts of each fragment."""
     _write_json(out / "report.json", report)
     for combo, run in runs.items():
         _emit_sets(out, combo, run)
@@ -738,7 +739,7 @@ def _study_phases(cfg, kind, out_dir, report):
     singular values, the sandwich bound, generator counts, the cmz-within-mz
     ordering and the volume table; the piecewise-affine study reports
     per-mode data, fragment counts and interval hulls."""
-    with lp_counts() as lp, design_counts() as design:
+    with lp_counts() as lp, design_counts() as design, volume_counts() as volumes:
         t0 = time.perf_counter()
         lti = kind == "lti"
         lap = _Laps(("collect", "propagate", "supports", "self_check", "volumes", "emit") if lti
@@ -871,5 +872,5 @@ def _study_phases(cfg, kind, out_dir, report):
                                 for c in combos for k, h in enumerate(hulls[c])
                                 for dim in range(system.n_x)]))
             _emit_common(Path(out_dir), cfg, report, runs, tables, t0, lap,
-                         {"lp": lp, "design": design})
+                         {"lp": lp, "design": design, "volume": volumes})
         return report

@@ -17,9 +17,11 @@ containers with validation and JSON round-tripping.
 
 import math
 import numbers
+import time
 
 import numpy as np
 
+from . import counters
 from .linalg import LpProblem, lp_solve, svd
 
 
@@ -520,36 +522,87 @@ def reduce_girard(z, max_order):
 # Volume and projections
 
 
-# Generator subsets volume() will enumerate before refusing.  Its work grows
-# with this count; up to 1e7 an exact volume takes seconds (on one 2-core
-# host: 0.11 s for the 8.6e6 subsets of a 5 x 66 set, 1.6 s for the 3.3e6 of
-# a 15 x 25 one).  Past it, reduce the zonotope first.
+# Generator subsets volume() will enumerate before refusing: C(d, n) for the
+# d directions left after merging parallel columns.  Its work grows with this
+# count; up to 1e7 an exact volume takes seconds (on one 2-core host: 0.11 s
+# for the 8.6e6 subsets of a 5 x 66 set, 1.6 s for the 3.3e6 of a 15 x 25
+# one).  Past it, reduce the zonotope first.  The merge itself compares
+# every pair of columns, n m^2 flops, before the count is known.
 _MAX_VOLUME_SUBSETS = 10_000_000
 
-# Entries of the largest array one level of the volume recursion builds.
+# Entries of the largest array one level of the volume recursion, or one
+# block of the column comparison, builds.
 _VOLUME_BLOCK = 1 << 20
+
+# Two columns are parallel when their unit vectors differ, up to sign, by at
+# most this: the part of one orthogonal to the other is at rounding level.
+# Merging two columns at angle theta drops determinant terms of relative
+# size theta times the spread of the column lengths, so the threshold stays
+# a few eps, far below _REPEATED_VERTEX_RTOL.  In the lti-volume benchmark
+# sets (config seeds 1-40) parallel copies sit at <= 3.5e-16 and the
+# nearest distinct pair at 6.1e-5.
+_PARALLEL_RTOL = 16.0 * np.finfo(float).eps
 
 
 def volume(z):
     """Exact volume of a zonotope without constraint rows: 2^n * sum over
-    n-column subsets S of |det G_S|.  Refuses when there are more than
-    _MAX_VOLUME_SUBSETS subsets."""
+    n-column subsets S of |det G_S|, over the columns of G with zero ones
+    dropped and each group of parallel or antiparallel ones merged into one
+    of their summed length (a Minkowski sum of parallel segments is one
+    segment), so no subset with two parallel columns is enumerated.
+    Refuses when that leaves more than _MAX_VOLUME_SUBSETS subsets."""
     if z.num_constraints:
         raise ValueError("volume is defined for zonotopes without constraint rows")
-    n, m = z.dim, z.num_generators
-    if m < n:
-        return 0.0
-    n_subsets = math.comb(m, n)
+    counts, start = counters.VOLUME.get(), time.perf_counter()
+    n, m = z.G.shape
+    g = _distinct_directions(z.G) if n > 1 else z.G
+    d = g.shape[1]
+    n_subsets = math.comb(d, n)
     if n_subsets > _MAX_VOLUME_SUBSETS:
         raise ValueError(
             f"volume would enumerate {n_subsets} generator subsets "
             f"(> {_MAX_VOLUME_SUBSETS}); reduce the zonotope first"
         )
-    if n == 0:
-        return 1.0
-    if n == 1:
-        return 2.0 * float(np.abs(z.G).sum())
-    return (2.0 ** n) * _abs_det_sum(z.G, np.eye(n)[None], np.ones(1), np.array([-1]))
+    if d < n:
+        vol = 0.0
+    elif n == 0:
+        vol = 1.0
+    elif n == 1:
+        vol = 2.0 * float(np.abs(g).sum())
+    else:
+        vol = (2.0 ** n) * _abs_det_sum(g, np.eye(n)[None], np.ones(1), np.array([-1]))
+    if counts is not None:
+        counts["calls"] += 1
+        counts["columns"] += m
+        counts["directions"] += d
+        counts["subsets"] += n_subsets
+        counts["seconds"] += time.perf_counter() - start
+    return vol
+
+
+def _distinct_directions(g):
+    """The nonzero columns of g with each one merged into the first column
+    parallel or antiparallel to it (unit vectors within _PARALLEL_RTOL up to
+    sign): that column, scaled to the summed length of the columns merged
+    into it.  Columns keep their order, and a column parallel to no other
+    keeps its bits."""
+    norms = np.linalg.norm(g, axis=0)
+    g, norms = g[:, norms > 0.0], norms[norms > 0.0]
+    n, m = g.shape
+    u = g / norms
+    # head[j]: the first column parallel to column j, j itself if none comes before it
+    head = np.arange(m)
+    rows = max(1, _VOLUME_BLOCK // (n * m)) if m else 1
+    for lo in range(0, m, rows):
+        ui = u[:, lo:lo + rows]
+        sign = np.where(ui.T @ u < 0.0, -1.0, 1.0)  # (rows, m)
+        near = np.linalg.norm(u[:, None, :] - sign * ui[:, :, None], axis=0) <= _PARALLEL_RTOL
+        near &= np.arange(lo, lo + ui.shape[1])[:, None] < np.arange(m)
+        hit = near.any(axis=0) & (head == np.arange(m))
+        head[hit] = lo + near.argmax(axis=0)[hit]
+    heads, group = np.unique(head, return_inverse=True)
+    lengths = np.bincount(group, weights=norms)
+    return g[:, heads] * (lengths / norms[heads])
 
 
 def _abs_det_sum(g, basis, vol, last):
@@ -588,25 +641,22 @@ def _abs_det_sum(g, basis, vol, last):
             t -= y[:end, j:j + 1] * x[:end, j + 1:]
             cross[:end] += np.abs(t, out=t).sum(axis=1)
         return float(vol @ cross)
-    children = int(ends.sum())
-    out_basis = np.empty((children, n - k - 1, n))
-    out_vol = np.empty(children)
-    start = 0
-    for j, end in zip(cols, ends):
-        q = basis[:end]
-        u = q @ g[:, j]  # p, in basis coordinates
-        norm = np.sqrt(np.einsum("sc,sc->s", u, u))
-        out_vol[start:start + end] = vol[:end] * norm
-        # Householder vector u = p + sign(p_0) |p| e_0: the reflection
-        # I - 2 u u^T / |u|^2 maps p onto the first basis row, and
-        # |u|^2 = 2 |p| |u_0|; a zero p (vol 0 from here on) drops row 0
-        u[:, 0] += np.copysign(norm, u[:, 0])
-        scale = norm * np.abs(u[:, 0])
-        np.divide(1.0, scale, out=scale, where=scale > 0.0)
-        qu = np.einsum("sc,scn->sn", u, q) * scale[:, None]
-        out_basis[start:start + end] = q[:, 1:] - u[:, 1:, None] * qu[:, None, :]
-        start += end
-    return _abs_det_sum(g, out_basis, out_vol, np.repeat(cols, ends))
+    # child i extends row rows[i] by column nxt[i], all columns at once
+    nxt = np.repeat(cols, ends)
+    rows = np.arange(nxt.size) - np.repeat(np.cumsum(ends) - ends, ends)
+    q = basis[rows]
+    u = (q @ g.T[nxt][:, :, None])[:, :, 0]  # p, in basis coordinates
+    norm = np.sqrt(np.einsum("sc,sc->s", u, u))
+    # Householder vector u = p + sign(p_0) |p| e_0: the reflection
+    # I - 2 u u^T / |u|^2 maps p onto the first basis row, and
+    # |u|^2 = 2 |p| |u_0|; a zero p (vol 0 from here on) drops row 0
+    u[:, 0] += np.copysign(norm, u[:, 0])
+    scale = norm * np.abs(u[:, 0])
+    np.divide(1.0, scale, out=scale, where=scale > 0.0)
+    qu = np.einsum("sc,scn->sn", u, q) * scale[:, None]
+    for i in range(1, q.shape[1]):  # the children's bases, over the rows' copy
+        q[:, i] -= u[:, i, None] * qu
+    return _abs_det_sum(g, q[:, 1:], vol[rows] * norm, nxt)
 
 
 def polygon_area(vertices):

@@ -414,6 +414,46 @@ def test_pwa_reports_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("name, horizon", [("lti_5d", 3), ("pwa_2mode", 4)])
+def test_set_files_round_trip_bit_for_bit(tmp_path, monkeypatch, name, horizon):
+    # every fragment written by a bundled study loads back with the same
+    # bits in c, G, A and b, the triplet form of A included
+    emitted, emit_sets = {}, harness._emit_sets
+
+    def spy(out, combo, result):
+        emitted[combo] = result
+        emit_sets(out, combo, result)
+
+    monkeypatch.setattr(harness, "_emit_sets", spy)
+    cfg = replace(bundled_config(name), horizon=horizon, volume_step=None, compute_supports=False)
+    run = run_lti_experiment if cfg.kind == "lti" else run_pwa_experiment
+    report = run(cfg, out_dir=tmp_path)
+    assert sorted(emitted) == sorted(report["combos"])
+    triplets = 0
+    for combo, result in emitted.items():
+        for k, step in enumerate(result.steps):
+            with open(tmp_path / "sets" / combo / f"step{k}.json") as f:
+                frags = json.load(f)["fragments"]
+            assert len(frags) == len(step.fragments)
+            for frag, want in zip(frags, step.fragments):
+                triplets += isinstance(frag["set"].get("A"), dict)
+                got = set_from_dict(frag["set"])
+                for field in ("c", "G", "A", "b"):
+                    a, b = getattr(got, field), getattr(want.set, field)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert triplets
+
+
+def test_metadata_counts_volumes(tmp_path):
+    cfg = tiny_lti_config(compute_supports=False)
+    report = run_lti_experiment(cfg, out_dir=tmp_path)
+    counts = json.loads((tmp_path / "metadata.json").read_text())["volume"]
+    assert counts["calls"] == len(report["volume_table"])
+    assert 0 < counts["directions"] <= counts["columns"]
+    assert counts["subsets"] > 0 and counts["seconds"] > 0.0
+    assert "subsets" not in (tmp_path / "report.json").read_text()
+
+
 def test_pwa_proxies_are_kept_per_variant():
     # two variants of one input mode: each keeps the proxies of its own
     # model sets, under its right-inverse entries

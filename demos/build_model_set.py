@@ -34,13 +34,13 @@ cfg = ExperimentConfig(
     t_steps=6,
 )
 
-system = cfg.true_system()
-data, log = collect_data(cfg, system, "random")
+pwa = cfg.true_system()
+data, log = collect_data(cfg, pwa, "random")
 print(f"collected {data.T} transitions from {cfg.k_trajectories} trajectories")
 print(f"regressor is {data.phi.shape[0]} x {data.phi.shape[1]}, "
       f"rank {np.linalg.matrix_rank(data.phi)}")
 
-truth = np.hstack(system.pwa.true_matrices()[0])
+truth = np.hstack(pwa.true_matrices()[0])
 for name, solver in (("pseudoinverse", pinv_right_inverse),
                      ("row-norm", row_norm_right_inverse)):
     res = solver(data.phi)

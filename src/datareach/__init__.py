@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .harness import (
     ExperimentConfig,
     HarnessError,
-    TrueSystem,
     bundled_config,
     collect_data,
     load_config,
@@ -80,7 +79,6 @@ __all__ = [
     "PwaMode",
     "PwaSpec",
     "RightInverseResult",
-    "TrueSystem",
     "Zonotope",
     "bundled_config",
     "build_model_sets",

@@ -8,11 +8,12 @@ an ExperimentConfig (JSON round-trippable, versioned schema) and produces a
 deterministic report dict; wall-clock data goes to a separate metadata file
 so reports stay byte-identical for a fixed config and seed.
 
-One study driver serves both the linear and the piecewise-affine study; a
-linear system is the one-mode case.  One fit loop collects each input mode
-once, splits its transitions by mode and builds each mode's model sets;
-one propagation loop, one support table and one self-check follow.  Only
-the summaries that exist for one kind alone differ.
+The true system is the config's PwaSpec and its noise set the config's w;
+a linear system is the one-mode case, so one study driver serves both
+studies.  One fit loop collects each input mode once, splits its
+transitions by mode and builds each mode's model sets from one SVD per
+data set; one propagation loop, one support table and one self-check
+follow.  Only the summaries that exist for one kind alone differ.
 
 RNG streams are derived from the config seed with fixed stream ids.  The
 trajectory stream (initial states and process noise) is shared by both
@@ -54,7 +55,7 @@ from .inputdesign import (
     info_update,
     sample_input,
 )
-from .linalg import NumericalError, svd
+from .linalg import NumericalError
 from .modelset import DataSet, build_model_sets, generator_norm_proxy
 from .reach import (
     Halfspace,
@@ -117,32 +118,6 @@ def discretize(a_c, b_c, dt):
     aug[:n, n:] = b_c
     e = expm(aug * float(dt))
     return e[:n, :n], e[:n, n:]
-
-
-@dataclass
-class TrueSystem:
-    """Ground-truth dynamics plus the noise set, known only to the harness.
-
-    pwa carries the true matrices of every mode; a linear system is one mode
-    with an empty region.
-    """
-
-    w: Zonotope
-    pwa: PwaSpec
-
-    @property
-    def n_x(self):
-        return self.pwa.modes[0].a.shape[0]
-
-    @property
-    def n_u(self):
-        return self.pwa.modes[0].b.shape[1]
-
-    def step(self, x, u, w_real):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        u = np.asarray(u, dtype=float).reshape(-1)
-        mode = self.pwa.modes[self.pwa.classify(x)]
-        return mode.a @ x + mode.b @ u + np.asarray(w_real, dtype=float).reshape(-1)
 
 
 def _check_modes(modes):
@@ -228,7 +203,7 @@ class ExperimentConfig:
         if self.x0_sampling not in ("uniform", "vertex"):
             raise HarnessError(f"x0_sampling must be 'uniform' or 'vertex', got {self.x0_sampling!r}")
         counts = [("k_trajectories", 1), ("t_steps", 1), ("horizon", 0), ("n_check", 1),
-                  ("n_directions", 1), ("n_lp_spot", 0), ("fragment_cap", 1)]
+                  ("n_directions", 1), ("n_lp_spot", 0), ("fragment_cap", 1), ("rng_seed", 0)]
         if self.volume_step is not None:
             counts.append(("volume_step", 0))
         try:
@@ -269,7 +244,8 @@ class ExperimentConfig:
         return self.x0_data if self.x0_data is not None else self.x0
 
     def true_system(self):
-        """Build the TrueSystem and check every set dimension against it."""
+        """The true system, a PwaSpec with the true matrices of every mode,
+        with every set dimension checked against it."""
         s = self.system
         kind = s.get("type")
         if kind == "pwa":
@@ -288,22 +264,22 @@ class ExperimentConfig:
         if (kind == "pwa") != (self.kind == "pwa"):
             raise HarnessError(f"config kind {self.kind!r} does not match system type {kind!r}")
         _check_modes(modes)
-        system = TrueSystem(w=self.w, pwa=PwaSpec(modes))
+        n_x, n_u = modes[0].b.shape
         checks = (
-            ("x0", self.x0, system.n_x),
-            ("x0_data", self.x0_collect, system.n_x),
-            ("w", self.w, system.n_x),
-            ("u_data", self.u_data, system.n_u),
-            ("u_prop", self.u_prop, system.n_u),
+            ("x0", self.x0, n_x),
+            ("x0_data", self.x0_collect, n_x),
+            ("w", self.w, n_x),
+            ("u_data", self.u_data, n_u),
+            ("u_prop", self.u_prop, n_u),
         )
         for label, z, dim in checks:
             if z.dim != dim:
                 raise HarnessError(f"{label} has dimension {z.dim}, expected {dim}")
         for pair in self.projection_dims:
-            if len(pair) != 2 or len(set(pair)) != 2 or not all(1 <= i <= system.n_x for i in pair):
+            if len(pair) != 2 or len(set(pair)) != 2 or not all(1 <= i <= n_x for i in pair):
                 raise HarnessError(f"projection_dims entry {list(pair)} is not two distinct "
-                                   f"1-based state indices in 1..{system.n_x}")
-        return system
+                                   f"1-based state indices in 1..{n_x}")
+        return PwaSpec(modes)
 
     def to_dict(self):
         out = {"schema_version": SCHEMA_VERSION}
@@ -348,16 +324,15 @@ def bundled_config(name):
 # simulation and data collection
 
 
-def simulate_batch(system, x0_set, u_set, horizon, count, rng):
-    """Many rollouts at once with every factor draw recorded.
+def simulate_batch(pwa, w, x0_set, u_set, horizon, count, rng):
+    """Many rollouts of pwa under noise from w at once, every draw recorded.
 
     Initial states and inputs are sampled uniformly from the factor sets,
     noise uniformly from its box.  Shapes match the certificate replays:
     states (count, horizon + 1, n_x), xi_u and xi_w indexed by step.
     """
-    w = system.w
     xi0 = sample_factors(x0_set, rng, count)
-    states = np.empty((count, horizon + 1, system.n_x))
+    states = np.empty((count, horizon + 1, x0_set.dim))
     states[:, 0, :] = xi0 @ x0_set.G.T + x0_set.c
     xi_u = np.empty((horizon, count, u_set.num_generators))
     xi_w = np.empty((horizon, count, w.num_generators))
@@ -367,10 +342,10 @@ def simulate_batch(system, x0_set, u_set, horizon, count, rng):
         u_pts = xi_u[k] @ u_set.G.T + u_set.c
         w_pts = xi_w[k] @ w.G.T + w.c
         x = states[:, k, :]
-        modes = system.pwa.classify_batch(x)
+        modes = pwa.classify_batch(x)
         for q in np.unique(modes):
             sel = modes == q
-            mode = system.pwa.modes[q]
+            mode = pwa.modes[q]
             states[sel, k + 1, :] = x[sel] @ mode.a.T + u_pts[sel] @ mode.b.T + w_pts[sel]
     return states, xi0, xi_u, xi_w
 
@@ -387,8 +362,8 @@ class CollectLog:
     trace_inverse: float      # tr(pinv(Phi Phi')) = sum of sigma^-2 above the rank cutoff
 
 
-def collect_data(cfg, system, input_mode):
-    """K trajectories of T_i transitions each from the collection sets.
+def collect_data(cfg, pwa, input_mode):
+    """K trajectories of T_i transitions each of pwa under noise from cfg.w.
 
     Random mode draws inputs uniformly from u_data; designed mode picks each
     input by information-gain maximization, with a single information state
@@ -409,11 +384,11 @@ def collect_data(cfg, system, input_mode):
         rng_inp = np.random.default_rng(cfg.design.rng_seed)
     else:
         rng_inp = np.random.default_rng([cfg.rng_seed, _INPUT_STREAM])
-    w = system.w
+    w = cfg.w
     x0_set = cfg.x0_collect
     if cfg.x0_sampling == "vertex" and x0_set.num_constraints:
         raise HarnessError("vertex x0 sampling needs an initial set without constraint rows")
-    info = info_init(system.n_x + system.n_u) if designed else None
+    info = info_init(x0_set.dim + cfg.u_data.dim) if designed else None
     trajectories, xi_w_cols, xi0s = [], [], []
     for _ in range(cfg.k_trajectories):
         xi0 = sample_factors(x0_set, rng_traj, 1)[0]
@@ -430,7 +405,8 @@ def collect_data(cfg, system, input_mode):
             else:
                 u = sample_input(cfg.u_data, rng_inp)
             xiw = rng_traj.uniform(-1.0, 1.0, w.num_generators)
-            x_next = system.step(x, u, w.c + w.G @ xiw)
+            mode = pwa.modes[pwa.classify(x)]
+            x_next = mode.a @ x + mode.b @ u + (w.c + w.G @ xiw)
             xs.append(x_next)
             us.append(u)
             xi_w_cols.append(xiw)
@@ -442,7 +418,7 @@ def collect_data(cfg, system, input_mode):
     x_stack = [t[0] for t in trajectories]
     data = DataSet(np.hstack([s[:, 1:] for s in x_stack]), np.hstack([s[:, :-1] for s in x_stack]),
                    np.hstack([t[1] for t in trajectories]))
-    factors = svd(data.phi)
+    factors = data.factors
     log = CollectLog(trajectories, np.column_stack(xi_w_cols), np.asarray(xi0s), factors.s,
                      float(np.sum(factors.s[: factors.rank] ** -2.0)))
     return data, log
@@ -469,7 +445,7 @@ class _Fit:
     betas: list
 
 
-def _fit_variants(cfg, system, variants):
+def _fit_variants(cfg, pwa, variants):
     """{(input mode, right inverse): _Fit} for each variant.
 
     Each input mode is collected once and its transitions are split by the
@@ -479,8 +455,8 @@ def _fit_variants(cfg, system, variants):
     collected, fits = {}, {}
     for mode, rinv in variants:
         if mode not in collected:
-            data, log = collect_data(cfg, system, mode)
-            collected[mode] = (log, *partition_data_by_mode(data, system.pwa))
+            data, log = collect_data(cfg, pwa, mode)
+            collected[mode] = (log, *partition_data_by_mode(data, pwa))
         log, parts, indices = collected[mode]
         rinvs = [_RIGHT_INVERSES[rinv](part.phi) for part in parts]
         fits[(mode, rinv)] = _Fit(
@@ -663,7 +639,7 @@ def _emit_common(out, cfg, report, runs, tables, t0, lap, tallies):
 # experiments
 
 
-def _self_check(cfg, system, runs, report, betas):
+def _self_check(cfg, pwa, runs, report, betas):
     """Containment self-check of every run: factor certificates for fresh
     simulated trajectories, cross-checked by a few membership LPs.
 
@@ -672,10 +648,10 @@ def _self_check(cfg, system, runs, report, betas):
     raises HarnessError (carrying the report) if any combination fails.
     """
     rng_chk = np.random.default_rng([cfg.rng_seed, _CHECK_STREAM])
-    draws = simulate_batch(system, cfg.x0, cfg.u_prop, cfg.horizon, cfg.n_check, rng_chk)
+    draws = simulate_batch(pwa, cfg.w, cfg.x0, cfg.u_prop, cfg.horizon, cfg.n_check, rng_chk)
     checks, failed = {}, []
     for combo, run in runs.items():
-        cert = certify_pwa(run, betas[combo], system.pwa, *draws)
+        cert = certify_pwa(run, betas[combo], pwa, *draws)
         spot_checks, spot_failures = _lp_spot_check(run, draws[0], rng_chk, cfg.n_lp_spot)
         ok = bool(cert.ok() and spot_failures == 0)
         checks[combo] = {
@@ -746,15 +722,14 @@ def _study_phases(cfg, kind, out_dir, report):
                     else ("collect", "propagate", "hulls", "supports", "self_check", "emit"))
         if cfg.kind != kind:
             raise HarnessError(f"config kind is {cfg.kind!r}, expected {kind!r}")
-        system = cfg.true_system()
-        pwa = system.pwa
+        pwa = cfg.true_system()
         if np.any(cfg.w.c != 0.0):
             raise HarnessError("model-set construction assumes zero-centered noise")
         report.update(schema_version=SCHEMA_VERSION, kind=kind, name=cfg.name,
                       config=cfg.to_dict())
 
         variants = product(cfg.input_modes, cfg.right_inverses) if lti else cfg.pwa_variants
-        fits = _fit_variants(cfg, system, variants)
+        fits = _fit_variants(cfg, pwa, variants)
         data_stats, rinv_stats = {}, {}
         for (mode, rinv), fit in fits.items():
             stats = data_stats[mode] = {"transitions": sum(p.T for p in fit.parts),
@@ -817,7 +792,7 @@ def _study_phases(cfg, kind, out_dir, report):
 
         if cfg.compute_supports:
             rng_dir = np.random.default_rng([cfg.rng_seed, _DIRECTION_STREAM])
-            dirs = _unit_directions(rng_dir, cfg.n_directions, system.n_x)
+            dirs = _unit_directions(rng_dir, cfg.n_directions, cfg.x0.dim)
             sup = {c: [run.union_support(k, dirs).tolist() for k in range(cfg.horizon + 1)]
                    for c, run in runs.items()}
             report["support_directions"] = dirs.tolist()
@@ -833,7 +808,7 @@ def _study_phases(cfg, kind, out_dir, report):
             report["orderings"] = orderings
         lap("supports")
 
-        _self_check(cfg, system, runs, report, betas)
+        _self_check(cfg, pwa, runs, report, betas)
         lap("self_check")
 
         if lti:
@@ -845,7 +820,7 @@ def _study_phases(cfg, kind, out_dir, report):
                     # tractable; the cap fixes the reported numbers: they are
                     # exact volumes of the Girard-reduced sets, not of the
                     # full ones
-                    z = reduce_girard(run.steps[vstep].fragments[0].set, 50.0 / system.n_x)
+                    z = reduce_girard(run.steps[vstep].fragments[0].set, 50.0 / cfg.x0.dim)
                     return volume(z)
 
                 table = [{"method": c, "volume": _row_volume(runs[c])}
@@ -870,7 +845,7 @@ def _study_phases(cfg, kind, out_dir, report):
                 tables.append(("hull_widths.csv", ["method", "step", "dim", "low", "high", "width"],
                                [[c, k, dim + 1, h["low"][dim], h["high"][dim], h["width"][dim]]
                                 for c in combos for k, h in enumerate(hulls[c])
-                                for dim in range(system.n_x)]))
+                                for dim in range(cfg.x0.dim)]))
             _emit_common(Path(out_dir), cfg, report, runs, tables, t0, lap,
                          {"lp": lp, "design": design, "volume": volumes})
         return report

@@ -69,7 +69,7 @@ class DesignConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_counts(self, (("n_candidates", 1), ("refine_iters", 0)))
+        check_counts(self, (("n_candidates", 1), ("refine_iters", 0), ("rng_seed", 0)))
         if not (isinstance(self.refine_step, numbers.Real) and 0.0 < self.refine_step < np.inf):
             raise ValueError(f"refine_step must be finite and positive, got {self.refine_step!r}")
 

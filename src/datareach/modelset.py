@@ -11,6 +11,7 @@ most rank(Phi) + 1 nonzero coefficients per noise direction.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,10 +67,15 @@ class DataSet:
     def T(self):
         return self.x_plus.shape[1]
 
-    @property
+    @cached_property
     def phi(self):
-        """Regressor [X_minus; U_minus], shape (d, T)."""
+        """Regressor [X_minus; U_minus], shape (d, T), stacked once."""
         return np.vstack([self.x_minus, self.u_minus])
+
+    @cached_property
+    def factors(self):
+        """The one linalg.Svd of phi, computed on first use and kept."""
+        return svd(self.phi)
 
 
 @dataclass
@@ -104,7 +110,7 @@ def build_model_sets(data, w_generators, h):
     g_w = np.asarray(w_generators, dtype=float)
     if g_w.ndim != 2 or g_w.shape[0] != data.n_x:
         raise ModelSetError(f"noise generators must be {data.n_x} x p_w, got {g_w.shape}")
-    factors = svd(phi)
+    factors = data.factors
     if not factors.full_row_rank:
         raise ModelSetError("regressor is not full row rank")
     residual = phi @ h - np.eye(d)

@@ -370,15 +370,16 @@ def partition_data_by_mode(data, pwa):
     """Split a DataSet's transitions by the mode active at their start state.
 
     Returns (parts, indices): one DataSet per mode with its transitions in
-    data's column order, and per mode the columns of data it holds.  Modes
-    with fewer transitions than n_x + n_u trigger a warning.
+    data's column order (data itself for a mode holding every column), and
+    per mode the columns of data it holds.  Modes with fewer transitions
+    than n_x + n_u trigger a warning.
     """
     modes = pwa.classify_batch(data.x_minus.T)
     parts, indices = [], []
     for q in range(pwa.n_modes):
         idx = np.flatnonzero(modes == q)
-        part = DataSet(*(np.take(a, idx, axis=1)
-                         for a in (data.x_plus, data.x_minus, data.u_minus)))
+        part = data if idx.size == data.T else DataSet(
+            *(np.take(a, idx, axis=1) for a in (data.x_plus, data.x_minus, data.u_minus)))
         if part.T < part.d:
             warnings.warn(f"mode {q}: only {part.T} transitions for {part.d} unknowns")
         parts.append(part)

@@ -13,7 +13,6 @@ import time
 import numpy as np
 
 from .inputdesign import delta_A, info_init, info_update
-from .linalg import svd
 from .modelset import DataSet, build_model_sets
 from .rightinv import pinv_right_inverse, row_norm_right_inverse, verify_sandwich
 from .sets import (
@@ -228,7 +227,7 @@ def check_kernel_consistency(seed):
         model = cmz.C + np.einsum("l,lnm->nm", beta, cmz.generators)
         worst = max(worst, float(np.max(np.abs(model - truth))))
         row_nnz = max(row_nnz, int(np.max(np.count_nonzero(cmz.A, axis=1))))
-    null_residual = float(np.max(np.abs(phi @ svd(phi).null)))
+    null_residual = float(np.max(np.abs(phi @ data.factors.null)))
     nnz_bound = (n_x + n_u + 1) * int(np.max(np.count_nonzero(g_w, axis=1)))
     return {"name": "kernel_consistency", "worst_error": worst,
             "max_row_nonzeros": row_nnz, "null_residual": null_residual,

@@ -526,8 +526,9 @@ def reduce_girard(z, max_order):
 # d directions left after merging parallel columns.  Its work grows with this
 # count; up to 1e7 an exact volume takes seconds (on one 2-core host: 0.11 s
 # for the 8.6e6 subsets of a 5 x 66 set, 1.6 s for the 3.3e6 of a 15 x 25
-# one).  Past it, reduce the zonotope first.  The merge itself compares
-# every pair of columns, n m^2 flops, before the count is known.
+# one).  Past it, reduce the zonotope first.  The merge compares every pair
+# of columns, n m^2 flops, block by block, and refuses as soon as the
+# directions found so far pass the cap.
 _MAX_VOLUME_SUBSETS = 10_000_000
 
 # Entries of the largest array one level of the volume recursion, or one
@@ -557,12 +558,7 @@ def volume(z):
     n, m = z.G.shape
     g = _distinct_directions(z.G) if n > 1 else z.G
     d = g.shape[1]
-    n_subsets = math.comb(d, n)
-    if n_subsets > _MAX_VOLUME_SUBSETS:
-        raise ValueError(
-            f"volume would enumerate {n_subsets} generator subsets "
-            f"(> {_MAX_VOLUME_SUBSETS}); reduce the zonotope first"
-        )
+    n_subsets = _subsets_within_cap(d, n)
     if d < n:
         vol = 0.0
     elif n == 0:
@@ -580,12 +576,21 @@ def volume(z):
     return vol
 
 
+def _subsets_within_cap(d, n, bound=""):
+    """C(d, n); ValueError past _MAX_VOLUME_SUBSETS (bound prefixes the count)."""
+    n_subsets = math.comb(d, n)
+    if n_subsets > _MAX_VOLUME_SUBSETS:
+        raise ValueError(f"volume would enumerate {bound}{n_subsets} generator subsets "
+                         f"(> {_MAX_VOLUME_SUBSETS}); reduce the zonotope first")
+    return n_subsets
+
+
 def _distinct_directions(g):
     """The nonzero columns of g with each one merged into the first column
     parallel or antiparallel to it (unit vectors within _PARALLEL_RTOL up to
     sign): that column, scaled to the summed length of the columns merged
     into it.  Columns keep their order, and a column parallel to no other
-    keeps its bits."""
+    keeps its bits.  Refuses as volume does, from the columns compared so far."""
     norms = np.linalg.norm(g, axis=0)
     g, norms = g[:, norms > 0.0], norms[norms > 0.0]
     n, m = g.shape
@@ -600,6 +605,9 @@ def _distinct_directions(g):
         near &= np.arange(lo, lo + ui.shape[1])[:, None] < np.arange(m)
         hit = near.any(axis=0) & (head == np.arange(m))
         head[hit] = lo + near.argmax(axis=0)[hit]
+        hi = lo + ui.shape[1]
+        if hi < m:  # every column before hi has met all earlier ones: its head is final
+            _subsets_within_cap(int(np.count_nonzero(head[:hi] == np.arange(hi))), n, "at least ")
     heads, group = np.unique(head, return_inverse=True)
     lengths = np.bincount(group, weights=norms)
     return g[:, heads] * (lengths / norms[heads])

@@ -156,7 +156,7 @@ def test_realized_noise_factors_satisfy_model_constraints_on_20_seeds(verdict):
     for seed in range(20):
         cfg = replace(cfg0, rng_seed=seed)
         system = cfg.true_system()
-        truth = np.hstack(system.pwa.true_matrices()[0])
+        truth = np.hstack(system.true_matrices()[0])
         for mode in cfg.input_modes:
             data, log = collect_data(cfg, system, mode)
             beta = true_noise_coefficients(log)

@@ -105,7 +105,14 @@ def test_config_rejects_bad_kind_and_sampling():
                       ("horizon", -1), ("t_steps", 2.0), ("n_check", True)):
         with pytest.raises(HarnessError, match=name):
             tiny_lti_config(**{name: bad})
-    cfg = tiny_lti_config(n_lp_spot=0, horizon=0, fragment_cap=1)
+    # a bad seed used to fail in numpy's default_rng without naming the field
+    # (-1) or with an uncaught TypeError (1.5), and True or "3" were taken
+    for bad in (-1, 1.5, True, "3"):
+        with pytest.raises(HarnessError, match="rng_seed"):
+            tiny_lti_config(rng_seed=bad)
+        with pytest.raises(HarnessError, match="design: rng_seed"):
+            tiny_lti_config(design={"rng_seed": bad})
+    cfg = tiny_lti_config(n_lp_spot=0, horizon=0, fragment_cap=1, rng_seed=0)
     assert (cfg.n_lp_spot, cfg.horizon, cfg.fragment_cap) == (0, 0, 1)
 
 
@@ -145,10 +152,10 @@ def test_config_rejects_dimension_mismatch():
 
 
 def test_linear_true_system_is_one_unguarded_mode():
-    system = tiny_lti_config().true_system()
-    assert system.pwa.n_modes == 1 and system.pwa.modes[0].region == []
-    assert (system.n_x, system.n_u) == (2, 1)
-    a, b = system.pwa.true_matrices()[0]
+    pwa = tiny_lti_config().true_system()
+    assert isinstance(pwa, reach.PwaSpec)
+    assert pwa.n_modes == 1 and pwa.modes[0].region == []
+    a, b = pwa.true_matrices()[0]
     assert np.array_equal(a, [[0.6, 0.2], [-0.1, 0.5]]) and np.array_equal(b, [[1.0], [0.5]])
 
 
@@ -184,7 +191,7 @@ def test_true_system_rejects_bad_projection_dims():
             tiny_lti_config(projection_dims=dims).true_system()
         with pytest.raises(HarnessError, match="projection_dims"):
             run_lti_experiment(tiny_lti_config(projection_dims=dims))
-    assert tiny_lti_config(projection_dims=((2, 1),)).true_system().n_x == 2
+    assert tiny_lti_config(projection_dims=((2, 1),)).true_system().modes[0].a.shape == (2, 2)
 
 
 def test_bundled_configs_load():
@@ -206,9 +213,10 @@ def test_load_config_from_file(tmp_path):
 
 def test_simulate_batch_replays_from_recorded_factors():
     cfg = tiny_lti_config()
-    system = cfg.true_system()
+    pwa = cfg.true_system()
+    (a, b), = pwa.true_matrices()
     rng = np.random.default_rng(5)
-    states, xi0, xi_u, xi_w = simulate_batch(system, cfg.x0, cfg.u_prop, 3, 8, rng)
+    states, xi0, xi_u, xi_w = simulate_batch(pwa, cfg.w, cfg.x0, cfg.u_prop, 3, 8, rng)
     assert states.shape == (8, 4, 2)
     for i in range(8):
         x = cfg.x0.c + cfg.x0.G @ xi0[i]
@@ -216,7 +224,7 @@ def test_simulate_batch_replays_from_recorded_factors():
         for k in range(3):
             u = cfg.u_prop.c + cfg.u_prop.G @ xi_u[k, i]
             w = cfg.w.c + cfg.w.G @ xi_w[k, i]
-            x = system.step(x, u, w)
+            x = a @ x + b @ u + w
             assert np.allclose(states[i, k + 1], x, atol=1e-12)
 
 
@@ -330,10 +338,8 @@ def test_linear_partition_is_the_whole_data_set():
     cfg = tiny_lti_config()
     system = cfg.true_system()
     data, log = collect_data(cfg, system, "designed")
-    parts, indices = partition_data_by_mode(data, system.pwa)
-    assert len(parts) == 1
-    for name in ("x_plus", "x_minus", "u_minus"):
-        assert np.array_equal(getattr(parts[0], name), getattr(data, name))
+    parts, indices = partition_data_by_mode(data, system)
+    assert len(parts) == 1 and parts[0] is data
     assert np.array_equal(indices[0], np.arange(data.T))
     assert np.array_equal(true_noise_coefficients(log, indices[0]), true_noise_coefficients(log))
 
@@ -462,7 +468,7 @@ def test_pwa_proxies_are_kept_per_variant():
     report = run_pwa_experiment(cfg)
     system = cfg.true_system()
     data, _ = collect_data(cfg, system, "random")
-    parts, _ = partition_data_by_mode(data, system.pwa)
+    parts, _ = partition_data_by_mode(data, system)
     assert report["data"]["random"]["per_mode"] == [
         {"mode": q, "transitions": part.T} for q, part in enumerate(parts)]
     for _, rinv in variants:
@@ -555,7 +561,7 @@ def test_metadata_counts_lps_by_purpose(tmp_path):
     # halfspace here), else the one the parent inherited.  So a constrained
     # fragment pays one cold start, at its first guard-cut emptiness query
     # or at its hull, exactly when its parent held no basis
-    modes = cfg.true_system().pwa.modes
+    modes = cfg.true_system().modes
     cold = constrained = 0
     for combo in (tmp_path / "sets").iterdir():
         held = []  # per fragment of the previous step
@@ -673,16 +679,37 @@ def test_lti_rejects_pwa_config():
         run_lti_experiment(cfg)
 
 
+def test_studies_factor_each_data_set_once(monkeypatch):
+    # collect_data's statistics and every model set of one data set share
+    # its one SVD: a linear study factors each input mode's regressor once
+    # for that and once in each of pinv_right_inverse, row_norm_right_inverse
+    # and verify_sandwich, which take a bare matrix; a piecewise-affine study
+    # factors each collection once and each mode's part once for its right
+    # inverse and once for its model sets
+    calls, real_svd = [], np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    run_lti_experiment(tiny_lti_config(compute_supports=False, compute_volumes=False))
+    assert calls == [(3, 12)] * 2 * 4
+    calls.clear()
+    run_pwa_experiment(tiny_pwa_config())
+    assert len(calls) == 2 * (1 + 2 * 2)
+
+
 def test_pwa_partition_indices_cover_all_columns():
     cfg = bundled_config("pwa_2mode")
     system = cfg.true_system()
     data, _ = collect_data(cfg, system, "random")
-    parts, indices = partition_data_by_mode(data, system.pwa)
+    parts, indices = partition_data_by_mode(data, system)
     assert sum(p.T for p in parts) == data.T
     assert sorted(np.concatenate(indices).tolist()) == list(range(data.T))
     for q, part in enumerate(parts):
         for col in range(part.T):
-            assert system.pwa.classify(part.x_minus[:, col]) == q
+            assert system.classify(part.x_minus[:, col]) == q
 
 
 def test_pwa_smoke_run_small():

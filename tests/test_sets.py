@@ -660,6 +660,24 @@ def test_volume_refuses_huge_enumerations():
         volume(z)
 
 
+def test_volume_refuses_after_the_blocks_that_pass_the_cap(monkeypatch):
+    # 4000 distinct columns in 5-D compare in blocks of 2^20 // (5 * 4000) =
+    # 52 columns, 77 blocks in all; after two blocks the 104 directions found
+    # already leave C(104, 5) subsets, and the merge stops there
+    checks = []
+
+    def spy(d, n, bound=""):
+        checks.append((d, bound))
+        return cap(d, n, bound)
+
+    cap = sets._subsets_within_cap
+    monkeypatch.setattr(sets, "_subsets_within_cap", spy)
+    z = Zonotope(np.zeros(5), np.random.default_rng(50).normal(size=(5, 4000)))
+    with pytest.raises(ValueError, match=f"at least {math.comb(104, 5)} generator subsets"):
+        volume(z)
+    assert checks == [(52, "at least "), (104, "at least ")]
+
+
 def test_volume_enumerates_distinct_directions():
     # 5 x 80 from 10 directions, each repeated with mixed scale and sign:
     # C(10, 5) = 252 subsets, not C(80, 5), over the merged columns

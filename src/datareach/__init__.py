@@ -18,7 +18,6 @@ from .harness import (
     bundled_config,
     collect_data,
     load_config,
-    proxy_chain,
     run_lti_experiment,
     run_pwa_experiment,
     simulate_batch,
@@ -101,7 +100,6 @@ __all__ = [
     "pinv_right_inverse",
     "propagate_lti",
     "propagate_pwa",
-    "proxy_chain",
     "reduce_girard",
     "row_norm_right_inverse",
     "row_norm_sum",

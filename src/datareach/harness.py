@@ -120,6 +120,28 @@ def discretize(a_c, b_c, dt):
     return e[:n, :n], e[:n, n:]
 
 
+def _entry(d, key, where, kind="finite array"):
+    """d[key] of a system dict, checked to be a kind: "finite array" or
+    "finite number" (returned as a float array) or "list"; kind None takes
+    any value.  HarnessError naming where and key otherwise."""
+    if not isinstance(d, dict):
+        raise HarnessError(f"{where} must be a dict, got {d!r}")
+    if key not in d:
+        raise HarnessError(f"{where} has no {key!r} entry")
+    v = d[key]
+    if kind in ("finite array", "finite number"):
+        try:
+            v = np.asarray(v, dtype=float)
+        except (TypeError, ValueError):
+            v = np.array(np.nan)
+        ok = np.all(np.isfinite(v)) and (kind == "finite array" or v.ndim == 0)
+    else:
+        ok = kind is None or isinstance(v, (list, tuple))
+    if not ok:
+        raise HarnessError(f"{where} {key!r} must be a {kind}, got {d[key]!r}")
+    return v
+
+
 def _check_modes(modes):
     """HarnessError unless every mode has an n x n a, an n x m b and region
     normals of length n, with one n and one m for all modes."""
@@ -146,7 +168,9 @@ def _set_from_config(d):
     d = dict(d)
     # accept the friendly {"center", "generators", "a", "b"} spelling too
     for alias, key in (("center", "c"), ("generators", "G"), ("a", "A")):
-        if alias in d and key not in d:
+        if alias in d:
+            if key in d:
+                raise HarnessError(f"a set gives both {alias!r} and {key!r}")
             d[key] = d.pop(alias)
     d.setdefault("type", "zonotope")
     return set_from_dict(d)
@@ -247,18 +271,23 @@ class ExperimentConfig:
         """The true system, a PwaSpec with the true matrices of every mode,
         with every set dimension checked against it."""
         s = self.system
-        kind = s.get("type")
+        kind = _entry(s, "type", "system", None)
         if kind == "pwa":
-            modes = [
-                PwaMode(region=[Halfspace(h["normal"], h["offset"]) for h in m["region"]],
-                        a=m["a"], b=m["b"])
-                for m in s["modes"]
-            ]
+            modes = []
+            for q, m in enumerate(_entry(s, "modes", "system", "list")):
+                at = f"system mode {q}"
+                region = [Halfspace(_entry(h, "normal", f"{at} region {i}"),
+                                    _entry(h, "offset", f"{at} region {i}", "finite number"))
+                          for i, h in enumerate(_entry(m, "region", at, "list"))]
+                modes.append(PwaMode(region=region, a=_entry(m, "a", at), b=_entry(m, "b", at)))
         elif kind == "continuous":
-            a, b = discretize(s["a_c"], s["b_c"], s["dt"])
+            dt = _entry(s, "dt", "system", "finite number")
+            if not dt > 0.0:
+                raise HarnessError(f"system 'dt' must be positive, got {s['dt']!r}")
+            a, b = discretize(_entry(s, "a_c", "system"), _entry(s, "b_c", "system"), dt)
             modes = [PwaMode(region=[], a=a, b=b)]
         elif kind == "discrete":
-            modes = [PwaMode(region=[], a=s["a"], b=s["b"])]
+            modes = [PwaMode(region=[], a=_entry(s, "a", "system"), b=_entry(s, "b", "system"))]
         else:
             raise HarnessError(f"unknown system type {kind!r}")
         if (kind == "pwa") != (self.kind == "pwa"):
@@ -353,13 +382,11 @@ def simulate_batch(pwa, w, x0_set, u_set, horizon, count, rng):
 @dataclass
 class CollectLog:
     """Everything recorded during data collection that the data set itself
-    cannot carry: the factor draws and the regressor's singular values."""
+    cannot carry: the trajectories and the factor draws."""
 
     trajectories: list        # (states, inputs) per trajectory
     xi_w: np.ndarray          # (p_w, T) noise factors, global column order
     xi0: np.ndarray           # (K, m0) initial-state factors
-    sigma: np.ndarray         # singular values of the realized regressor Phi
-    trace_inverse: float      # tr(pinv(Phi Phi')) = sum of sigma^-2 above the rank cutoff
 
 
 def collect_data(cfg, pwa, input_mode):
@@ -418,10 +445,7 @@ def collect_data(cfg, pwa, input_mode):
     x_stack = [t[0] for t in trajectories]
     data = DataSet(np.hstack([s[:, 1:] for s in x_stack]), np.hstack([s[:, :-1] for s in x_stack]),
                    np.hstack([t[1] for t in trajectories]))
-    factors = data.factors
-    log = CollectLog(trajectories, np.column_stack(xi_w_cols), np.asarray(xi0s), factors.s,
-                     float(np.sum(factors.s[: factors.rank] ** -2.0)))
-    return data, log
+    return data, CollectLog(trajectories, np.column_stack(xi_w_cols), np.asarray(xi0s))
 
 
 def true_noise_coefficients(log, columns=None):
@@ -434,11 +458,11 @@ def true_noise_coefficients(log, columns=None):
 
 @dataclass
 class _Fit:
-    """One (input mode, right inverse) variant, fitted per mode of the true
-    system: the data part, right inverse, model sets and true noise factors
-    of each mode."""
+    """One (input mode, right inverse) variant: the input mode's whole data
+    set and, per mode of the true system, the data part, right inverse,
+    model sets and true noise factors."""
 
-    log: CollectLog
+    data: DataSet
     parts: list
     rinvs: list
     bundles: list
@@ -456,47 +480,15 @@ def _fit_variants(cfg, pwa, variants):
     for mode, rinv in variants:
         if mode not in collected:
             data, log = collect_data(cfg, pwa, mode)
-            collected[mode] = (log, *partition_data_by_mode(data, pwa))
-        log, parts, indices = collected[mode]
+            collected[mode] = (data, log, *partition_data_by_mode(data, pwa))
+        data, log, parts, indices = collected[mode]
         rinvs = [_RIGHT_INVERSES[rinv](part.phi) for part in parts]
         fits[(mode, rinv)] = _Fit(
-            log, parts, rinvs,
+            data, parts, rinvs,
             [build_model_sets(part, cfg.w.G, res.h) for part, res in zip(parts, rinvs)],
             [true_noise_coefficients(log, idx) for idx in indices],
         )
     return fits
-
-
-def proxy_chain(cfg):
-    """Collect both input modes and compare model-set size proxies.
-
-    Returns per-mode pseudoinverse norms and proxies for the pinv and
-    row-norm right inverses, plus the two chain gaps
-    proxy(designed, row_norm) - proxy(designed, pinv) and
-    proxy(designed, pinv) - proxy(random, pinv) (negative means the chain
-    inequality holds).  Linear configs only: the proxies are of one model
-    set over all the data.
-    """
-    if cfg.kind != "lti":
-        raise HarnessError(f"proxy_chain needs a linear config, got kind {cfg.kind!r}")
-    fits = _fit_variants(cfg, cfg.true_system(), product(_MODES, _RIGHT_INVERSES))
-    out = {}
-    for mode in _MODES:
-        pinv, row = fits[(mode, "pinv")], fits[(mode, "row_norm")]
-        out[mode] = {
-            "pinv_frobenius": pinv.rinvs[0].frobenius_norm,
-            "proxy_pinv": generator_norm_proxy(pinv.bundles[0].mz),
-            "proxy_row_norm": generator_norm_proxy(row.bundles[0].mz),
-            "row_norm_sum_pinv": pinv.rinvs[0].row_norm_sum,
-            "row_norm_sum_row_norm": row.rinvs[0].row_norm_sum,
-            "trace_inverse": pinv.log.trace_inverse,
-        }
-    out["gap_row_norm_vs_pinv"] = out["designed"]["proxy_row_norm"] - out["designed"]["proxy_pinv"]
-    out["gap_designed_vs_random"] = out["designed"]["proxy_pinv"] - out["random"]["proxy_pinv"]
-    out["design_reduces_pinv_norm"] = bool(
-        out["designed"]["pinv_frobenius"] <= out["random"]["pinv_frobenius"]
-    )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +717,8 @@ def _study_phases(cfg, kind, out_dir, report):
         pwa = cfg.true_system()
         if np.any(cfg.w.c != 0.0):
             raise HarnessError("model-set construction assumes zero-centered noise")
+        if cfg.w.num_constraints:
+            raise HarnessError("w must have no constraint rows: noise is drawn from its generators")
         report.update(schema_version=SCHEMA_VERSION, kind=kind, name=cfg.name,
                       config=cfg.to_dict())
 
@@ -732,14 +726,16 @@ def _study_phases(cfg, kind, out_dir, report):
         fits = _fit_variants(cfg, pwa, variants)
         data_stats, rinv_stats = {}, {}
         for (mode, rinv), fit in fits.items():
-            stats = data_stats[mode] = {"transitions": sum(p.T for p in fit.parts),
-                                        "trace_inverse": fit.log.trace_inverse}
+            factors = fit.data.factors
+            stats = data_stats[mode] = {
+                "transitions": fit.data.T,
+                "trace_inverse": float(np.sum(factors.s[: factors.rank] ** -2.0))}
             if lti:
-                stats.update(sigma_min=float(fit.log.sigma[-1]), sigma_max=float(fit.log.sigma[0]))
+                stats.update(sigma_min=float(factors.s[-1]), sigma_max=float(factors.s[0]))
                 res = fit.rinvs[0]
                 rinv_stats[f"{rinv}_{mode}"] = _rinv_summary(res)
                 if rinv == "row_norm":
-                    check = verify_sandwich(fit.parts[0].phi, res)
+                    check = verify_sandwich(factors, res)
                     rinv_stats[f"{rinv}_{mode}"]["sandwich"] = {
                         "lower": check.lower, "value": check.value,
                         "upper": check.upper, "holds": check.holds,

@@ -70,7 +70,8 @@ class DesignConfig:
 
     def __post_init__(self):
         check_counts(self, (("n_candidates", 1), ("refine_iters", 0), ("rng_seed", 0)))
-        if not (isinstance(self.refine_step, numbers.Real) and 0.0 < self.refine_step < np.inf):
+        if isinstance(self.refine_step, bool) or not (isinstance(self.refine_step, numbers.Real)
+                                                      and 0.0 < self.refine_step < np.inf):
             raise ValueError(f"refine_step must be finite and positive, got {self.refine_step!r}")
 
 

@@ -43,12 +43,14 @@ def _as_matrix(m):
 
 
 class Svd(NamedTuple):
-    """Full SVD M = u @ diag(s) @ v.T with its numerical rank.
+    """SVD M = u[:, :k] @ diag(s) @ v.T, k = min(rows, cols), with its
+    numerical rank.
 
-    u and v are square orthogonal; s is non-increasing with min(rows, cols)
-    entries, of which the first rank lie above the RANK_RTOL cutoff.  The
-    pseudoinverse, the sparse null-space basis and the full-row-rank test
-    are all read from this one factorization.
+    u is square orthogonal and v (cols x k) holds the k leading right
+    singular vectors; s is non-increasing with k entries, of which the
+    first rank lie above the RANK_RTOL cutoff.  The pseudoinverse, the
+    sparse null-space basis and the full-row-rank test are all read from
+    this one factorization.
     """
 
     u: np.ndarray
@@ -61,7 +63,7 @@ class Svd(NamedTuple):
         """Moore-Penrose pseudoinverse; singular values below the cutoff are zeroed."""
         inv = np.zeros(self.s.size)
         inv[: self.rank] = 1.0 / self.s[: self.rank]
-        return (self.v[:, : self.s.size] * inv) @ self.u[:, : self.s.size].T
+        return (self.v * inv) @ self.u[:, : self.s.size].T
 
     @property
     def null(self):
@@ -99,14 +101,15 @@ class Svd(NamedTuple):
 
 
 def svd(m):
-    """Full SVD of a finite 2-D array, with its rank at the RANK_RTOL cutoff."""
+    """The Svd of a finite 2-D array, with its rank at the RANK_RTOL cutoff."""
     a = _as_matrix(m)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as e:  # pragma: no cover - numpy rarely fails here
         raise NumericalError(f"SVD did not converge: {e}") from e
     thresh = RANK_RTOL * max(a.shape) * s[0] if s.size else 0.0
-    return Svd(u, s, vh.T, int(np.count_nonzero(s > thresh)))
+    # the leading rows of the full vh: pinv and null read no others
+    return Svd(u, s, vh[: s.size].copy().T, int(np.count_nonzero(s > thresh)))
 
 
 @dataclass

@@ -142,8 +142,8 @@ class SandwichCheck:
         return self.lower <= self.value + 1e-9 and self.value <= self.upper + 1e-9
 
 
-def verify_sandwich(phi, result):
-    """Bounds on the optimal row-norm sum from the pseudoinverse alone."""
-    phi = np.asarray(phi, dtype=float)
-    fro = float(np.linalg.norm(svd(phi).pinv, "fro"))
-    return SandwichCheck(fro, result.row_norm_sum, float(np.sqrt(phi.shape[1])) * fro)
+def verify_sandwich(factors, result):
+    """Bounds on the optimal row-norm sum from the pseudoinverse alone;
+    factors is the regressor's linalg.Svd, as DataSet.factors holds it."""
+    fro = float(np.linalg.norm(factors.pinv, "fro"))
+    return SandwichCheck(fro, result.row_norm_sum, float(np.sqrt(factors.v.shape[0])) * fro)

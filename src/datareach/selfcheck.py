@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from .inputdesign import delta_A, info_init, info_update
+from .linalg import svd
 from .modelset import DataSet, build_model_sets
 from .rightinv import pinv_right_inverse, row_norm_right_inverse, verify_sandwich
 from .sets import (
@@ -200,7 +201,7 @@ def check_right_inverse(seed, trials=5):
         phi = rng.normal(size=(d, t))
         res = row_norm_right_inverse(phi)
         worst_res = max(worst_res, float(np.max(np.abs(phi @ res.h - np.eye(d)))))
-        sandwich_ok &= verify_sandwich(phi, res).holds
+        sandwich_ok &= verify_sandwich(svd(phi), res).holds
     return {"name": "right_inverse", "trials": trials,
             "worst_identity_residual": worst_res,
             "ok": sandwich_ok and worst_res <= 1e-6}

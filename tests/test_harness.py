@@ -14,7 +14,6 @@ from datareach.harness import (
     collect_data,
     discretize,
     load_config,
-    proxy_chain,
     run_lti_experiment,
     run_pwa_experiment,
     simulate_batch,
@@ -137,12 +136,37 @@ def test_config_rejects_bad_design_block():
     for design, field in (({"n_candidates": 0}, "n_candidates"),
                           ({"refine_iters": -3}, "refine_iters"),
                           ({"refine_step": float("nan")}, "refine_step"),
+                          ({"refine_step": True}, "refine_step"),  # used to read 1.0
                           ({"refine_steps": 0.5}, "refine_steps")):
         with pytest.raises(HarnessError, match=field):
             tiny_lti_config(design=design)
     cfg = tiny_lti_config(design={"n_candidates": 7, "refine_step": 0.25})
     assert cfg.to_dict()["design"] == {"n_candidates": 7, "refine_iters": 50,
                                        "refine_step": 0.25, "rng_seed": 0}
+
+
+def test_config_rejects_a_set_with_both_spellings_of_a_key():
+    # the friendly key used to be dropped next to the serialized one: a run
+    # with a nonzero "center" and a zero "c" on w ended ok
+    g = [[0.004, 0.0], [0.0, 0.004]]
+    for alias, key, extra in (("center", "c", {"generators": g}),
+                              ("generators", "G", {"c": [0.0, 0.0]}),
+                              ("a", "A", {"c": [0.0, 0.0], "G": g, "b": [0.5]})):
+        value = [[1.0, 0.0]] if key == "A" else extra.get(key, [0.1, 0.0])
+        w = {**extra, alias: value, key: value}
+        with pytest.raises(HarnessError, match=f"both '{alias}' and '{key}'"):
+            tiny_lti_config(w=w)
+
+
+def test_studies_reject_constraint_rows_on_w():
+    # collection and the self-check drew noise from the box of w.G, and the
+    # model sets used w.G alone, so rows on w used to be dropped silently
+    w = {"center": [0.0, 0.0], "generators": [[0.004, 0.0], [0.0, 0.004]],
+         "a": [[1.0, 0.0]], "b": [0.5]}
+    with pytest.raises(HarnessError, match="w must have no constraint rows"):
+        run_lti_experiment(tiny_lti_config(w=w))
+    with pytest.raises(HarnessError, match="w must have no constraint rows"):
+        run_pwa_experiment(tiny_pwa_config(w=w))
 
 
 def test_config_rejects_dimension_mismatch():
@@ -179,6 +203,60 @@ def test_true_system_rejects_bad_pwa_shapes():
                           (no_modes, "no modes")):
         with pytest.raises(HarnessError, match=match):
             replace(base, system=system).true_system()
+
+
+def _pwa_system(edit):
+    system = json.loads(json.dumps(bundled_config("pwa_2mode").system))
+    edit(system)
+    return system
+
+
+_DISCRETE = {"type": "discrete", "a": [[0.6, 0.2], [-0.1, 0.5]], "b": [[1.0], [0.5]]}
+_CONTINUOUS = {"type": "continuous", "a_c": [[-1.0, 0.0], [0.0, -2.0]], "b_c": [[1.0], [0.5]],
+               "dt": 0.1}
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("system, match", [
+    # each used to escape as an AttributeError or KeyError, or to pass and
+    # fail only once collection had started
+    ("x", "system must be a dict"),
+    ({"a": [[1.0]], "b": [[1.0]]}, "system has no 'type'"),
+    ({"type": "discrete", "a": _DISCRETE["a"]}, "system has no 'b'"),
+    (dict(_DISCRETE, b=[[1.0], [_NAN]]), "'b' must be a finite array"),
+    (dict(_DISCRETE, a="fast"), "'a' must be a finite array"),
+    (dict(_DISCRETE, a=[[0.6, 0.2], [0.1]]), "'a' must be a finite array"),
+    (dict(_CONTINUOUS, dt=_NAN), "'dt' must be a finite number"),
+    (dict(_CONTINUOUS, dt=[0.1, 0.2]), "'dt' must be a finite number"),
+    (dict(_CONTINUOUS, dt=0.0), "'dt' must be positive"),
+    (dict(_CONTINUOUS, dt=-0.1), "'dt' must be positive"),
+    (dict(_CONTINUOUS, a_c=[[_INF, 0.0], [0.0, -2.0]]), "'a_c' must be a finite array"),
+    (dict(_CONTINUOUS, b_c=None), "'b_c' must be a finite array"),
+    ({"type": "pwa"}, "system has no 'modes'"),
+    ({"type": "pwa", "modes": 5}, "system 'modes' must be a list"),
+    (_pwa_system(lambda s: s["modes"][1].update(region={"normal": [1, 0], "offset": 0})),
+     "system mode 1 'region' must be a list"),
+    (_pwa_system(lambda s: s["modes"].__setitem__(1, "m")), "system mode 1 must be a dict"),
+    (_pwa_system(lambda s: s["modes"][0].pop("region")), "system mode 0 has no 'region'"),
+    (_pwa_system(lambda s: s["modes"][1]["region"].__setitem__(0, [1.0, 0.0])),
+     "system mode 1 region 0 must be a dict"),
+    (_pwa_system(lambda s: s["modes"][0]["region"][0].pop("offset")),
+     "system mode 0 region 0 has no 'offset'"),
+    (_pwa_system(lambda s: s["modes"][1]["region"][0].update(offset=_NAN)),
+     "system mode 1 region 0 'offset' must be a finite number"),
+    (_pwa_system(lambda s: s["modes"][1]["region"][0].update(offset=[0.0])),
+     "system mode 1 region 0 'offset' must be a finite number"),
+    (_pwa_system(lambda s: s["modes"][0]["region"][0].update(normal=[-1.0, _INF])),
+     "system mode 0 region 0 'normal' must be a finite array"),
+    (_pwa_system(lambda s: s["modes"][1]["a"][0].__setitem__(0, _NAN)),
+     "system mode 1 'a' must be a finite array"),
+])
+def test_true_system_names_a_malformed_system_entry(system, match):
+    kind = "pwa" if isinstance(system, dict) and system.get("type") == "pwa" else "lti"
+    cfg = replace(bundled_config("pwa_2mode"), system=system) if kind == "pwa" \
+        else tiny_lti_config(system=system)
+    with pytest.raises(HarnessError, match=match):
+        cfg.true_system()
 
 
 def test_true_system_rejects_bad_projection_dims():
@@ -314,9 +392,11 @@ def test_designed_collection_reduces_trace_on_most_seeds():
     wins = 0
     for seed in range(20):
         cfg = replace(cfg0, rng_seed=seed)
-        _, log_r = collect_data(cfg, system, "random")
-        _, log_d = collect_data(cfg, system, "designed")
-        wins += log_d.trace_inverse < log_r.trace_inverse
+        traces = []
+        for mode in ("random", "designed"):
+            factors = collect_data(cfg, system, mode)[0].factors
+            traces.append(np.sum(factors.s[: factors.rank] ** -2.0))
+        wins += traces[1] < traces[0]
     assert wins >= 16
 
 
@@ -359,23 +439,15 @@ def test_study_collects_each_input_mode_once(monkeypatch):
     assert calls == ["random"]
 
 
-def test_proxy_chain_matches_the_study():
-    cfg = tiny_lti_config(compute_supports=False, compute_volumes=False)
-    out = proxy_chain(cfg)
-    report = run_lti_experiment(cfg)
-    for mode in ("random", "designed"):
-        for rinv in ("pinv", "row_norm"):
-            assert out[mode][f"proxy_{rinv}"] == report["proxies"][f"{rinv}_{mode}"]
-        assert out[mode]["trace_inverse"] == report["data"][mode]["trace_inverse"]
-    with pytest.raises(HarnessError, match="linear"):
-        proxy_chain(bundled_config("pwa_2mode"))
-
-
-def test_proxy_chain_reports_gaps():
-    out = proxy_chain(tiny_lti_config(k_trajectories=5))
-    assert set(out) >= {"random", "designed", "gap_row_norm_vs_pinv", "gap_designed_vs_random"}
+def test_study_reports_row_norm_proxy_within_pinv_proxy():
+    report = run_lti_experiment(tiny_lti_config(k_trajectories=5, horizon=0,
+                                                compute_supports=False, compute_volumes=False))
+    proxies = report["proxies"]
+    assert set(proxies) == {f"{r}_{m}" for r in ("pinv", "row_norm")
+                            for m in ("random", "designed")}
     # the row-norm inverse never loses to the pseudoinverse on its own data
-    assert out["gap_row_norm_vs_pinv"] <= 1e-7
+    for mode in ("random", "designed"):
+        assert proxies[f"row_norm_{mode}"] - proxies[f"pinv_{mode}"] <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -680,12 +752,13 @@ def test_lti_rejects_pwa_config():
 
 
 def test_studies_factor_each_data_set_once(monkeypatch):
-    # collect_data's statistics and every model set of one data set share
-    # its one SVD: a linear study factors each input mode's regressor once
-    # for that and once in each of pinv_right_inverse, row_norm_right_inverse
-    # and verify_sandwich, which take a bare matrix; a piecewise-affine study
-    # factors each collection once and each mode's part once for its right
-    # inverse and once for its model sets
+    # the study's data statistics, the sandwich check and every model set
+    # of one data set share its one SVD (DataSet.factors): a linear study
+    # factors each input mode's regressor once for those and once in each
+    # of pinv_right_inverse and row_norm_right_inverse, which take a bare
+    # matrix; a piecewise-affine study factors each collection once for its
+    # statistics and each mode's part once for its right inverse and once
+    # for its model sets
     calls, real_svd = [], np.linalg.svd
 
     def counting_svd(*args, **kwargs):
@@ -694,7 +767,7 @@ def test_studies_factor_each_data_set_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     run_lti_experiment(tiny_lti_config(compute_supports=False, compute_volumes=False))
-    assert calls == [(3, 12)] * 2 * 4
+    assert calls == [(3, 12)] * 2 * 3
     calls.clear()
     run_pwa_experiment(tiny_pwa_config())
     assert len(calls) == 2 * (1 + 2 * 2)

@@ -15,14 +15,14 @@ def test_svd_reconstruction_and_orthogonality():
         rows, cols = rng.integers(1, 9, size=2)
         m = rng.normal(size=(rows, cols))
         u, s, v, rank = svd(m)
-        assert u.shape == (rows, rows) and v.shape == (cols, cols)
-        assert rank == min(rows, cols)
+        k = min(rows, cols)
+        # v keeps only the k right singular vectors that pinv and null read
+        assert u.shape == (rows, rows) and v.shape == (cols, k) and s.shape == (k,)
+        assert rank == k
         assert np.all(np.diff(s) <= 1e-12)
         assert np.allclose(u.T @ u, np.eye(rows), atol=1e-10)
-        assert np.allclose(v.T @ v, np.eye(cols), atol=1e-10)
-        sigma = np.zeros((rows, cols))
-        sigma[: s.size, : s.size] = np.diag(s)
-        assert np.allclose(u @ sigma @ v.T, m, atol=1e-10)
+        assert np.allclose(v.T @ v, np.eye(k), atol=1e-10)
+        assert np.allclose(u[:, :k] @ np.diag(s) @ v.T, m, atol=1e-10)
 
 
 def test_svd_rejects_bad_input():

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from datareach.linalg import svd
 from datareach.rightinv import (
     RightInverseError,
     pinv_right_inverse,
@@ -62,7 +63,7 @@ def test_row_norm_never_exceeds_pinv_objective():
         piv = pinv_right_inverse(phi)
         assert row.feasibility_residual <= 1e-10
         assert row.row_norm_sum <= piv.row_norm_sum + 1e-7
-        sw = verify_sandwich(phi, row)
+        sw = verify_sandwich(svd(phi), row)
         assert sw.holds
         assert sw.lower <= sw.value + 1e-9 <= sw.upper + 2e-9
 
@@ -71,7 +72,7 @@ def test_sandwich_bounds_are_the_stated_ones():
     rng = np.random.default_rng(2)
     phi = rng.normal(size=(3, 17))
     res = row_norm_right_inverse(phi)
-    sw = verify_sandwich(phi, res)
+    sw = verify_sandwich(svd(phi), res)
     fro = np.linalg.norm(np.linalg.pinv(phi), "fro")
     assert np.isclose(sw.lower, fro)
     assert np.isclose(sw.upper, np.sqrt(17) * fro)

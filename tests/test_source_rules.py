@@ -3,6 +3,7 @@
 import ast
 from pathlib import Path
 
+import datareach
 from datareach.inputdesign import _ascent_source
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "datareach"
@@ -75,3 +76,10 @@ def test_sets_adds_floats_without_builtin_sum():
     # that added with the builtin sum would differ between interpreters
     path = SRC / "sets.py"
     assert _builtin_sum_calls(path.read_text(), path.name) == []
+
+
+def test_every_exported_name_resolves():
+    # a deleted function must not leave a stale entry in __all__, where
+    # `from datareach import *` would raise on it
+    assert len(set(datareach.__all__)) == len(datareach.__all__)
+    assert [n for n in datareach.__all__ if not hasattr(datareach, n)] == []
